@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,72 +24,29 @@ from ._fmt import g17, json_dumps
 from .measures import EigenConvergenceError, format_measures_json
 from .purity import Bipartition, purity
 from .spectra import (
-    BipartitionFamily,
-    compute_distribution,
-    default_workers,
-    format_histogram_tsv,
-    format_spectrum_csv,
-    format_summary_json,
-    histogram,
+    SELECTORS, BipartitionFamily, compute_distribution, format_histogram_tsv,
+    format_spectrum_csv, format_summary_json, histogram,
 )
 from .states import (
-    EnsembleSpec,
-    PureState,
-    make_basis,
-    make_cluster1d,
-    make_ghz,
-    make_w,
-    sample_haar,
-    sample_phase_sphere,
-    state_from_dict,
-    state_to_dict,
+    ENSEMBLE_KINDS, EnsembleSpec, PureState, make_basis, make_cluster1d, make_ghz,
+    make_w, sample_haar, sample_phase_sphere, state_from_dict, state_to_dict,
 )
 from .theory import (
-    GaussianModel,
-    asymptotic_model,
-    delta_moments,
-    exact_moments,
-    factorized_gaussian_moments,
-    format_curve_tsv,
-    participation_pdf,
-    purity_pdf,
+    PROVIDER_KINDS, asymptotic_model, delta_moments, exact_moments,
+    factorized_gaussian_moments, format_curve_tsv, participation_pdf, purity_pdf,
     sphere_moments,
 )
 
-STATE_KINDS = ("basis", "ghz", "w", "cluster")
-FAMILY_CHOICES = ("balanced", "all-sizes", "max-unbalanced", "fixed-size")
-THEORY_MODELS = ("asymptotic", "exact-sphere", "factorized-gaussian", "delta")
-
 RANGE_SIGMAS = 8.0  # default curve range: mu +/- 8 sigma, mapped for participation
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed and validated invocation."""
-
-    subcommand: str
-    kind: str | None = None
-    n: int | None = None
-    index: int | None = None
-    state_file: str | None = None
-    mask: int | None = None
-    family: str | None = None
-    size: int | None = None
-    out: str | None = None
-    fmt: str | None = None
-    seed: int | None = None
-    count: int | None = None
-    bins: int = 50
-    model: str | None = None
-    n_a: int | None = None
-    n_b: int | None = None
-    pdf: str | None = None
-    xmin: float | None = None
-    xmax: float | None = None
-    points: int = 512
-    nmin: int = 5
-    nmax: int = 12
-    haar_seed: int | None = None
+# Named states by --kind.  The lambdas look the constructors up when called,
+# so wrappers installed on this module's names (benchmarks/tracer.py) see them.
+NAMED_STATES = {
+    "basis": lambda n, index: make_basis(n, index if index is not None else 0),
+    "ghz": lambda n, index: make_ghz(n),
+    "w": lambda n, index: make_w(n),
+    "cluster": lambda n, index: make_cluster1d(n),
+}
 
 
 def _parse_mask(text: str) -> int:
@@ -99,212 +56,139 @@ def _parse_mask(text: str) -> int:
         raise ValueError(f"mask {text!r} is not a hex integer") from exc
 
 
-def _load_state(config: RunConfig) -> PureState:
-    if config.state_file is not None:
-        path = Path(config.state_file)
-        try:
-            data = json.loads(path.read_text())
-        except OSError as exc:
-            raise ValueError(f"cannot read state file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"state file {path} is not valid JSON: {exc}") from exc
-        return state_from_dict(data)
-    kind, n = config.kind, config.n
-    if n is None:
-        raise ValueError("--n is required with --kind")
-    if kind == "basis":
-        return make_basis(n, config.index if config.index is not None else 0)
-    if kind == "ghz":
-        return make_ghz(n)
-    if kind == "w":
-        return make_w(n)
-    if kind == "cluster":
-        return make_cluster1d(n)
-    raise ValueError(f"unknown state kind {kind!r}")
+def _load_state(args: argparse.Namespace) -> PureState:
+    if args.state_file is None:
+        if args.n is None:
+            raise ValueError("--n is required with --kind")
+        return NAMED_STATES[args.kind](args.n, args.index)
+    path = Path(args.state_file)
+    try:
+        data = json.loads(path.read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read state file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"state file {path} is not valid JSON: {exc}") from exc
+    return state_from_dict(data)
 
 
-def _family(config: RunConfig, n: int) -> BipartitionFamily:
-    name = config.family or "balanced"
-    if name == "fixed-size":
-        if config.size is None:
-            raise ValueError("--size is required with --family fixed-size")
-        return BipartitionFamily.fixed_size(n, config.size)
-    if name == "balanced":
-        return BipartitionFamily.balanced(n)
-    if name == "all-sizes":
-        return BipartitionFamily.all_sizes(n)
-    if name == "max-unbalanced":
-        return BipartitionFamily.max_unbalanced(n)
-    raise ValueError(f"unknown family {name!r}")
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(config.out).write_text(text)
-
-
-def _run_state(config: RunConfig) -> None:
-    state = _load_state(config)
-    _emit(config, json_dumps(state_to_dict(state)) + "\n")
-
-
-def _run_purity(config: RunConfig) -> None:
-    state = _load_state(config)
-    part = Bipartition(state.n, config.mask)
-    res = purity(state, part)
-    _emit(
-        config,
-        json_dumps(
-            {
-                "n": state.n,
-                "mask": f"{part.mask:#x}",
-                "n_A": part.n_a,
-                "n_B": part.n_b,
-                "purity": res.purity,
-                "participation": res.participation,
-                "effective_spins": res.effective_spins,
-            }
-        )
-        + "\n",
+def _family(args: argparse.Namespace, n: int) -> BipartitionFamily:
+    return BipartitionFamily(
+        n, args.family, args.size if args.family == "fixed-size" else None
     )
 
 
-def _run_spectrum(config: RunConfig) -> None:
-    state = _load_state(config)
-    family = _family(config, state.n)
-    dist = compute_distribution(state, family, workers=default_workers())
-    fmt = config.fmt or "csv"
-    if fmt == "csv":
-        _emit(config, format_spectrum_csv(dist))
-    elif fmt == "json":
-        _emit(config, format_summary_json(dist, family))
-    elif fmt == "tsv":
-        _emit(config, format_histogram_tsv(histogram(dist, bins=config.bins)))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+def _run_state(args: argparse.Namespace) -> str:
+    return json_dumps(state_to_dict(_load_state(args))) + "\n"
 
 
-def _run_sample(config: RunConfig) -> None:
-    spec = EnsembleSpec(config.kind, config.n, config.seed)
-    if spec.kind == "haar":
-        states = sample_haar(spec, config.count)
-    else:
-        states = sample_phase_sphere(spec, config.count)
-    if config.mask is not None:
-        part = Bipartition(config.n, config.mask)
+def _run_purity(args: argparse.Namespace) -> str:
+    mask = _parse_mask(args.mask)
+    state = _load_state(args)
+    part = Bipartition(state.n, mask)
+    record = {"n": state.n, "mask": f"{part.mask:#x}", "n_A": part.n_a, "n_B": part.n_b}
+    return json_dumps({**record, **asdict(purity(state, part))}) + "\n"
+
+
+def _run_spectrum(args: argparse.Namespace) -> str:
+    state = _load_state(args)
+    family = _family(args, state.n)
+    dist = compute_distribution(state, family)
+    if args.format == "json":
+        return format_summary_json(dist, family)
+    if args.format == "tsv":
+        return format_histogram_tsv(histogram(dist, bins=args.bins))
+    return format_spectrum_csv(dist)
+
+
+def _run_sample(args: argparse.Namespace) -> str:
+    mask = None if args.mask is None else _parse_mask(args.mask)
+    spec = EnsembleSpec(args.kind, args.n, args.seed)
+    sampler = sample_haar if spec.kind == "haar" else sample_phase_sphere
+    states = sampler(spec, args.count)
+    if mask is not None:
+        part = Bipartition(args.n, mask)
         lines = ["sample,purity,participation"]
         for i, state in enumerate(states):
             res = purity(state, part)
             lines.append(f"{i},{g17(res.purity)},{g17(res.participation)}")
     else:
-        family = _family(config, config.n)
+        family = _family(args, args.n)
         lines = ["sample,mean_participation,var_population,var_sample,min,max"]
         for i, state in enumerate(states):
-            dist = compute_distribution(state, family, workers=default_workers())
+            dist = compute_distribution(state, family)
             lines.append(
                 f"{i},{g17(dist.mean_participation)},{g17(dist.var_population)},"
                 f"{g17(dist.var_sample)},{g17(dist.min)},{g17(dist.max)}"
             )
-    _emit(config, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _theory_model(config: RunConfig) -> tuple[GaussianModel, int, int]:
-    if config.n_a is not None or config.n_b is not None:
-        if config.n_a is None or config.n_b is None:
-            raise ValueError("--na and --nb must be given together")
-        n_a, n_b = config.n_a, config.n_b
-    elif config.n is not None:
-        n_a = config.n // 2
-        n_b = config.n - n_a
-    else:
-        raise ValueError("theory needs --n or --na/--nb")
+def _run_theory(args: argparse.Namespace) -> str:
+    for name in ("xmin", "xmax"):
+        value = getattr(args, name)
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"--{name} must be finite, got {value!r}")
+    n_a, n_b = args.n_a, args.n_b
+    if (n_a is None) != (n_b is None):
+        raise ValueError("--na and --nb must be given together")
+    if n_a is None:
+        if args.n is None:
+            raise ValueError("theory needs --n or --na/--nb")
+        n_a, n_b = args.n // 2, args.n - args.n // 2
     dim_a, dim_b = 1 << n_a, 1 << n_b
-    if config.model == "asymptotic":
-        return asymptotic_model(dim_a, dim_b), dim_a, dim_b
-    providers = {
-        "exact-sphere": sphere_moments,
-        "factorized-gaussian": factorized_gaussian_moments,
-        "delta": delta_moments,
-    }
-    moments = providers[config.model](dim_a * dim_b)
-    return exact_moments(dim_a, dim_b, moments), dim_a, dim_b
-
-
-def _run_theory(config: RunConfig) -> None:
-    model, _, _ = _theory_model(config)
-    spread = RANGE_SIGMAS * np.sqrt(model.sigma2)
-    if config.pdf == "purity":
-        lo = config.xmin if config.xmin is not None else model.mu - spread
-        hi = config.xmax if config.xmax is not None else model.mu + spread
-        xs = np.linspace(lo, hi, config.points)
-        ys = purity_pdf(model, xs)
+    if args.model == "asymptotic":
+        model = asymptotic_model(dim_a, dim_b)
     else:
-        if config.xmin is not None:
-            lo = config.xmin
-        elif model.mu - spread > 0:
-            lo = 1.0 / (model.mu + spread)
-        else:
+        provider = {
+            "exact-sphere": sphere_moments,
+            "factorized-gaussian": factorized_gaussian_moments,
+            "delta": delta_moments,
+        }[args.model]
+        model = exact_moments(dim_a, dim_b, provider(dim_a * dim_b))
+    spread = RANGE_SIGMAS * np.sqrt(model.sigma2)
+    lo, hi = model.mu - spread, model.mu + spread
+    pdf = purity_pdf
+    if args.pdf == "participation":
+        pdf = participation_pdf
+        if lo > 0:
+            lo, hi = 1.0 / hi, 1.0 / lo
+        elif args.xmin is None or args.xmax is None:
             raise ValueError("model too wide for a default range; pass --xmin/--xmax")
-        if config.xmax is not None:
-            hi = config.xmax
-        elif model.mu - spread > 0:
-            hi = 1.0 / (model.mu - spread)
-        else:
-            raise ValueError("model too wide for a default range; pass --xmin/--xmax")
-        xs = np.linspace(lo, hi, config.points)
-        ys = participation_pdf(model, xs)
-    _emit(config, format_curve_tsv(xs, ys))
+    xs = np.linspace(
+        lo if args.xmin is None else args.xmin,
+        hi if args.xmax is None else args.xmax,
+        args.points,
+    )
+    return format_curve_tsv(xs, pdf(model, xs))
 
 
-def _run_measures(config: RunConfig) -> None:
-    state = _load_state(config)
-    _emit(config, format_measures_json(state))
+def _run_measures(args: argparse.Namespace) -> str:
+    return format_measures_json(_load_state(args))
 
 
-def _run_table1(config: RunConfig) -> None:
-    if not (2 <= config.nmin <= config.nmax):
-        raise ValueError(f"need 2 <= nmin <= nmax, got {config.nmin}..{config.nmax}")
-    with_haar = config.haar_seed is not None
-    header = "n,ghz,w,cluster,random" + (",haar" if with_haar else "")
-    lines = [header]
-    for n in range(config.nmin, config.nmax + 1):
+def _run_table1(args: argparse.Namespace) -> str:
+    if not (2 <= args.nmin <= args.nmax):
+        raise ValueError(f"need 2 <= nmin <= nmax, got {args.nmin}..{args.nmax}")
+    lines = ["n,ghz,w,cluster,random" + (",haar" if args.haar_seed is not None else "")]
+    for n in range(args.nmin, args.nmax + 1):
         family = BipartitionFamily.balanced(n)
         cells = [str(n)]
         for state in (make_ghz(n), make_w(n), make_cluster1d(n)):
-            dist = compute_distribution(state, family, workers=default_workers())
-            cells.append(g17(dist.mean_participation))
+            cells.append(g17(compute_distribution(state, family).mean_participation))
         n_a = n // 2
         model = asymptotic_model(1 << n_a, 1 << (n - n_a))
         cells.append(g17(1.0 / model.mu))
-        if with_haar:
-            sampled = sample_haar(EnsembleSpec("haar", n, config.haar_seed), 1)[0]
-            dist = compute_distribution(sampled, family, workers=default_workers())
+        if args.haar_seed is not None:
+            sampled = sample_haar(EnsembleSpec("haar", n, args.haar_seed), 1)[0]
+            dist = compute_distribution(sampled, family)
             cells.append(g17(dist.mean_participation))
         lines.append(",".join(cells))
-    _emit(config, "\n".join(lines) + "\n")
-
-
-_RUNNERS = {
-    "state": _run_state,
-    "purity": _run_purity,
-    "spectrum": _run_spectrum,
-    "sample": _run_sample,
-    "theory": _run_theory,
-    "measures": _run_measures,
-    "table1": _run_table1,
-}
-
-
-def run(config: RunConfig) -> None:
-    """Execute a validated configuration (raises on failure; main maps codes)."""
-    _RUNNERS[config.subcommand](config)
+    return "\n".join(lines) + "\n"
 
 
 def _add_source_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--kind", choices=STATE_KINDS, help="named state family")
+    group.add_argument("--kind", choices=tuple(NAMED_STATES), help="named state family")
     group.add_argument("--state-file", help="JSON state file to read instead")
     parser.add_argument("--n", type=int, help="qubit count (with --kind)")
     parser.add_argument("--index", type=int, help="basis index (kind=basis only)")
@@ -318,44 +202,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("state", help="construct a named state and write it as JSON")
-    p.add_argument("--kind", choices=STATE_KINDS, required=True)
+    p.set_defaults(run=_run_state, state_file=None)
+    p.add_argument("--kind", choices=tuple(NAMED_STATES), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--index", type=int)
-    p.add_argument("--out")
 
     p = sub.add_parser("purity", help="purity of one explicit bipartition")
+    p.set_defaults(run=_run_purity)
     _add_source_args(p)
     p.add_argument("--mask", required=True, help="subsystem-A bitmask in hex")
-    p.add_argument("--out")
 
     p = sub.add_parser("spectrum", help="purity over a whole bipartition family")
+    p.set_defaults(run=_run_spectrum)
     _add_source_args(p)
-    p.add_argument("--family", choices=FAMILY_CHOICES, default="balanced")
+    p.add_argument("--family", choices=SELECTORS, default="balanced")
     p.add_argument("--size", type=int, help="subsystem size for --family fixed-size")
-    p.add_argument(
-        "--format",
-        choices=("csv", "json", "tsv"),
-        default="csv",
-        help="csv: per-mask rows, json: summary, tsv: histogram",
-    )
+    p.add_argument("--format", choices=("csv", "json", "tsv"), default="csv",
+                   help="csv: per-mask rows, json: summary, tsv: histogram")
     p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--out")
 
     p = sub.add_parser("sample", help="ensemble Monte Carlo")
-    p.add_argument("--kind", choices=("haar", "phase-sphere"), required=True)
+    p.set_defaults(run=_run_sample)
+    p.add_argument("--kind", choices=ENSEMBLE_KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--mask", help="per-sample purity on this hex mask")
-    group.add_argument(
-        "--family", choices=FAMILY_CHOICES, help="per-sample family summary"
-    )
+    group.add_argument("--family", choices=SELECTORS, help="per-sample family summary")
     p.add_argument("--size", type=int)
-    p.add_argument("--out")
 
     p = sub.add_parser("theory", help="emit a model density curve as TSV")
-    p.add_argument("--model", choices=THEORY_MODELS, required=True)
+    p.set_defaults(run=_run_theory)
+    p.add_argument("--model", choices=("asymptotic", *PROVIDER_KINDS), required=True)
     p.add_argument("--n", type=int, help="qubit count; implies the balanced split")
     p.add_argument("--na", type=int, dest="n_a", help="subsystem-A qubits")
     p.add_argument("--nb", type=int, dest="n_b", help="subsystem-B qubits")
@@ -363,60 +242,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmin", type=float)
     p.add_argument("--xmax", type=float)
     p.add_argument("--points", type=int, default=512)
-    p.add_argument("--out")
 
     p = sub.add_parser("measures", help="Q, tangles, ratio, and concurrences as JSON")
+    p.set_defaults(run=_run_measures)
     _add_source_args(p)
-    p.add_argument("--out")
 
     p = sub.add_parser("table1", help="balanced-cut means for the named families")
+    p.set_defaults(run=_run_table1)
     p.add_argument("--nmin", type=int, default=5)
     p.add_argument("--nmax", type=int, default=12)
     p.add_argument("--haar-seed", type=int, help="add a single-Haar-sample column")
-    p.add_argument("--out")
 
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {}
-    for name in (
-        "kind",
-        "n",
-        "index",
-        "state_file",
-        "family",
-        "size",
-        "out",
-        "seed",
-        "count",
-        "bins",
-        "model",
-        "n_a",
-        "n_b",
-        "pdf",
-        "xmin",
-        "xmax",
-        "points",
-        "nmin",
-        "nmax",
-        "haar_seed",
-    ):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    if getattr(args, "mask", None) is not None:
-        fields["mask"] = _parse_mask(args.mask)
-    if hasattr(args, "format"):
-        fields["fmt"] = args.format
-    return RunConfig(subcommand=args.subcommand, **fields)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        run(config)
+        text = args.run(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            Path(args.out).write_text(text)
     except EigenConvergenceError as exc:
         print(f"entspec: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -142,19 +142,24 @@ class ConcurrenceResult:
 
 @dataclass(frozen=True)
 class TangleReport:
-    """Per-qubit one-tangle, two-tangle, and their ratio (None when undefined)."""
+    """Per-qubit one-tangle, two-tangle, and their ratio (None when undefined),
+    with the pairwise concurrences behind the two-tangles as (i, j, C) triples
+    in row-major upper-triangular order (i < j).
+    """
 
     tau1: tuple[float, ...]
     tau2: tuple[float, ...]
     ratio: tuple[float | None, ...]
+    concurrences: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self):
+        # written so that NaN fails every check
         for t1, t2 in zip(self.tau1, self.tau2):
             if not (-1e-12 <= t1 <= 1.0 + 1e-12):
                 raise ValueError(f"one-tangle {t1!r} outside [0, 1]")
-            if t2 < -1e-12:
+            if not t2 >= -1e-12:
                 raise ValueError(f"two-tangle {t2!r} negative")
-            if t1 < t2 - 1e-10:
+            if not t1 >= t2 - 1e-10:
                 raise ValueError(
                     f"monogamy violated: tau1 = {t1!r} < tau2 = {t2!r}"
                 )
@@ -205,17 +210,30 @@ def tangle1(state: PureState, i: int) -> float:
     return 2.0 * (1.0 - purity(state, Bipartition(state.n, 1 << i)).purity)
 
 
-def tangle2_and_R(state: PureState, i: int) -> tuple[float, float | None]:
-    """Two-tangle of qubit i and the monogamy ratio tau2/tau1.
+def _tangles(
+    state: PureState, i: int, triples: tuple[tuple[int, int, float], ...]
+) -> tuple[float, float, float | None]:
+    """tau1, tau2 and their ratio for qubit i, given the concurrence triples of
+    every pair that contains i (other triples are ignored).
 
-    The ratio is None when tau1 is numerically zero (factorized qubit), where
-    it has no meaningful value.
+    tau2 sums the squared concurrences in ascending order of the partner
+    qubit.  The ratio is None when tau1 is numerically zero (factorized
+    qubit), where it has no meaningful value.
     """
+    tau1 = tangle1(state, i)
+    tau2 = sum(c**2 for a, b, c in triples if i in (a, b))
+    return tau1, tau2, tau2 / tau1 if tau1 >= TAU1_DEFINED_FLOOR else None
+
+
+def tangle2_and_R(state: PureState, i: int) -> tuple[float, float | None]:
+    """Two-tangle of qubit i and the monogamy ratio tau2/tau1 (None when
+    tau1 is numerically zero)."""
     if state.n < 2:
         raise ValueError(f"two-tangle needs at least 2 qubits, got {state.n}")
-    tau2 = sum(concurrence(state, i, j).value ** 2 for j in range(state.n) if j != i)
-    tau1 = tangle1(state, i)
-    ratio = tau2 / tau1 if tau1 >= TAU1_DEFINED_FLOOR else None
+    triples = tuple(
+        (i, j, concurrence(state, i, j).value) for j in range(state.n) if j != i
+    )
+    _, tau2, ratio = _tangles(state, i, triples)
     return tau2, ratio
 
 
@@ -224,19 +242,13 @@ def tangle_report(state: PureState) -> TangleReport:
     n = state.n
     if n < 2:
         raise ValueError(f"tangle report needs at least 2 qubits, got {n}")
-    conc = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            conc[(i, j)] = concurrence(state, i, j).value
-    tau1 = tuple(tangle1(state, i) for i in range(n))
-    tau2 = tuple(
-        sum(conc[tuple(sorted((i, j)))] ** 2 for j in range(n) if j != i)
+    triples = tuple(
+        (i, j, concurrence(state, i, j).value)
         for i in range(n)
+        for j in range(i + 1, n)
     )
-    ratio = tuple(
-        t2 / t1 if t1 >= TAU1_DEFINED_FLOOR else None for t1, t2 in zip(tau1, tau2)
-    )
-    return TangleReport(tau1=tau1, tau2=tau2, ratio=ratio)
+    tau1, tau2, ratio = zip(*(_tangles(state, i, triples) for i in range(n)))
+    return TangleReport(tau1=tau1, tau2=tau2, ratio=ratio, concurrences=triples)
 
 
 def format_measures_json(state: PureState) -> str:
@@ -245,29 +257,15 @@ def format_measures_json(state: PureState) -> str:
     Concurrences are listed as [i, j, value] triples in row-major
     upper-triangular order (i < j).
     """
-    n = state.n
-    conc = {}
-    triples = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = concurrence(state, i, j).value
-            conc[(i, j)] = value
-            triples.append([i, j, value])
-    tau1 = [tangle1(state, i) for i in range(n)]
-    tau2 = [
-        sum(conc[tuple(sorted((i, j)))] ** 2 for j in range(n) if j != i)
-        for i in range(n)
-    ]
-    ratio = [
-        t2 / t1 if t1 >= TAU1_DEFINED_FLOOR else None for t1, t2 in zip(tau1, tau2)
-    ]
+    q = q_measure(state)
+    report = tangle_report(state)
     return json_dumps(
         {
-            "n": n,
-            "Q": q_measure(state),
-            "tau1": tau1,
-            "tau2": tau2,
-            "R": ratio,
-            "concurrence": triples,
+            "n": state.n,
+            "Q": q,
+            "tau1": report.tau1,
+            "tau2": report.tau2,
+            "R": report.ratio,
+            "concurrence": report.concurrences,
         }
     ) + "\n"

@@ -8,8 +8,6 @@ its width how evenly that entanglement is spread over the cuts.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,37 +136,16 @@ def enumerate_masks(family: BipartitionFamily) -> list[Bipartition]:
     return [Bipartition(n, m) for m in masks]
 
 
-def default_workers() -> int:
-    """Worker cap from ENTSPEC_THREADS; 1 (serial) when unset or invalid."""
-    raw = os.environ.get("ENTSPEC_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def compute_distribution(
-    state: PureState,
-    family: BipartitionFamily,
-    workers: int | None = None,
+    state: PureState, family: BipartitionFamily
 ) -> EntanglementDistribution:
-    """Evaluate the purity on every mask of the family.
-
-    Entries stay in ascending mask order regardless of the worker count, so
-    output is deterministic under parallel evaluation.
-    """
+    """Evaluate the purity on every mask of the family, in ascending mask order."""
     if family.n != state.n:
         raise ValueError(
             f"family is over {family.n} qubits but the state has {state.n}"
         )
     parts = enumerate_masks(family)
-    if workers is None:
-        workers = default_workers()
-    if workers > 1 and len(parts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda p: purity(state, p), parts))
-    else:
-        results = [purity(state, p) for p in parts]
+    results = [purity(state, p) for p in parts]
     values = np.array([r.participation for r in results])
     count = len(values)
     var_pop = float(values.var())

@@ -7,6 +7,7 @@ bit and k = sum_j b_j 2^j.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,14 @@ NORM_TOL = 1e-12
 ENSEMBLE_KINDS = ("haar", "phase-sphere")
 
 
+def _check_qubits(n: int, minimum: int, what: str) -> None:
+    """The qubit-count range check, run before anything of size 2**n is allocated."""
+    if n < minimum:
+        raise ValueError(f"{what} needs {minimum} or more qubits, got {n}")
+    if n > MAX_QUBITS:
+        raise ValueError(f"qubit count {n} exceeds the memory guard of {MAX_QUBITS}")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized complex amplitude vector over the 2**n computational basis."""
@@ -25,19 +34,17 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"qubit count must be >= 1, got {self.n}")
-        if self.n > MAX_QUBITS:
-            raise ValueError(
-                f"qubit count {self.n} exceeds the memory guard of {MAX_QUBITS}"
-            )
+        _check_qubits(self.n, 1, "state")
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << self.n,):
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected {1 << self.n}"
             )
+        # any NaN or infinite amplitude makes the norm non-finite
         norm2 = float(np.real(np.vdot(amps, amps)))
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if not math.isfinite(norm2):
+            raise ValueError(f"amplitudes are not finite: sum |z|^2 = {norm2!r}")
+        if not abs(norm2 - 1.0) <= NORM_TOL:
             raise ValueError(f"state is not normalized: sum |z|^2 = {norm2!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -63,16 +70,14 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if not (1 <= self.n <= MAX_QUBITS):
-            raise ValueError(f"qubit count {self.n} outside [1, {MAX_QUBITS}]")
+        _check_qubits(self.n, 1, "ensemble")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit non-negative integer")
 
 
 def make_basis(n: int, k: int) -> PureState:
     """Computational basis state |k> on n qubits."""
-    if n < 1 or n > MAX_QUBITS:
-        raise ValueError(f"qubit count {n} outside [1, {MAX_QUBITS}]")
+    _check_qubits(n, 1, "basis state")
     if not (0 <= k < (1 << n)):
         raise ValueError(f"basis index {k} out of range for {n} qubits")
     amps = np.zeros(1 << n, dtype=np.complex128)
@@ -82,10 +87,7 @@ def make_basis(n: int, k: int) -> PureState:
 
 def make_ghz(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2); every bipartition has participation 2."""
-    if n < 2:
-        raise ValueError(f"GHZ state needs at least 2 qubits, got {n}")
-    if n > MAX_QUBITS:
-        raise ValueError(f"qubit count {n} exceeds the memory guard of {MAX_QUBITS}")
+    _check_qubits(n, 2, "GHZ state")
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return PureState(n, amps)
@@ -93,10 +95,7 @@ def make_ghz(n: int) -> PureState:
 
 def make_w(n: int) -> PureState:
     """Equal superposition of the n single-excitation basis states, all phases +1."""
-    if n < 2:
-        raise ValueError(f"W state needs at least 2 qubits, got {n}")
-    if n > MAX_QUBITS:
-        raise ValueError(f"qubit count {n} exceeds the memory guard of {MAX_QUBITS}")
+    _check_qubits(n, 2, "W state")
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[[1 << j for j in range(n)]] = 1.0 / np.sqrt(n)
     return PureState(n, amps)
@@ -119,10 +118,7 @@ def make_cluster1d(n: int) -> PureState:
     with the Z on the last factor dropped; it is local-Z equivalent to the
     CZ-circuit graph state on the same chain.
     """
-    if n < 2:
-        raise ValueError(f"cluster state needs at least 2 qubits, got {n}")
-    if n > MAX_QUBITS:
-        raise ValueError(f"qubit count {n} exceeds the memory guard of {MAX_QUBITS}")
+    _check_qubits(n, 2, "cluster state")
     k = np.arange(1 << n, dtype=np.int64)
     pattern = (~k) & (k >> 1) & ((1 << (n - 1)) - 1)
     signs = 1.0 - 2.0 * _bit_parity(pattern)
@@ -132,10 +128,7 @@ def make_cluster1d(n: int) -> PureState:
 def make_product(a: PureState, b: PureState) -> PureState:
     """Tensor product; qubits of `a` keep positions 0..n_a-1, `b` fills the rest."""
     n = a.n + b.n
-    if n > MAX_QUBITS:
-        raise ValueError(
-            f"product of {a.n}+{b.n} qubits exceeds the memory guard of {MAX_QUBITS}"
-        )
+    _check_qubits(n, 1, "product state")
     # index k = k_b * 2**n_a + k_a, so b supplies the high bits
     return PureState(n, np.kron(b.amplitudes, a.amplitudes))
 

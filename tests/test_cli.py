@@ -223,6 +223,41 @@ class TestErrorsAndDeterminism:
         )
         assert code == 2 and "guard" in err
 
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (("spectrum", "--kind", "w", "--n", "6", "--family", "fixed-size"), "size"),
+            (("theory", "--model", "asymptotic", "--na", "2"), "--nb"),
+            (("theory", "--model", "asymptotic"), "--n"),
+            (("table1", "--nmin", "7", "--nmax", "5"), "nmin"),
+            (
+                ("sample", "--kind", "haar", "--n", "3", "--count", "-1",
+                 "--seed", "1", "--mask", "0x1"),
+                "count",
+            ),
+        ],
+    )
+    def test_invalid_option_combinations_exit_2(self, capsys, args, named):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert named in err
+
+    def test_nan_amplitude_in_state_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"n": 2, "amplitudes": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}')
+        code, out, err = run_cli(capsys, "spectrum", "--state-file", str(path))
+        assert code == 2 and out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("option, value", [("--xmin", "nan"), ("--xmax", "inf")])
+    def test_non_finite_curve_range_exits_2(self, capsys, option, value):
+        code, out, err = run_cli(
+            capsys, "theory", "--model", "asymptotic", "--n", "10",
+            "--pdf", "purity", option, value,
+        )
+        assert code == 2 and out == ""
+        assert option in err
+
     def test_missing_state_file_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "purity", "--state-file", "/nonexistent.json", "--mask", "0x1"

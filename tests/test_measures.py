@@ -153,10 +153,18 @@ class TestTangles:
             t2, ratio = tangle2_and_R(state, i)
             assert report.tau2[i] == pytest.approx(t2, abs=1e-12)
             assert report.ratio[i] == pytest.approx(ratio, abs=1e-12)
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        assert [(i, j) for i, j, _ in report.concurrences] == pairs
+        for i, j, value in report.concurrences:
+            assert value == concurrence(state, i, j).value
 
     def test_report_rejects_monogamy_violation(self):
         with pytest.raises(ValueError, match="monogamy"):
             TangleReport(tau1=(0.1,), tau2=(0.5,), ratio=(5.0,))
+
+    def test_report_rejects_nan_two_tangle(self):
+        with pytest.raises(ValueError, match="two-tangle"):
+            TangleReport(tau1=(0.5,), tau2=(float("nan"),), ratio=(None,))
 
 
 class TestMeasuresJson:

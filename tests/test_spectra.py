@@ -121,18 +121,6 @@ class TestDistribution:
         after = np.sort(compute_distribution(permuted, family).participations())
         np.testing.assert_allclose(before, after, atol=1e-10)
 
-    def test_workers_do_not_change_output(self):
-        state = haar_states(6, 1, 102)[0]
-        family = BipartitionFamily.balanced(6)
-        serial = compute_distribution(state, family, workers=1)
-        threaded = compute_distribution(state, family, workers=4)
-        assert [p.mask for p, _ in serial.entries] == [
-            p.mask for p, _ in threaded.entries
-        ]
-        np.testing.assert_array_equal(
-            serial.participations(), threaded.participations()
-        )
-
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError, match="qubits"):
             compute_distribution(make_ghz(3), BipartitionFamily.balanced(4))

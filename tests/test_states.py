@@ -36,6 +36,11 @@ class TestPureState:
         with pytest.raises(ValueError, match="length"):
             PureState(2, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PureState(1, np.array([bad, 0.0]))
+
     def test_rejects_bad_qubit_counts(self):
         with pytest.raises(ValueError):
             PureState(0, np.array([1.0]))
