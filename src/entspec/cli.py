@@ -57,6 +57,8 @@ def _parse_mask(text: str) -> int:
 
 
 def _load_state(args: argparse.Namespace) -> PureState:
+    if args.index is not None and args.kind != "basis":
+        raise ValueError("--index applies only to --kind basis")
     if args.state_file is None:
         if args.n is None:
             raise ValueError("--n is required with --kind")
@@ -69,12 +71,6 @@ def _load_state(args: argparse.Namespace) -> PureState:
     except json.JSONDecodeError as exc:
         raise ValueError(f"state file {path} is not valid JSON: {exc}") from exc
     return state_from_dict(data)
-
-
-def _family(args: argparse.Namespace, n: int) -> BipartitionFamily:
-    return BipartitionFamily(
-        n, args.family, args.size if args.family == "fixed-size" else None
-    )
 
 
 def _run_state(args: argparse.Namespace) -> str:
@@ -91,7 +87,7 @@ def _run_purity(args: argparse.Namespace) -> str:
 
 def _run_spectrum(args: argparse.Namespace) -> str:
     state = _load_state(args)
-    family = _family(args, state.n)
+    family = BipartitionFamily(state.n, args.family, args.size)
     dist = compute_distribution(state, family)
     if args.format == "json":
         return format_summary_json(dist, family)
@@ -101,18 +97,22 @@ def _run_spectrum(args: argparse.Namespace) -> str:
 
 
 def _run_sample(args: argparse.Namespace) -> str:
-    mask = None if args.mask is None else _parse_mask(args.mask)
     spec = EnsembleSpec(args.kind, args.n, args.seed)
+    # the cut or family is checked before any state is drawn
+    if args.mask is None:
+        family = BipartitionFamily(args.n, args.family, args.size)
+    elif args.size is not None:
+        raise ValueError("--size applies only to --family fixed-size, not --mask")
+    else:
+        part = Bipartition(args.n, _parse_mask(args.mask))
     sampler = sample_haar if spec.kind == "haar" else sample_phase_sphere
     states = sampler(spec, args.count)
-    if mask is not None:
-        part = Bipartition(args.n, mask)
+    if args.mask is not None:
         lines = ["sample,purity,participation"]
         for i, state in enumerate(states):
             res = purity(state, part)
             lines.append(f"{i},{g17(res.purity)},{g17(res.participation)}")
     else:
-        family = _family(args, args.n)
         lines = ["sample,mean_participation,var_population,var_sample,min,max"]
         for i, state in enumerate(states):
             dist = compute_distribution(state, family)
@@ -124,6 +124,8 @@ def _run_sample(args: argparse.Namespace) -> str:
 
 
 def _run_theory(args: argparse.Namespace) -> str:
+    if args.points < 1:
+        raise ValueError(f"--points must be 1 or more, got {args.points}")
     for name in ("xmin", "xmax"):
         value = getattr(args, name)
         if value is not None and not np.isfinite(value):

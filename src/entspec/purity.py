@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PureState
+from .states import PureState, _qubit_groups
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -79,12 +79,15 @@ class ReducedDensity:
         m = np.ascontiguousarray(self.entries, dtype=np.complex128)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"entries must be {self.dim}x{self.dim}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        if not np.isfinite(m).all():
+            raise ValueError("reduced density matrix has entries that are not finite")
+        # each check is written so that a NaN fails it
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL:
             raise ValueError("reduced density matrix is not Hermitian")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"reduced density matrix trace is {tr!r}, expected 1")
-        if float(np.linalg.eigvalsh(m).min()) < PSD_FLOOR:
+        if not float(np.linalg.eigvalsh(m).min()) >= PSD_FLOOR:
             raise ValueError("reduced density matrix is not positive semidefinite")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
@@ -107,24 +110,17 @@ class PurityResult:
         )
 
 
-def _scatter_indices(positions: list[int]) -> np.ndarray:
-    """Basis indices of the subsystem spanned by `positions`, in compaction order."""
-    src = np.arange(1 << len(positions), dtype=np.int64)
-    idx = np.zeros_like(src)
-    for t, pos in enumerate(positions):
-        idx |= ((src >> t) & 1) << pos
-    return idx
-
-
 def coefficient_matrix(state: PureState, part: Bipartition) -> np.ndarray:
-    """Amplitudes gathered into the N_A x N_B matrix Z[j_A, l_B]."""
+    """Amplitudes rearranged into the N_A x N_B matrix Z[j_A, l_B].
+
+    Z may be a read-only view of the state's amplitudes rather than a copy;
+    every caller only reads it.
+    """
     if part.n != state.n:
         raise ValueError(
             f"bipartition is over {part.n} qubits but the state has {state.n}"
         )
-    a_idx = _scatter_indices(part.positions_a())
-    b_idx = _scatter_indices(part.positions_b())
-    return state.amplitudes[a_idx[:, None] + b_idx[None, :]]
+    return _qubit_groups(state, part.positions_a(), part.positions_b())
 
 
 def reduced_density(state: PureState, part: Bipartition) -> ReducedDensity:

@@ -133,17 +133,23 @@ def make_product(a: PureState, b: PureState) -> PureState:
     return PureState(n, np.kron(b.amplitudes, a.amplitudes))
 
 
+def _qubit_groups(state: PureState, *groups: list[int]) -> np.ndarray:
+    """Amplitudes with one index per group: bit t of index g is qubit groups[g][t].
+
+    Axis n-1-q of the (2,)*n tensor holds qubit q.  The result is a read-only
+    view of the amplitudes when no transpose is needed, and a copy otherwise.
+    """
+    axes = [state.n - 1 - q for group in groups for q in reversed(group)]
+    tensor = state.amplitudes.reshape((2,) * state.n).transpose(axes)
+    return tensor.reshape([1 << len(group) for group in groups])
+
+
 def permute_qubits(state: PureState, perm: list[int] | tuple[int, ...]) -> PureState:
     """Relabel qubits: qubit j of the input becomes qubit perm[j] of the output."""
     if sorted(perm) != list(range(state.n)):
         raise ValueError(f"perm must be a permutation of 0..{state.n - 1}")
-    src = np.arange(state.dim, dtype=np.int64)
-    dest = np.zeros_like(src)
-    for j, p in enumerate(perm):
-        dest |= ((src >> j) & 1) << p
-    amps = np.empty_like(state.amplitudes)
-    amps[dest] = state.amplitudes
-    return PureState(state.n, amps)
+    inverse = sorted(range(state.n), key=perm.__getitem__)  # perm[inverse[q]] == q
+    return PureState(state.n, _qubit_groups(state, inverse))
 
 
 def apply_single_qubit(state: PureState, qubit: int, u: np.ndarray) -> PureState:

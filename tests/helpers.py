@@ -22,7 +22,10 @@ def random_unitary2(rng: np.random.Generator) -> np.ndarray:
 
 
 def partial_trace_reshape(state: PureState, keep: list[int]) -> np.ndarray:
-    """Independent partial trace by tensor reshape/transpose.
+    """Partial trace by tensor reshape/transpose.
+
+    The package's gather is a tensor transpose too, so for the gather itself
+    `scatter_coefficient_matrix` below is the independent reference.
 
     Row index of the result carries the kept qubits in ascending order, the
     lowest kept qubit in the least-significant bit, matching the package's
@@ -34,6 +37,41 @@ def partial_trace_reshape(state: PureState, keep: list[int]) -> np.ndarray:
     rest = [ax for ax in range(n) if ax not in keep_axes]
     psi = np.transpose(psi, keep_axes + rest).reshape(2 ** len(keep), -1)
     return psi @ psi.conj().T
+
+
+def scatter_indices(positions: list[int]) -> np.ndarray:
+    """Basis indices of the subsystem spanned by `positions`, in compaction order.
+
+    Bit t of the subsystem index is placed at qubit positions[t] by integer
+    bit operations, with no tensor reshape.
+    """
+    src = np.arange(1 << len(positions), dtype=np.int64)
+    idx = np.zeros_like(src)
+    for t, pos in enumerate(positions):
+        idx |= ((src >> t) & 1) << pos
+    return idx
+
+
+def scatter_coefficient_matrix(state: PureState, keep: list[int]) -> np.ndarray:
+    """Reference Z[j_A, l_B]: the amplitudes gathered through bit-scatter index tables.
+
+    Subsystem A is the qubits in `keep`; rows follow A's compaction order and
+    columns the complement's, the package's documented convention.
+    """
+    a_idx = scatter_indices(sorted(keep))
+    b_idx = scatter_indices([q for q in range(state.n) if q not in keep])
+    return state.amplitudes[a_idx[:, None] + b_idx[None, :]]
+
+
+def permute_amplitudes_bitloop(state: PureState, perm: list[int]) -> np.ndarray:
+    """Reference relabelling: bit j of each basis index moves to bit perm[j]."""
+    src = np.arange(state.dim, dtype=np.int64)
+    dest = np.zeros_like(src)
+    for j, p in enumerate(perm):
+        dest |= ((src >> j) & 1) << p
+    amps = np.empty_like(state.amplitudes)
+    amps[dest] = state.amplitudes
+    return amps
 
 
 def graph_state_line(n: int) -> PureState:

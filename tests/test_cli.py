@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -7,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from entspec import cli
 from entspec.cli import main
 
 
@@ -235,12 +237,37 @@ class TestErrorsAndDeterminism:
                  "--seed", "1", "--mask", "0x1"),
                 "count",
             ),
+            (("spectrum", "--kind", "ghz", "--n", "4", "--family", "balanced",
+              "--size", "2"), "size"),
+            (("sample", "--kind", "haar", "--n", "4", "--count", "3", "--seed", "1",
+              "--family", "balanced", "--size", "1"), "size"),
+            (("sample", "--kind", "haar", "--n", "4", "--count", "3", "--seed", "1",
+              "--mask", "0x1", "--size", "2"), "--size"),
+            (("purity", "--kind", "w", "--n", "4", "--index", "3", "--mask", "0x1"),
+             "--index"),
+            (("state", "--kind", "ghz", "--n", "3", "--index", "1"), "--index"),
+            (("theory", "--model", "asymptotic", "--n", "8", "--pdf", "purity",
+              "--points", "0"), "--points"),
+            (("theory", "--model", "asymptotic", "--n", "8", "--pdf", "purity",
+              "--points", "-1"), "--points"),
         ],
     )
     def test_invalid_option_combinations_exit_2(self, capsys, args, named):
         code, out, err = run_cli(capsys, *args)
         assert code == 2 and out == ""
         assert named in err
+
+    def test_sample_checks_cut_before_drawing(self, capsys, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("states drawn before the cut was checked")
+
+        monkeypatch.setattr(cli, "sample_haar", refuse)
+        for cut in (("--mask", "0x0"), ("--family", "fixed-size", "--size", "8")):
+            code, out, _ = run_cli(
+                capsys, "sample", "--kind", "haar", "--n", "8", "--count", "20000",
+                "--seed", "1", *cut,
+            )
+            assert code == 2 and out == ""
 
     def test_nan_amplitude_in_state_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
@@ -274,10 +301,13 @@ class TestErrorsAndDeterminism:
         assert out_file.read_text() == out
 
     def test_module_entry_point(self, tmp_path):
+        # the child imports the same package as this process, installed or not
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         result = subprocess.run(
             [sys.executable, "-m", "entspec", "purity", "--kind", "ghz", "--n", "2",
              "--mask", "0x1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["participation"] == pytest.approx(2.0)

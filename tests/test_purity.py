@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entspec import (
     Bipartition,
@@ -10,11 +11,15 @@ from entspec import (
     make_ghz,
     make_product,
     make_w,
+    permute_qubits,
     purity,
     purity_quadruple_sum,
     reduced_density,
 )
-from helpers import haar_states, partial_trace_reshape, random_unitary2
+from entspec.purity import coefficient_matrix
+from helpers import (
+    haar_states, partial_trace_reshape, random_unitary2, scatter_coefficient_matrix,
+)
 
 
 def all_masks(n):
@@ -37,6 +42,46 @@ class TestBipartition:
             Bipartition(3, 0b111)
         with pytest.raises(ValueError):
             Bipartition(3, 0b1000)
+
+
+class TestCoefficientMatrix:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_bit_scatter_reference(self, n):
+        state = haar_states(n, 1, 900 + n)[0]
+        for part in all_masks(n):
+            z = coefficient_matrix(state, part)
+            assert z.shape == (part.dim_a, part.dim_b)
+            assert np.array_equal(z, scatter_coefficient_matrix(state, part.positions_a()))
+
+    def test_state_stays_read_only(self):
+        state = haar_states(4, 1, 909)[0]
+        for part in all_masks(4):
+            z = coefficient_matrix(state, part)
+            assert not (z.flags.writeable and np.shares_memory(z, state.amplitudes))
+
+
+@st.composite
+def state_cut_perm(draw):
+    n = draw(st.integers(2, 8))
+    state = haar_states(n, 1, draw(st.integers(0, 2**32 - 1)))[0]
+    part = Bipartition(n, draw(st.integers(1, (1 << n) - 2)))
+    return state, part, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(state_cut_perm())
+def test_purity_cut_properties(case):
+    state, part, perm = case
+    z = coefficient_matrix(state, part)
+    assert np.array_equal(z, scatter_coefficient_matrix(state, part.positions_a()))
+    res = purity(state, part)
+    # relabelled qubits carry the cut with them
+    moved = Bipartition(part.n, sum(1 << perm[q] for q in part.positions_a()))
+    assert purity(permute_qubits(state, perm), moved).purity == pytest.approx(
+        res.purity, abs=1e-12
+    )
+    assert purity(state, complement(part)).purity == pytest.approx(res.purity, abs=1e-12)
+    assert 1.0 - 1e-12 <= res.participation <= min(part.dim_a, part.dim_b) * (1 + 1e-12)
 
 
 class TestReducedDensity:
@@ -71,6 +116,14 @@ class TestReducedDensity:
             ReducedDensity(2, np.diag([0.9, 0.9]))
         with pytest.raises(ValueError, match="semidefinite"):
             ReducedDensity(2, np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        entries = np.diag([0.5, 0.5]).astype(complex)
+        entries[0, 0] = bad
+        for m in (entries, np.full((2, 2), bad)):
+            with pytest.raises(ValueError, match="finite"):
+                ReducedDensity(2, m)
 
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError, match="qubits"):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,10 @@ from entspec import (
     state_from_dict,
     state_to_dict,
 )
-from helpers import graph_state_line, haar_states, partial_trace_reshape, path_cut_rank
+from helpers import (
+    graph_state_line, haar_states, partial_trace_reshape, path_cut_rank,
+    permute_amplitudes_bitloop,
+)
 
 
 def all_masks(n):
@@ -193,6 +198,20 @@ class TestPermutationAndLocalOps:
         before = sorted(purity(state, p).purity for p in all_masks(5))
         after = sorted(purity(permuted, p).purity for p in all_masks(5))
         np.testing.assert_allclose(before, after, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_permute_equals_bit_loop_reference(self, n):
+        state = haar_states(n, 1, 950 + n)[0]
+        if n <= 4:
+            perms = list(itertools.permutations(range(n)))
+        else:
+            rng = np.random.default_rng(n)
+            perms = [tuple(range(n))] + [tuple(rng.permutation(n)) for _ in range(20)]
+        for perm in perms:
+            assert np.array_equal(
+                permute_qubits(state, perm).amplitudes,
+                permute_amplitudes_bitloop(state, perm),
+            )
 
     def test_apply_single_qubit_identity(self):
         state = haar_states(3, 1, 6)[0]
