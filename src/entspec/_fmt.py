@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import json
 
 
 def g17(x: float) -> str:
@@ -14,38 +14,7 @@ def json_dumps(obj) -> str:
     """Compact JSON with insertion-ordered keys and round-trip float text.
 
     Floats are emitted via repr (shortest text that parses back to the same
-    double), keeping output byte-stable across runs.
+    double), keeping output byte-stable across runs; NaN and infinities are
+    rejected with ValueError.
     """
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite value {obj!r} in JSON output")
-        return repr(obj)
-    if isinstance(obj, str):
-        out = ['"']
-        for ch in obj:
-            if ch in '"\\':
-                out.append("\\" + ch)
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(json_dumps(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = []
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be strings, got {key!r}")
-            items.append(json_dumps(key) + ": " + json_dumps(value))
-        return "{" + ", ".join(items) + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return json.dumps(obj, allow_nan=False)

@@ -32,7 +32,7 @@ from .states import (
     make_w, sample_haar, sample_phase_sphere, state_from_dict, state_to_dict,
 )
 from .theory import (
-    PROVIDER_KINDS, asymptotic_model, delta_moments, exact_moments,
+    MODEL_MAX_QUBITS, PROVIDER_KINDS, asymptotic_model, delta_moments, exact_moments,
     factorized_gaussian_moments, format_curve_tsv, participation_pdf, purity_pdf,
     sphere_moments,
 )
@@ -136,7 +136,15 @@ def _run_theory(args: argparse.Namespace) -> str:
     if n_a is None:
         if args.n is None:
             raise ValueError("theory needs --n or --na/--nb")
+        checks = (("--n", args.n, 2),)
         n_a, n_b = args.n // 2, args.n - args.n // 2
+    else:
+        checks = (("--na", n_a, 1), ("--nb", n_b, 1), ("--na + --nb", n_a + n_b, 2))
+    for name, value, low in checks:
+        if not low <= value <= MODEL_MAX_QUBITS:
+            raise ValueError(
+                f"{name} must be in [{low}, {MODEL_MAX_QUBITS}] qubits, got {value}"
+            )
     dim_a, dim_b = 1 << n_a, 1 << n_b
     if args.model == "asymptotic":
         model = asymptotic_model(dim_a, dim_b)

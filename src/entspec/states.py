@@ -101,14 +101,6 @@ def make_w(n: int) -> PureState:
     return PureState(n, amps)
 
 
-def _bit_parity(v: np.ndarray) -> np.ndarray:
-    """Parity of the popcount of each entry (works for values below 2**32)."""
-    v = v.copy()
-    for shift in (16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return v & 1
-
-
 def make_cluster1d(n: int) -> PureState:
     """One-dimensional cluster state on an open chain of n qubits.
 
@@ -119,10 +111,12 @@ def make_cluster1d(n: int) -> PureState:
     CZ-circuit graph state on the same chain.
     """
     _check_qubits(n, 2, "cluster state")
-    k = np.arange(1 << n, dtype=np.int64)
-    pattern = (~k) & (k >> 1) & ((1 << (n - 1)) - 1)
-    signs = 1.0 - 2.0 * _bit_parity(pattern)
-    return PureState(n, signs.astype(np.complex128) / np.sqrt(1 << n))
+    amps = np.full(1 << n, 1.0 / np.sqrt(1 << n), dtype=np.complex128)
+    # axes (high bits, b_{k+1}, b_k, low bits); only the real parts flip, so
+    # the imaginary parts stay +0.0
+    for k in range(n - 1):
+        amps.real.reshape(-1, 2, 2, 1 << k)[:, 1, 0, :] *= -1
+    return PureState(n, amps)
 
 
 def make_product(a: PureState, b: PureState) -> PureState:

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from ._fmt import g17
 from .purity import Bipartition, coefficient_matrix
 from .states import PureState
 
 XM_MAX_QUBITS = 12  # literal split costs O(N_A^2 N_B^2)
+MODEL_MAX_QUBITS = 511  # largest n for which 2/N^2 = 2^(1-2n) is a normal double
 
 PROVIDER_KINDS = ("exact-sphere", "factorized-gaussian", "delta")
 
@@ -36,46 +39,56 @@ class GaussianModel:
             raise ValueError(f"variance must be positive, got {self.sigma2!r}")
 
 
+# Half-exponent pattern of each MomentProvider field: m224 = E[r1^2 r2^2 r3^4].
+MOMENT_PATTERNS = {
+    "m22": (1, 1), "m4": (2,), "m2222": (1, 1, 1, 1), "m224": (1, 1, 2),
+    "m44": (2, 2), "m26": (1, 3), "m8": (4,),
+}
+
+
 @dataclass(frozen=True)
 class MomentProvider:
     """The seven moduli moments entering the exact purity mean and variance.
 
     Field m_<pattern> holds E[prod_i r_i^(2*p_i)] for distinct coordinates
-    with half-exponent pattern <pattern>, e.g. m22 = E[r1^2 r2^2] and
-    m224 = E[r1^2 r2^2 r3^4].  `kind` records which approximation produced
-    them: exact-sphere (closed-form sphere moments), factorized-gaussian
+    with half-exponent pattern <pattern> (see MOMENT_PATTERNS), as an exact
+    rational.  `kind` records which approximation produced them:
+    exact-sphere (closed-form sphere moments), factorized-gaussian
     (independent Gaussian marginals of variance 1/N), or delta (every
     r_k^2 pinned to 1/N).
     """
 
     N: int
     kind: str
-    m22: float
-    m4: float
-    m2222: float
-    m224: float
-    m44: float
-    m26: float
-    m8: float
+    m22: Fraction
+    m4: Fraction
+    m2222: Fraction
+    m224: Fraction
+    m44: Fraction
+    m26: Fraction
+    m8: Fraction
 
     def __post_init__(self):
         if self.N < 2:
             raise ValueError(f"dimension must be >= 2, got {self.N}")
         if self.kind not in PROVIDER_KINDS:
             raise ValueError(f"unknown provider kind {self.kind!r}")
-        values = (self.m22, self.m4, self.m2222, self.m224, self.m44, self.m26, self.m8)
-        if any(not v > 0 for v in values):
+        if any(not getattr(self, field) > 0 for field in MOMENT_PATTERNS):
             raise ValueError("all moments must be positive")
         # Jensen: E[r^4] >= E[r^2]^2 with E[r^2] = 1/N by symmetry
-        if self.m4 < 1.0 / self.N**2 - 1e-15:
+        if self.m4 < Fraction(1, self.N**2):
             raise ValueError("E[r^4] below the Jensen bound (1/N)^2")
 
 
-def sphere_moment(N: int, exponents) -> float:
+def _double_factorials(ms) -> int:  # prod_i (2*m_i - 1)!!
+    return math.prod(math.prod(range(1, 2 * m, 2)) for m in ms)
+
+
+def sphere_moment(N: int, exponents) -> Fraction:
     """E[prod_i x_i^(2*m_i)] for a uniform point on the real unit sphere S^(N-1).
 
-    Closed form: prod_i (2*m_i - 1)!! / prod_{j=0}^{M-1} (N + 2*j) with
-    M = sum_i m_i.  Validated against Monte-Carlo integration in the tests.
+    Closed form, as an exact rational: prod_i (2*m_i - 1)!! / prod_{j=0}^{M-1}
+    (N + 2*j) with M = sum_i m_i.  Validated against Monte Carlo in the tests.
     """
     if N < 2:
         raise ValueError(f"dimension must be >= 2, got {N}")
@@ -84,55 +97,39 @@ def sphere_moment(N: int, exponents) -> float:
         raise ValueError(f"exponents must be positive integers, got {exponents!r}")
     if len(ms) > N:
         raise ValueError(f"{len(ms)} coordinates requested but dimension is {N}")
-    total = sum(ms)
-    num = math.prod(math.prod(range(1, 2 * m, 2)) for m in ms)
-    den = math.prod(N + 2 * j for j in range(total))
-    return num / den
+    return Fraction(_double_factorials(ms), math.prod(range(N, N + 2 * sum(ms), 2)))
+
+
+# E[prod_i r_i^(2*m_i)] under each provider kind, with M = sum_i m_i.
+_MOMENT_RULES = {
+    "exact-sphere": sphere_moment,
+    "factorized-gaussian": lambda N, ms: Fraction(_double_factorials(ms), N ** sum(ms)),
+    "delta": lambda N, ms: Fraction(1, N ** sum(ms)),
+}
+
+
+def _provider(N: int, kind: str) -> MomentProvider:
+    if N < 2:
+        raise ValueError(f"dimension must be >= 2, got {N}")
+    rule = _MOMENT_RULES[kind]
+    return MomentProvider(
+        N, kind, **{field: rule(N, ms) for field, ms in MOMENT_PATTERNS.items()}
+    )
 
 
 def sphere_moments(N: int) -> MomentProvider:
     """Exact moments of the uniform sphere measure."""
-    return MomentProvider(
-        N=N,
-        kind="exact-sphere",
-        m22=sphere_moment(N, (1, 1)),
-        m4=sphere_moment(N, (2,)),
-        m2222=sphere_moment(N, (1, 1, 1, 1)),
-        m224=sphere_moment(N, (1, 1, 2)),
-        m44=sphere_moment(N, (2, 2)),
-        m26=sphere_moment(N, (1, 3)),
-        m8=sphere_moment(N, (4,)),
-    )
+    return _provider(N, "exact-sphere")
 
 
 def factorized_gaussian_moments(N: int) -> MomentProvider:
     """Independent-marginal approximation: E[r^(2m)] = (2m-1)!!/N^m."""
-    if N < 2:
-        raise ValueError(f"dimension must be >= 2, got {N}")
-    n2 = 1.0 / N**2
-    n4 = 1.0 / N**4
-    return MomentProvider(
-        N=N,
-        kind="factorized-gaussian",
-        m22=n2,
-        m4=3.0 * n2,
-        m2222=n4,
-        m224=3.0 * n4,
-        m44=9.0 * n4,
-        m26=15.0 * n4,
-        m8=105.0 * n4,
-    )
+    return _provider(N, "factorized-gaussian")
 
 
 def delta_moments(N: int) -> MomentProvider:
     """Deterministic moduli, every r_k^2 = 1/N."""
-    if N < 2:
-        raise ValueError(f"dimension must be >= 2, got {N}")
-    n2 = 1.0 / N**2
-    n4 = 1.0 / N**4
-    return MomentProvider(
-        N=N, kind="delta", m22=n2, m4=n2, m2222=n4, m224=n4, m44=n4, m26=n4, m8=n4
-    )
+    return _provider(N, "delta")
 
 
 def exact_moments(N_A: int, N_B: int, moments: MomentProvider) -> GaussianModel:
@@ -142,7 +139,8 @@ def exact_moments(N_A: int, N_B: int, moments: MomentProvider) -> GaussianModel:
     cross part has zero mean); the variance adds the second moments of both
     parts.  The degree-8 coefficient polynomials are kept term for term as
     derived, with no algebraic simplification, and are cross-checked against
-    Monte Carlo in the tests.
+    Monte Carlo in the tests.  With rational moments the polynomial is exact,
+    and mu and sigma2 are rounded to doubles once.
     """
     if N_A < 2 or N_B < 2:
         raise ValueError(f"subsystem dimensions must be >= 2, got {N_A}, {N_B}")
@@ -152,15 +150,15 @@ def exact_moments(N_A: int, N_B: int, moments: MomentProvider) -> GaussianModel:
             f"provider is for dimension {moments.N}, but N_A*N_B = {N}"
         )
     mu = N * (N_A + N_B - 2) * moments.m22 + N * moments.m4
-    cross_sq = 2.0 * N * (N_A - 1) * (N_B - 1) * moments.m2222
+    cross_sq = 2 * N * (N_A - 1) * (N_B - 1) * moments.m2222
     mod_sq = (
         N * (N_A + N_B - 2) * ((N_A + N_B) * (N - 4) - 2 * (N - 5)) * moments.m2222
-        + 2.0 * N * (N_A + N_B - 2) * (N + 2 * N_A + 2 * N_B - 8) * moments.m224
+        + 2 * N * (N_A + N_B - 2) * (N + 2 * N_A + 2 * N_B - 8) * moments.m224
         + N * (N + 2 * N_A + 2 * N_B - 5) * moments.m44
-        + 4.0 * N * (N_A + N_B - 2) * moments.m26
+        + 4 * N * (N_A + N_B - 2) * moments.m26
         + N * moments.m8
     )
-    return GaussianModel(mu=mu, sigma2=cross_sq + mod_sq - mu**2)
+    return GaussianModel(mu=float(mu), sigma2=float(cross_sq + mod_sq - mu**2))
 
 
 def asymptotic_model(N_A: int, N_B: int) -> GaussianModel:
@@ -168,7 +166,7 @@ def asymptotic_model(N_A: int, N_B: int) -> GaussianModel:
     if N_A < 2 or N_B < 2:
         raise ValueError(f"subsystem dimensions must be >= 2, got {N_A}, {N_B}")
     N = N_A * N_B
-    return GaussianModel(mu=(N_A + N_B - 1) / N, sigma2=2.0 / N**2)
+    return GaussianModel(mu=(N_A + N_B - 1) / N, sigma2=float(Fraction(2, N**2)))
 
 
 def purity_pdf(model: GaussianModel, x):
@@ -257,8 +255,6 @@ def concentration_ratio(N_A: int, N_B: int) -> float:
 
 def format_curve_tsv(xs, densities) -> str:
     """Theory-curve TSV: x<TAB>density."""
-    from ._fmt import g17
-
     lines = ["x\tdensity"]
     for x, d in zip(xs, densities):
         lines.append(f"{g17(x)}\t{g17(d)}")

@@ -155,3 +155,18 @@ def match_multisets(a, b) -> float:
         worst = max(worst, dists[j])
         remaining.pop(j)
     return worst
+
+
+def cluster1d_bit_parity(n: int) -> np.ndarray:
+    """Reference cluster amplitudes built from full-length int64 bit patterns.
+
+    The sign of basis index k is the parity of the positions j with bit j
+    clear and bit j+1 set, computed by an xor-fold popcount over the whole
+    index range.
+    """
+    k = np.arange(1 << n, dtype=np.int64)
+    v = (~k) & (k >> 1) & ((1 << (n - 1)) - 1)
+    for shift in (16, 8, 4, 2, 1):
+        v ^= v >> shift
+    signs = 1.0 - 2.0 * (v & 1)
+    return signs.astype(np.complex128) / np.sqrt(1 << n)

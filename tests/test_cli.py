@@ -43,6 +43,48 @@ class TestStateCommand:
         assert out == '{"n": 1, "amplitudes": [[0.0, 0.0], [1.0, 0.0]]}\n'
 
 
+class TestJsonBytes:
+    """Literal JSON text: separators, float repr, null and nested triples."""
+
+    def test_measures_ghz3(self, capsys):
+        code, out, _ = run_cli(capsys, "measures", "--kind", "ghz", "--n", "3")
+        assert code == 0
+        assert out == (
+            '{"n": 3, "Q": 1.0000000000000004, "tau1": [1.0000000000000004, '
+            '1.0000000000000004, 1.0000000000000004], "tau2": [0.0, 0.0, 0.0], '
+            '"R": [0.0, 0.0, 0.0], "concurrence": [[0, 1, 0.0], [0, 2, 0.0], '
+            '[1, 2, 0.0]]}\n'
+        )
+
+    def test_purity_cluster5(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "purity", "--kind", "cluster", "--n", "5", "--mask", "0x3"
+        )
+        assert code == 0
+        assert out == (
+            '{"n": 5, "mask": "0x3", "n_A": 2, "n_B": 3, '
+            '"purity": 0.4999999999999999, "participation": 2.0000000000000004, '
+            '"effective_spins": 1.0000000000000002}\n'
+        )
+
+    def test_state_file_round_trip(self, capsys, tmp_path):
+        path = tmp_path / "basis.json"
+        code, _, _ = run_cli(
+            capsys, "state", "--kind", "basis", "--n", "2", "--index", "2",
+            "--out", str(path),
+        )
+        assert code == 0
+        assert path.read_text() == (
+            '{"n": 2, "amplitudes": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}\n'
+        )
+        code, out, _ = run_cli(capsys, "measures", "--state-file", str(path))
+        assert code == 0
+        assert out == (
+            '{"n": 2, "Q": 0.0, "tau1": [0.0, 0.0], "tau2": [0.0, 0.0], '
+            '"R": [null, null], "concurrence": [[0, 1, 0.0]]}\n'
+        )
+
+
 class TestPurityCommand:
     def test_ghz_cut(self, capsys):
         code, out, _ = run_cli(
@@ -161,6 +203,17 @@ class TestTheoryCommand:
         assert code == 0
         assert len(out.strip().split("\n")) == 12
 
+    @pytest.mark.parametrize("pdf", ["purity", "participation"])
+    def test_exact_sphere_sixty_qubits(self, capsys, pdf):
+        code, out, _ = run_cli(
+            capsys, "theory", "--model", "exact-sphere", "--n", "60",
+            "--pdf", pdf, "--points", "21",
+        )
+        assert code == 0
+        densities = [float(ln.split("\t")[1]) for ln in out.strip().split("\n")[1:]]
+        assert len(densities) == 21
+        assert all(math.isfinite(d) and d > 0 for d in densities)
+
     def test_too_wide_model_needs_range(self, capsys):
         code, _, err = run_cli(
             capsys, "theory", "--model", "asymptotic", "--n", "4",
@@ -250,6 +303,14 @@ class TestErrorsAndDeterminism:
               "--points", "0"), "--points"),
             (("theory", "--model", "asymptotic", "--n", "8", "--pdf", "purity",
               "--points", "-1"), "--points"),
+            (("theory", "--model", "exact-sphere", "--n", "1"), "--n"),
+            (("theory", "--model", "asymptotic", "--n", "-1"), "--n"),
+            (("theory", "--model", "delta", "--na", "0", "--nb", "3"), "--na"),
+            (("theory", "--model", "delta", "--na", "3", "--nb", "-2"), "--nb"),
+            (("theory", "--model", "asymptotic", "--n", "600"), "--n"),
+            (("theory", "--model", "delta", "--n", "200000"), "--n"),
+            (("theory", "--model", "exact-sphere", "--na", "300", "--nb", "300"),
+             "--na + --nb"),
         ],
     )
     def test_invalid_option_combinations_exit_2(self, capsys, args, named):

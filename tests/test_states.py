@@ -23,8 +23,8 @@ from entspec import (
     state_to_dict,
 )
 from helpers import (
-    graph_state_line, haar_states, partial_trace_reshape, path_cut_rank,
-    permute_amplitudes_bitloop,
+    cluster1d_bit_parity, graph_state_line, haar_states, partial_trace_reshape,
+    path_cut_rank, permute_amplitudes_bitloop,
 )
 
 
@@ -125,6 +125,12 @@ class TestCluster:
         np.testing.assert_allclose(
             make_cluster1d(2).amplitudes, np.array([1, 1, -1, 1]) / 2.0
         )
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_matches_bit_parity_reference_bytes(self, n):
+        """In-place sign flips give the reference's bytes, +0.0 imaginary parts too."""
+        ours = make_cluster1d(n).amplitudes
+        assert ours.tobytes() == cluster1d_bit_parity(n).tobytes()
 
     def test_two_qubit_single_purity(self):
         state = make_cluster1d(2)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,6 +145,30 @@ class TestExactMoments:
     def test_subsystem_bounds(self):
         with pytest.raises(ValueError):
             exact_moments(1, 8, sphere_moments(8))
+
+
+class TestExactRationals:
+    """Balanced cuts against independent closed forms, rounded once."""
+
+    @pytest.mark.parametrize("n", [8, 20, 30, 40, 60])
+    def test_delta_variance(self, n):
+        N_A, N_B = 1 << (n // 2), 1 << (n - n // 2)
+        N = N_A * N_B
+        model = exact_moments(N_A, N_B, delta_moments(N))
+        assert model.sigma2 == float(Fraction(2 * (N_A - 1) * (N_B - 1), N**3))
+
+    @pytest.mark.parametrize("n", [8, 20, 30, 40, 60])
+    def test_sphere_mean(self, n):
+        N_A, N_B = 1 << (n // 2), 1 << (n - n // 2)
+        N = N_A * N_B
+        model = exact_moments(N_A, N_B, sphere_moments(N))
+        assert model.mu == float(Fraction(N_A + N_B + 1, N + 2))
+
+    def test_asymptotic_variance_does_not_overflow(self):
+        assert asymptotic_model(1 << 255, 1 << 255).sigma2 == 2.0**-1019
+        # beyond the double range the model is refused, not an OverflowError
+        with pytest.raises(ValueError, match="positive"):
+            asymptotic_model(1 << 300, 1 << 300)
 
 
 class TestAsymptoticModel:
