@@ -24,12 +24,12 @@ from ._fmt import g17, json_dumps
 from .measures import EigenConvergenceError, format_measures_json
 from .purity import Bipartition, purity
 from .spectra import (
-    SELECTORS, BipartitionFamily, compute_distribution, format_histogram_tsv,
-    format_spectrum_csv, format_summary_json, histogram,
+    HISTOGRAM_BINS, SELECTORS, STATISTICS, BipartitionFamily, compute_distribution,
+    format_histogram_tsv, format_spectrum_csv, format_summary_json, histogram,
 )
 from .states import (
-    ENSEMBLE_KINDS, EnsembleSpec, PureState, make_basis, make_cluster1d, make_ghz,
-    make_w, sample_haar, sample_phase_sphere, state_from_dict, state_to_dict,
+    ENSEMBLE_KINDS, MAX_QUBITS, EnsembleSpec, PureState, make_basis, make_cluster1d,
+    make_ghz, make_w, sample_haar, sample_phase_sphere, state_from_dict, state_to_dict,
 )
 from .theory import (
     MODEL_MAX_QUBITS, PROVIDER_KINDS, asymptotic_model, delta_moments, exact_moments,
@@ -86,13 +86,18 @@ def _run_purity(args: argparse.Namespace) -> str:
 
 
 def _run_spectrum(args: argparse.Namespace) -> str:
+    if args.bins is not None and args.format != "tsv":
+        raise ValueError(f"--bins applies only to --format tsv, not {args.format}")
+    if args.bins is not None and args.bins < 1:
+        raise ValueError(f"--bins must be 1 or more, got {args.bins}")
     state = _load_state(args)
     family = BipartitionFamily(state.n, args.family, args.size)
     dist = compute_distribution(state, family)
     if args.format == "json":
         return format_summary_json(dist, family)
     if args.format == "tsv":
-        return format_histogram_tsv(histogram(dist, bins=args.bins))
+        bins = HISTOGRAM_BINS if args.bins is None else args.bins
+        return format_histogram_tsv(histogram(dist, bins=bins))
     return format_spectrum_csv(dist)
 
 
@@ -113,13 +118,11 @@ def _run_sample(args: argparse.Namespace) -> str:
             res = purity(state, part)
             lines.append(f"{i},{g17(res.purity)},{g17(res.participation)}")
     else:
-        lines = ["sample,mean_participation,var_population,var_sample,min,max"]
+        lines = [",".join(("sample", *STATISTICS))]
         for i, state in enumerate(states):
             dist = compute_distribution(state, family)
-            lines.append(
-                f"{i},{g17(dist.mean_participation)},{g17(dist.var_population)},"
-                f"{g17(dist.var_sample)},{g17(dist.min)},{g17(dist.max)}"
-            )
+            cells = (g17(getattr(dist, name)) for name in STATISTICS)
+            lines.append(",".join((str(i), *cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -169,6 +172,11 @@ def _run_theory(args: argparse.Namespace) -> str:
         hi if args.xmax is None else args.xmax,
         args.points,
     )
+    if np.unique(xs).size < xs.size:
+        raise ValueError(
+            f"{args.points} points over [{xs[0]:.17g}, {xs[-1]:.17g}] repeat x values; "
+            "pass a wider --xmin/--xmax"
+        )
     return format_curve_tsv(xs, pdf(model, xs))
 
 
@@ -177,8 +185,10 @@ def _run_measures(args: argparse.Namespace) -> str:
 
 
 def _run_table1(args: argparse.Namespace) -> str:
-    if not (2 <= args.nmin <= args.nmax):
-        raise ValueError(f"need 2 <= nmin <= nmax, got {args.nmin}..{args.nmax}")
+    if not (2 <= args.nmin <= args.nmax <= MAX_QUBITS):
+        raise ValueError(
+            f"need 2 <= nmin <= nmax <= {MAX_QUBITS}, got {args.nmin}..{args.nmax}"
+        )
     lines = ["n,ghz,w,cluster,random" + (",haar" if args.haar_seed is not None else "")]
     for n in range(args.nmin, args.nmax + 1):
         family = BipartitionFamily.balanced(n)
@@ -229,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, help="subsystem size for --family fixed-size")
     p.add_argument("--format", choices=("csv", "json", "tsv"), default="csv",
                    help="csv: per-mask rows, json: summary, tsv: histogram")
-    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--bins", type=int,
+                   help=f"histogram bins, --format tsv only (default {HISTOGRAM_BINS})")
 
     p = sub.add_parser("sample", help="ensemble Monte Carlo")
     p.set_defaults(run=_run_sample)

@@ -8,16 +8,20 @@ its width how evenly that entanglement is spread over the cuts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._fmt import g17, json_dumps
-from .purity import Bipartition, PurityResult, purity
+from .purity import Bipartition, purity
 from .states import PureState
 
 SELECTORS = ("balanced", "all-sizes", "fixed-size", "max-unbalanced")
+# EntanglementDistribution's participation statistics, in output order
+STATISTICS = ("mean_participation", "var_population", "var_sample", "min", "max")
 
+HISTOGRAM_BINS = 50  # equal-width bins for a spectrum too broad for exact bars
 DISCRETE_VALUE_LIMIT = 32  # at most this many distinct values -> exact bars
 VALUE_MERGE_TOL = 1e-9
 
@@ -73,24 +77,46 @@ class BipartitionFamily:
             return f"fixed-size({self.size})"
         return self.selector
 
+    def masks(self) -> np.ndarray:
+        """Subsystem-A masks of the family as an ascending int64 array."""
+        n = self.n
+        if self.selector == "all-sizes":  # every integer in [1, 2^n - 2]
+            return np.arange(1, (1 << n) - 1, dtype=np.int64)
+        k = {"balanced": n // 2, "max-unbalanced": 1}.get(self.selector, self.size)
+        return np.fromiter(_masks_with_popcount(n, k), np.int64, math.comb(n, k))
+
 
 @dataclass(frozen=True)
 class EntanglementDistribution:
-    """Participation numbers over a bipartition family with summary statistics."""
+    """Purities over a bipartition family and statistics of their 1/purity.
 
-    entries: tuple[tuple[Bipartition, PurityResult], ...]
-    mean_participation: float
-    var_population: float
-    var_sample: float
-    min: float
-    max: float
-    count: int
+    masks[i] is the subsystem-A mask of cut i and purity_values[i] its purity;
+    the statistics are derived from the two arrays on construction.
+    """
+
+    masks: np.ndarray
+    purity_values: np.ndarray
+    mean_participation: float = field(init=False)
+    var_population: float = field(init=False)
+    var_sample: float = field(init=False)
+    min: float = field(init=False)
+    max: float = field(init=False)
+
+    def __post_init__(self):
+        v = self.participations()
+        stats = (v.mean(), v.var(), v.var(ddof=1), v.min(), v.max())
+        for name, value in zip(STATISTICS, stats):
+            object.__setattr__(self, name, float(value))
+
+    @property
+    def count(self) -> int:
+        return self.masks.size
 
     def participations(self) -> np.ndarray:
-        return np.array([r.participation for _, r in self.entries])
+        return 1.0 / self.purity_values
 
     def purities(self) -> np.ndarray:
-        return np.array([r.purity for _, r in self.entries])
+        return self.purity_values
 
 
 @dataclass(frozen=True)
@@ -109,31 +135,19 @@ class Histogram:
     discrete: bool
 
 
-def _masks_with_popcount(n: int, k: int) -> list[int]:
+def _masks_with_popcount(n: int, k: int) -> Iterator[int]:
     """All n-bit masks with popcount k in ascending numeric order (Gosper)."""
-    masks = []
     m = (1 << k) - 1
-    limit = 1 << n
-    while m < limit:
-        masks.append(m)
+    while m < 1 << n:
+        yield m
         c = m & -m
         r = m + c
         m = (((r ^ m) >> 2) // c) | r
-    return masks
 
 
 def enumerate_masks(family: BipartitionFamily) -> list[Bipartition]:
     """Bipartitions of the family in ascending mask order."""
-    n = family.n
-    if family.selector == "balanced":
-        masks = _masks_with_popcount(n, n // 2)
-    elif family.selector == "fixed-size":
-        masks = _masks_with_popcount(n, family.size)
-    elif family.selector == "max-unbalanced":
-        masks = _masks_with_popcount(n, 1)
-    else:  # all-sizes: every integer in [1, 2^n - 2] is a valid mask
-        masks = range(1, (1 << n) - 1)
-    return [Bipartition(n, m) for m in masks]
+    return [Bipartition(family.n, m) for m in family.masks().tolist()]
 
 
 def compute_distribution(
@@ -144,33 +158,23 @@ def compute_distribution(
         raise ValueError(
             f"family is over {family.n} qubits but the state has {state.n}"
         )
-    parts = enumerate_masks(family)
-    results = [purity(state, p) for p in parts]
-    values = np.array([r.participation for r in results])
-    count = len(values)
-    var_pop = float(values.var())
-    var_sample = float(values.var(ddof=1)) if count > 1 else float("nan")
-    return EntanglementDistribution(
-        entries=tuple(zip(parts, results)),
-        mean_participation=float(values.mean()),
-        var_population=var_pop,
-        var_sample=var_sample,
-        min=float(values.min()),
-        max=float(values.max()),
-        count=count,
+    masks = family.masks()
+    values = np.fromiter(
+        (purity(state, Bipartition(state.n, m)).purity for m in masks),
+        np.float64,
+        masks.size,
     )
+    return EntanglementDistribution(masks, values)
 
 
 def summarize(dist: EntanglementDistribution) -> dict:
     """Summary record of the participation-number distribution."""
-    if dist.count < 1:
-        raise ValueError("empty distribution")
     return {
         "mean": dist.mean_participation,
         "var_population": dist.var_population,
         "var_sample": dist.var_sample,
         "std_population": math.sqrt(dist.var_population),
-        "std_sample": math.sqrt(dist.var_sample) if dist.count > 1 else float("nan"),
+        "std_sample": math.sqrt(dist.var_sample),
         "min": dist.min,
         "max": dist.max,
         "count": dist.count,
@@ -184,15 +188,13 @@ def _distinct_groups(values: np.ndarray) -> list[np.ndarray]:
     return np.split(ordered, breaks)
 
 
-def histogram(dist: EntanglementDistribution, bins: int = 50) -> Histogram:
+def histogram(dist: EntanglementDistribution, bins: int = HISTOGRAM_BINS) -> Histogram:
     """Histogram of participation numbers.
 
     Distributions with at most DISCRETE_VALUE_LIMIT distinct values get one
     exact bar per value; anything broader is binned into `bins` equal-width
     bins spanning [min, max].  Densities integrate to 1 in both modes.
     """
-    if dist.count < 1:
-        raise ValueError("empty distribution")
     if bins < 1:
         raise ValueError(f"bin count must be positive, got {bins}")
     values = dist.participations()
@@ -229,10 +231,10 @@ def histogram(dist: EntanglementDistribution, bins: int = 50) -> Histogram:
 def format_spectrum_csv(dist: EntanglementDistribution) -> str:
     """Per-mask CSV: mask_hex,n_A,purity,participation."""
     lines = ["mask_hex,n_A,purity,participation"]
-    for part, res in dist.entries:
-        lines.append(
-            f"{part.mask:#x},{part.n_a},{g17(res.purity)},{g17(res.participation)}"
-        )
+    for mask, p, value in zip(
+        dist.masks.tolist(), dist.purity_values.tolist(), dist.participations().tolist()
+    ):
+        lines.append(f"{mask:#x},{mask.bit_count()},{g17(p)},{g17(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -243,11 +245,7 @@ def format_summary_json(dist: EntanglementDistribution, family: BipartitionFamil
             "n": family.n,
             "family": family.label,
             "count": dist.count,
-            "mean_participation": dist.mean_participation,
-            "var_population": dist.var_population,
-            "var_sample": dist.var_sample,
-            "min": dist.min,
-            "max": dist.max,
+            **{name: getattr(dist, name) for name in STATISTICS},
         }
     ) + "\n"
 

@@ -213,13 +213,27 @@ def state_to_dict(state: PureState) -> dict:
 
 
 def state_from_dict(data: dict) -> PureState:
-    """Inverse of state_to_dict; validates shape and normalization."""
+    """Inverse of state_to_dict; validates types, shape and normalization.
+
+    n must be a JSON integer and each [re, im] component a JSON number;
+    strings, booleans, nulls and a float n such as 2.0 are rejected rather
+    than converted.
+    """
     try:
-        n = int(data["n"])
+        n = data["n"]
         pairs = data["amplitudes"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state record: {exc}") from exc
+    if type(n) is not int:
+        raise ValueError(f"state record n must be an integer, got {n!r}")
+    not_pairs = "amplitudes must be a list of [re, im] pairs"
+    try:
+        components = {type(x) for pair in pairs for x in pair}
+    except TypeError:
+        raise ValueError(not_pairs) from None
+    if not components <= {int, float}:
+        raise ValueError("amplitude components must be numbers")
     arr = np.asarray(pairs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("amplitudes must be a list of [re, im] pairs")
+        raise ValueError(not_pairs)
     return PureState(n, arr[:, 0] + 1j * arr[:, 1])

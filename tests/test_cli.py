@@ -148,6 +148,41 @@ class TestSpectrumCommand:
         total = sum(int(ln.split("\t")[2]) for ln in lines[1:])
         assert total == 20
 
+    def test_golden_bytes_csv_json_tsv(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--kind", "w", "--n", "3", "--family", "all-sizes"
+        )
+        assert code == 0
+        assert out == (
+            "mask_hex,n_A,purity,participation\n"
+            "0x1,1,0.55555555555555591,1.7999999999999989\n"
+            "0x2,1,0.55555555555555591,1.7999999999999989\n"
+            "0x3,2,0.55555555555555591,1.7999999999999989\n"
+            "0x4,1,0.55555555555555591,1.7999999999999989\n"
+            "0x5,2,0.55555555555555591,1.7999999999999989\n"
+            "0x6,2,0.55555555555555591,1.7999999999999989\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--kind", "cluster", "--n", "4", "--format", "json"
+        )
+        assert code == 0
+        assert out == (
+            '{"n": 4, "family": "balanced", "count": 6, '
+            '"mean_participation": 3.3333333333333335, '
+            '"var_population": 0.8888888888888888, "var_sample": 1.0666666666666667, '
+            '"min": 2.0, "max": 4.0}\n'
+        )
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--kind", "w", "--n", "4", "--family", "all-sizes",
+            "--format", "tsv",
+        )
+        assert code == 0
+        assert out == (
+            "bin_center\tdensity\tcount\n"
+            "1.6000000000000001\t1.4285714285714288\t8\n"
+            "2\t1.0714285714285712\t6\n"
+        )
+
     def test_cluster13_within_runtime_budget(self, capsys):
         start = time.monotonic()
         code, out, _ = run_cli(capsys, "spectrum", "--kind", "cluster", "--n", "13")
@@ -181,6 +216,31 @@ class TestSampleCommand:
         assert lines[0] == "sample,mean_participation,var_population,var_sample,min,max"
         assert len(lines) == 4
 
+    def test_golden_bytes_mask_and_family(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sample", "--kind", "haar", "--n", "3", "--count", "3",
+            "--seed", "5", "--mask", "0x1",
+        )
+        assert code == 0
+        assert out == (
+            "sample,purity,participation\n"
+            "0,0.78027499602613282,1.2815994426233135\n"
+            "1,0.73301229430487203,1.3642335984941656\n"
+            "2,0.84768793036626522,1.1796794128800729\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "sample", "--kind", "phase-sphere", "--n", "3", "--count", "2",
+            "--seed", "5", "--family", "all-sizes",
+        )
+        assert code == 0
+        assert out == (
+            "sample,mean_participation,var_population,var_sample,min,max\n"
+            "0,1.2172281751757066,0.008490874041001328,0.010189048849201594,"
+            "1.088020104172424,1.2965041857390078\n"
+            "1,1.3293793445964559,0.0029080997207097162,0.0034897196648516595,"
+            "1.2557136502428798,1.3833052806578987\n"
+        )
+
 
 class TestTheoryCommand:
     def test_participation_curve_peak(self, capsys):
@@ -213,6 +273,16 @@ class TestTheoryCommand:
         densities = [float(ln.split("\t")[1]) for ln in out.strip().split("\n")[1:]]
         assert len(densities) == 21
         assert all(math.isfinite(d) and d > 0 for d in densities)
+
+    def test_explicit_wide_range_at_two_hundred_qubits(self, capsys):
+        # the default mu +/- 8 sigma range is narrower than one ulp here
+        code, out, _ = run_cli(
+            capsys, "theory", "--model", "exact-sphere", "--n", "200",
+            "--xmin", "1", "--xmax", "1e31", "--points", "5",
+        )
+        assert code == 0
+        xs = [float(ln.split("\t")[0]) for ln in out.strip().split("\n")[1:]]
+        assert len(set(xs)) == len(xs) == 5
 
     def test_too_wide_model_needs_range(self, capsys):
         code, _, err = run_cli(
@@ -311,6 +381,17 @@ class TestErrorsAndDeterminism:
             (("theory", "--model", "delta", "--n", "200000"), "--n"),
             (("theory", "--model", "exact-sphere", "--na", "300", "--nb", "300"),
              "--na + --nb"),
+            (("spectrum", "--kind", "w", "--n", "4", "--format", "json", "--bins", "0"),
+             "--bins"),
+            (("spectrum", "--kind", "w", "--n", "4", "--bins", "5"), "--bins"),
+            (("spectrum", "--kind", "w", "--n", "4", "--format", "tsv", "--bins", "0"),
+             "--bins"),
+            (("table1", "--nmin", "5", "--nmax", "27"), "nmax"),
+            (("theory", "--model", "exact-sphere", "--n", "200", "--points", "5"),
+             "--xmin/--xmax"),
+            (("theory", "--model", "delta", "--n", "96"), "--xmin/--xmax"),
+            (("theory", "--model", "asymptotic", "--n", "8", "--pdf", "purity",
+              "--xmin", "0.5", "--xmax", "0.5", "--points", "3"), "--xmin/--xmax"),
         ],
     )
     def test_invalid_option_combinations_exit_2(self, capsys, args, named):
@@ -336,6 +417,38 @@ class TestErrorsAndDeterminism:
         code, out, err = run_cli(capsys, "spectrum", "--state-file", str(path))
         assert code == 2 and out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("command", [("purity", "--mask", "0x1"), ("measures",)],
+                             ids=["purity", "measures"])
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"n": 2.7, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
+            '{"n": 2.0, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
+            '{"n": "2", "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
+            '{"n": true, "amplitudes": [[1, 0], [0, 0]]}',
+            '{"n": 2, "amplitudes": [["1", 0], [0, 0], [0, 0], [0, 0]]}',
+            '{"n": 2, "amplitudes": [[true, 0], [0, 0], [0, 0], [0, 0]]}',
+            '{"n": 2, "amplitudes": [[1, null], [0, 0], [0, 0], [0, 0]]}',
+        ],
+        ids=["n-float", "n-float-whole", "n-string", "n-bool", "re-string", "re-bool",
+             "im-null"],
+    )
+    def test_non_numeric_state_file_exits_2(self, capsys, tmp_path, command, record):
+        path = tmp_path / "state.json"
+        path.write_text(record)
+        code, out, err = run_cli(capsys, command[0], "--state-file", str(path),
+                                 *command[1:])
+        assert code == 2 and out == ""
+        assert "must be" in err
+
+    def test_integer_state_file_components_load(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text('{"n": 2, "amplitudes": [[0, 0], [1, 0], [0, 0], [0, 0]]}')
+        code, out, _ = run_cli(capsys, "purity", "--state-file", str(path),
+                               "--mask", "0x1")
+        assert code == 0
+        assert json.loads(out)["purity"] == 1.0
 
     @pytest.mark.parametrize("option, value", [("--xmin", "nan"), ("--xmax", "inf")])
     def test_non_finite_curve_range_exits_2(self, capsys, option, value):

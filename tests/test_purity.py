@@ -69,8 +69,8 @@ def state_cut_perm(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(state_cut_perm())
-def test_purity_cut_properties(case):
+@given(state_cut_perm(), st.data())
+def test_purity_cut_properties(case, data):
     state, part, perm = case
     z = coefficient_matrix(state, part)
     assert np.array_equal(z, scatter_coefficient_matrix(state, part.positions_a()))
@@ -82,6 +82,15 @@ def test_purity_cut_properties(case):
     )
     assert purity(state, complement(part)).purity == pytest.approx(res.purity, abs=1e-12)
     assert 1.0 - 1e-12 <= res.participation <= min(part.dim_a, part.dim_b) * (1 + 1e-12)
+    # a unitary on one qubit, on either side of the cut, is local
+    qubit = data.draw(st.integers(0, state.n - 1))
+    u = random_unitary2(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    rotated = apply_single_qubit(state, qubit, u)
+    assert purity(rotated, part).purity == pytest.approx(res.purity, abs=1e-12)
+    # the Gram form, the literal quadruple sum and a reshape partial trace agree
+    rho = partial_trace_reshape(state, part.positions_a())
+    assert purity_quadruple_sum(state, part) == pytest.approx(res.purity, abs=1e-12)
+    assert np.real(np.trace(rho @ rho)) == pytest.approx(res.purity, abs=1e-12)
 
 
 class TestReducedDensity:

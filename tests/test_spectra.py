@@ -1,7 +1,10 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entspec import (
     Bipartition,
@@ -19,6 +22,7 @@ from entspec import (
     summarize,
 )
 from entspec.spectra import (
+    SELECTORS,
     format_histogram_tsv,
     format_spectrum_csv,
     format_summary_json,
@@ -105,7 +109,7 @@ class TestDistribution:
     def test_complement_pairs_match_and_dedup_stats_agree(self):
         state = haar_states(4, 1, 99)[0]
         dist = compute_distribution(state, BipartitionFamily.balanced(4))
-        by_mask = {p.mask: r.participation for p, r in dist.entries}
+        by_mask = dict(zip(dist.masks.tolist(), dist.participations()))
         for mask, value in by_mask.items():
             assert value == pytest.approx(by_mask[mask ^ 0xF], abs=1e-12)
         deduped = [v for m, v in by_mask.items() if m < (m ^ 0xF)]
@@ -124,6 +128,60 @@ class TestDistribution:
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError, match="qubits"):
             compute_distribution(make_ghz(3), BipartitionFamily.balanced(4))
+
+
+@st.composite
+def state_and_family(draw):
+    n = draw(st.integers(2, 8))
+    selector = draw(st.sampled_from(SELECTORS))
+    size = draw(st.integers(1, n - 1)) if selector == "fixed-size" else None
+    state = haar_states(n, 1, draw(st.integers(0, 2**32 - 1)))[0]
+    return state, BipartitionFamily(n, selector, size)
+
+
+def family_masks_reference(family):
+    """Ascending masks of the family, filtered from every valid mask by popcount."""
+    n = family.n
+    sizes = {
+        "balanced": {n // 2},
+        "all-sizes": set(range(1, n)),
+        "fixed-size": {family.size},
+        "max-unbalanced": {1},
+    }[family.selector]
+    return [m for m in range(1, (1 << n) - 1) if m.bit_count() in sizes]
+
+
+@settings(max_examples=120, deadline=None)
+@given(state_and_family())
+def test_distribution_arrays_match_per_cut_purities(case):
+    state, family = case
+    dist = compute_distribution(state, family)
+    assert dist.masks.dtype == np.int64 and dist.purities().dtype == np.float64
+    assert dist.masks.tolist() == family_masks_reference(family)
+    per_cut = [purity(state, Bipartition(family.n, m)).purity for m in dist.masks]
+    assert np.array_equal(dist.purities(), per_cut)
+    values = dist.participations()
+    assert np.array_equal(values, 1.0 / np.array(per_cut))
+    assert dist.count == values.size == len(per_cut)
+    assert dist.mean_participation == np.mean(values)
+    assert dist.var_population == np.var(values)
+    assert dist.var_sample == np.var(values, ddof=1)
+    assert (dist.min, dist.max) == (np.min(values), np.max(values))
+
+
+def test_distribution_retains_two_arrays_per_cut():
+    state, family = make_ghz(10), BipartitionFamily.all_sizes(10)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dist = compute_distribution(state, family)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert dist.count == 1022
+    assert retained / dist.count < 64
 
 
 class TestSummaries:
