@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +141,8 @@ def _run_theory(args: argparse.Namespace) -> str:
             raise ValueError("theory needs --n or --na/--nb")
         checks = (("--n", args.n, 2),)
         n_a, n_b = args.n // 2, args.n - args.n // 2
+    elif args.n is not None:
+        raise ValueError("--n does not combine with --na/--nb")
     else:
         checks = (("--na", n_a, 1), ("--nb", n_b, 1), ("--na + --nb", n_a + n_b, 2))
     for name, value, low in checks:
@@ -189,7 +191,10 @@ def _run_table1(args: argparse.Namespace) -> str:
         raise ValueError(
             f"need 2 <= nmin <= nmax <= {MAX_QUBITS}, got {args.nmin}..{args.nmax}"
         )
-    lines = ["n,ghz,w,cluster,random" + (",haar" if args.haar_seed is not None else "")]
+    haar = None
+    if args.haar_seed is not None:  # the seed is checked before the first sweep
+        haar = EnsembleSpec("haar", args.nmin, args.haar_seed)
+    lines = ["n,ghz,w,cluster,random" + (",haar" if haar is not None else "")]
     for n in range(args.nmin, args.nmax + 1):
         family = BipartitionFamily.balanced(n)
         cells = [str(n)]
@@ -198,8 +203,8 @@ def _run_table1(args: argparse.Namespace) -> str:
         n_a = n // 2
         model = asymptotic_model(1 << n_a, 1 << (n - n_a))
         cells.append(g17(1.0 / model.mu))
-        if args.haar_seed is not None:
-            sampled = sample_haar(EnsembleSpec("haar", n, args.haar_seed), 1)[0]
+        if haar is not None:
+            sampled = sample_haar(replace(haar, n=n), 1)[0]
             dist = compute_distribution(sampled, family)
             cells.append(g17(dist.mean_participation))
         lines.append(",".join(cells))

@@ -9,12 +9,12 @@ of participation numbers can be compared against them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from ._fmt import json_dumps
 from .purity import Bipartition, purity, reduced_density
-from .spectra import BipartitionFamily, enumerate_masks
 from .states import PureState
 
 EIG_TOL_FACTOR = 1e-12  # subdiagonal negligible below this times the matrix norm
@@ -166,6 +166,8 @@ class TangleReport:
 
 
 def _pair_density(state: PureState, i: int, j: int) -> np.ndarray:
+    if not (0 <= i < state.n and 0 <= j < state.n):
+        raise ValueError(f"qubits {i} and {j} out of range for {state.n} qubits")
     if i == j:
         raise ValueError(f"qubits must differ, got {i} and {j}")
     if state.n == 2:
@@ -195,12 +197,10 @@ def concurrence(state: PureState, i: int, j: int) -> ConcurrenceResult:
 
 
 def q_measure(state: PureState) -> float:
-    """Global measure Q = 2 (1 - mean single-qubit purity)."""
+    """Global measure Q = 2 (1 - mean single-qubit purity), the mean one-tangle."""
     if state.n < 2:
         raise ValueError(f"Q needs at least 2 qubits, got {state.n}")
-    parts = enumerate_masks(BipartitionFamily.max_unbalanced(state.n))
-    mean_purity = sum(purity(state, p).purity for p in parts) / len(parts)
-    return 2.0 * (1.0 - mean_purity)
+    return sum(tangle1(state, i) for i in range(state.n)) / state.n
 
 
 def tangle1(state: PureState, i: int) -> float:
@@ -210,19 +210,12 @@ def tangle1(state: PureState, i: int) -> float:
     return 2.0 * (1.0 - purity(state, Bipartition(state.n, 1 << i)).purity)
 
 
-def _tangles(
-    state: PureState, i: int, triples: tuple[tuple[int, int, float], ...]
-) -> tuple[float, float, float | None]:
-    """tau1, tau2 and their ratio for qubit i, given the concurrence triples of
-    every pair that contains i (other triples are ignored).
-
-    tau2 sums the squared concurrences in ascending order of the partner
-    qubit.  The ratio is None when tau1 is numerically zero (factorized
-    qubit), where it has no meaningful value.
-    """
-    tau1 = tangle1(state, i)
-    tau2 = sum(c**2 for a, b, c in triples if i in (a, b))
-    return tau1, tau2, tau2 / tau1 if tau1 >= TAU1_DEFINED_FLOOR else None
+def _tau2_and_ratio(tau1: float, row: list[float]) -> tuple[float, float | None]:
+    """Two-tangle from one row of pair concurrences (ascending partner order,
+    0.0 for the qubit itself) and the ratio tau2/tau1, which is None when tau1
+    is numerically zero (factorized qubit)."""
+    tau2 = sum(c**2 for c in row)
+    return tau2, tau2 / tau1 if tau1 >= TAU1_DEFINED_FLOOR else None
 
 
 def tangle2_and_R(state: PureState, i: int) -> tuple[float, float | None]:
@@ -230,39 +223,42 @@ def tangle2_and_R(state: PureState, i: int) -> tuple[float, float | None]:
     tau1 is numerically zero)."""
     if state.n < 2:
         raise ValueError(f"two-tangle needs at least 2 qubits, got {state.n}")
-    triples = tuple(
-        (i, j, concurrence(state, i, j).value) for j in range(state.n) if j != i
-    )
-    _, tau2, ratio = _tangles(state, i, triples)
-    return tau2, ratio
+    row = [0.0 if j == i else concurrence(state, i, j).value for j in range(state.n)]
+    return _tau2_and_ratio(tangle1(state, i), row)
 
 
 def tangle_report(state: PureState) -> TangleReport:
-    """Per-qubit tangles, sharing one concurrence evaluation per pair."""
+    """Per-qubit tangles from one purity per qubit and one concurrence per pair."""
     n = state.n
     if n < 2:
         raise ValueError(f"tangle report needs at least 2 qubits, got {n}")
-    triples = tuple(
-        (i, j, concurrence(state, i, j).value)
-        for i in range(n)
-        for j in range(i + 1, n)
+    pairs = tuple(combinations(range(n), 2))
+    table = np.zeros((n, n))
+    for i, j in pairs:
+        table[i, j] = table[j, i] = concurrence(state, i, j).value
+    rows = table.tolist()
+    tau1 = tuple(tangle1(state, i) for i in range(n))
+    tau2, ratio = zip(*map(_tau2_and_ratio, tau1, rows))
+    return TangleReport(
+        tau1=tau1,
+        tau2=tau2,
+        ratio=ratio,
+        concurrences=tuple((i, j, rows[i][j]) for i, j in pairs),
     )
-    tau1, tau2, ratio = zip(*(_tangles(state, i, triples) for i in range(n)))
-    return TangleReport(tau1=tau1, tau2=tau2, ratio=ratio, concurrences=triples)
 
 
 def format_measures_json(state: PureState) -> str:
-    """Measures JSON: Q, per-qubit tangles and ratios, pairwise concurrences.
+    """Measures JSON: Q (the mean one-tangle), per-qubit tangles and ratios,
+    pairwise concurrences.
 
     Concurrences are listed as [i, j, value] triples in row-major
     upper-triangular order (i < j).
     """
-    q = q_measure(state)
     report = tangle_report(state)
     return json_dumps(
         {
             "n": state.n,
-            "Q": q,
+            "Q": sum(report.tau1) / state.n,
             "tau1": report.tau1,
             "tau2": report.tau2,
             "R": report.ratio,

@@ -145,11 +145,6 @@ def _masks_with_popcount(n: int, k: int) -> Iterator[int]:
         m = (((r ^ m) >> 2) // c) | r
 
 
-def enumerate_masks(family: BipartitionFamily) -> list[Bipartition]:
-    """Bipartitions of the family in ascending mask order."""
-    return [Bipartition(family.n, m) for m in family.masks().tolist()]
-
-
 def compute_distribution(
     state: PureState, family: BipartitionFamily
 ) -> EntanglementDistribution:

@@ -56,6 +56,16 @@ class TestJsonBytes:
             '[1, 2, 0.0]]}\n'
         )
 
+    def test_measures_w4(self, capsys):
+        code, out, _ = run_cli(capsys, "measures", "--kind", "w", "--n", "4")
+        assert code == 0
+        assert out == (
+            '{"n": 4, "Q": 0.75, "tau1": [0.75, 0.75, 0.75, 0.75], '
+            '"tau2": [0.75, 0.75, 0.75, 0.75], "R": [1.0, 1.0, 1.0, 1.0], '
+            '"concurrence": [[0, 1, 0.5], [0, 2, 0.5], [0, 3, 0.5], [1, 2, 0.5], '
+            '[1, 3, 0.5], [2, 3, 0.5]]}\n'
+        )
+
     def test_purity_cluster5(self, capsys):
         code, out, _ = run_cli(
             capsys, "purity", "--kind", "cluster", "--n", "5", "--mask", "0x3"
@@ -392,6 +402,8 @@ class TestErrorsAndDeterminism:
             (("theory", "--model", "delta", "--n", "96"), "--xmin/--xmax"),
             (("theory", "--model", "asymptotic", "--n", "8", "--pdf", "purity",
               "--xmin", "0.5", "--xmax", "0.5", "--points", "3"), "--xmin/--xmax"),
+            (("theory", "--model", "delta", "--n", "6", "--na", "2", "--nb", "3"),
+             "--n does not"),
         ],
     )
     def test_invalid_option_combinations_exit_2(self, capsys, args, named):
@@ -410,6 +422,18 @@ class TestErrorsAndDeterminism:
                 "--seed", "1", *cut,
             )
             assert code == 2 and out == ""
+
+    def test_table1_checks_seed_before_sweeping(self, capsys, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a sweep ran before the seed was checked")
+
+        monkeypatch.setattr(cli, "compute_distribution", refuse)
+        for seed in ("-1", str(2**64)):
+            code, out, err = run_cli(
+                capsys, "table1", "--nmin", "13", "--nmax", "13", "--haar-seed", seed
+            )
+            assert code == 2 and out == ""
+            assert "seed" in err
 
     def test_nan_amplitude_in_state_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "nan.json"

@@ -1,7 +1,9 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entspec import (
     concurrence,
@@ -116,6 +118,13 @@ class TestConcurrence:
         with pytest.raises(ValueError, match="differ"):
             concurrence(make_ghz(3), 1, 1)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("i, j", [(0, 7), (9, 1), (-3, 1), (0, -1), (-3, 9)])
+    def test_pair_out_of_range_rejected(self, n, i, j):
+        message = re.escape(f"qubits {i} and {j} out of range for {n} qubits")
+        with pytest.raises(ValueError, match=message):
+            concurrence(make_ghz(n), i, j)
+
 
 class TestTangles:
     def test_tangle1_values(self):
@@ -158,6 +167,22 @@ class TestTangles:
         for i, j, value in report.concurrences:
             assert value == concurrence(state, i, j).value
 
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("i", [7, -3])
+    def test_tangle2_qubit_out_of_range_rejected(self, n, i):
+        with pytest.raises(ValueError, match=f"out of range for {n} qubits"):
+            tangle2_and_R(make_ghz(n), i)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_w_closed_forms(self, n):
+        report = tangle_report(make_w(n))
+        tangle = 4 * (n - 1) / n**2
+        assert report.tau1 == pytest.approx([tangle] * n, abs=1e-12)
+        assert report.tau2 == pytest.approx([tangle] * n, abs=1e-12)
+        assert report.ratio == pytest.approx([1.0] * n, abs=1e-12)
+        for _, _, value in report.concurrences:
+            assert value == pytest.approx(2 / n, abs=1e-12)
+
     def test_report_rejects_monogamy_violation(self):
         with pytest.raises(ValueError, match="monogamy"):
             TangleReport(tau1=(0.1,), tau2=(0.5,), ratio=(5.0,))
@@ -181,3 +206,16 @@ class TestMeasuresJson:
         data = json.loads(format_measures_json(make_basis(2, 1)))
         assert data["R"] == [None, None]
         assert data["Q"] == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_measures_share_one_definition(n, seed):
+    """Q is the mean one-tangle, and the report's tau2 and R come from the same
+    rule as tangle2_and_R, so all of them agree exactly."""
+    state = haar_states(n, 1, seed)[0]
+    data = json.loads(format_measures_json(state))
+    assert data["Q"] == sum(data["tau1"]) / n
+    assert data["Q"] == q_measure(state)
+    for i in range(n):
+        assert (data["tau2"][i], data["R"][i]) == tangle2_and_R(state, i)

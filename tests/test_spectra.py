@@ -10,7 +10,6 @@ from entspec import (
     Bipartition,
     BipartitionFamily,
     compute_distribution,
-    enumerate_masks,
     histogram,
     make_basis,
     make_cluster1d,
@@ -38,31 +37,28 @@ def bell_product():
 
 class TestFamilies:
     def test_balanced_three_qubits(self):
-        masks = [p.mask for p in enumerate_masks(BipartitionFamily.balanced(3))]
+        masks = BipartitionFamily.balanced(3).masks().tolist()
         assert masks == [0x1, 0x2, 0x4]
 
     def test_fixed_size_four_qubits(self):
-        parts = enumerate_masks(BipartitionFamily.fixed_size(4, 2))
-        assert len(parts) == 6
-        assert [p.mask for p in parts] == sorted(p.mask for p in parts)
+        masks = BipartitionFamily.fixed_size(4, 2).masks().tolist()
+        assert len(masks) == 6
+        assert masks == sorted(masks)
 
     def test_balanced_twelve_qubits(self):
-        assert len(enumerate_masks(BipartitionFamily.balanced(12))) == 924
+        assert len(BipartitionFamily.balanced(12).masks()) == 924
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 11, 13, 16])
     def test_family_sizes_are_binomials(self, n):
         k = n // 2
-        assert len(enumerate_masks(BipartitionFamily.balanced(n))) == math.comb(n, k)
-        assert len(enumerate_masks(BipartitionFamily.max_unbalanced(n))) == n
-        assert len(enumerate_masks(BipartitionFamily.all_sizes(n))) == 2**n - 2
+        assert len(BipartitionFamily.balanced(n).masks()) == math.comb(n, k)
+        assert len(BipartitionFamily.max_unbalanced(n).masks()) == n
+        assert len(BipartitionFamily.all_sizes(n).masks()) == 2**n - 2
         if n > 2:
-            assert len(enumerate_masks(BipartitionFamily.fixed_size(n, 2))) == (
-                math.comb(n, 2)
-            )
+            assert len(BipartitionFamily.fixed_size(n, 2).masks()) == math.comb(n, 2)
 
     def test_balanced_contains_complements_for_even_n(self):
-        parts = enumerate_masks(BipartitionFamily.balanced(4))
-        masks = {p.mask for p in parts}
+        masks = set(BipartitionFamily.balanced(4).masks().tolist())
         for m in masks:
             assert (m ^ 0xF) in masks
 
