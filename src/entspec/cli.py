@@ -63,6 +63,8 @@ def _load_state(args: argparse.Namespace) -> PureState:
         if args.n is None:
             raise ValueError("--n is required with --kind")
         return NAMED_STATES[args.kind](args.n, args.index)
+    if args.n is not None:
+        raise ValueError("--n applies only to --kind; a state file gives its own n")
     path = Path(args.state_file)
     try:
         data = json.loads(path.read_text())
@@ -174,10 +176,14 @@ def _run_theory(args: argparse.Namespace) -> str:
         hi if args.xmax is None else args.xmax,
         args.points,
     )
-    if np.unique(xs).size < xs.size:
+    if not np.all(np.diff(xs) > 0):
         raise ValueError(
-            f"{args.points} points over [{xs[0]:.17g}, {xs[-1]:.17g}] repeat x values; "
-            "pass a wider --xmin/--xmax"
+            f"{args.points} points over [{xs[0]:.17g}, {xs[-1]:.17g}] do not strictly "
+            "increase in x; pass a wider --xmin/--xmax, with --xmin below --xmax"
+        )
+    if args.pdf == "participation" and xs[0] <= 0:
+        raise ValueError(
+            f"--xmin must be positive for --pdf participation, got {args.xmin!r}"
         )
     return format_curve_tsv(xs, pdf(model, xs))
 

@@ -17,9 +17,6 @@ from ._fmt import json_dumps
 from .purity import Bipartition, purity, reduced_density
 from .states import PureState
 
-EIG_TOL_FACTOR = 1e-12  # subdiagonal negligible below this times the matrix norm
-EIG_MAX_SWEEPS = 100
-
 EIGVAL_SNAP = 1e-10  # spin-flip eigenvalues within this of zero are roundoff
 TAU1_DEFINED_FLOOR = 1e-12
 
@@ -28,108 +25,23 @@ _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
 class EigenConvergenceError(RuntimeError):
-    """QR iteration failed to drive a subdiagonal below tolerance."""
-
-
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    """Reduce to upper Hessenberg form by Householder similarity transforms."""
-    h = a.astype(np.complex128, copy=True)
-    m = h.shape[0]
-    for k in range(m - 2):
-        x = h[k + 1 :, k]
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        v = x.copy()
-        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        v[0] += phase * nx
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v /= nv
-        h[k + 1 :, :] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, :])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
-    return h
-
-
-def _givens(f: complex, g: complex) -> tuple[float, complex]:
-    """Rotation [[c, s], [-conj(s), c]] with c real sending (f, g) to (r, 0)."""
-    if g == 0:
-        return 1.0, 0.0 + 0.0j
-    if f == 0:
-        return 0.0, np.conj(g) / abs(g)
-    d = np.hypot(abs(f), abs(g))
-    c = abs(f) / d
-    s = (f / abs(f)) * np.conj(g) / d
-    return c, s
-
-
-def _wilkinson_shift(block: np.ndarray) -> complex:
-    """Eigenvalue of the trailing 2x2 closest to the bottom-right entry."""
-    a, b = block[-2, -2], block[-2, -1]
-    c, d = block[-1, -2], block[-1, -1]
-    disc = np.sqrt((a - d) ** 2 + 4.0 * b * c + 0.0j)
-    r1 = (a + d + disc) / 2.0
-    r2 = (a + d - disc) / 2.0
-    return r1 if abs(r1 - d) <= abs(r2 - d) else r2
-
-
-def _shifted_qr_step(block: np.ndarray, shift: complex) -> np.ndarray:
-    """One explicit QR step: factor (block - shift*I), recombine as RQ + shift*I."""
-    k = block.shape[0]
-    t = block - shift * np.eye(k)
-    rotations = []
-    for i in range(k - 1):
-        c, s = _givens(t[i, i], t[i + 1, i])
-        rotations.append((c, s))
-        rows = t[i : i + 2, :].copy()
-        t[i, :] = c * rows[0] + s * rows[1]
-        t[i + 1, :] = -np.conj(s) * rows[0] + c * rows[1]
-    for i, (c, s) in enumerate(rotations):
-        cols = t[:, i : i + 2].copy()
-        t[:, i] = c * cols[:, 0] + np.conj(s) * cols[:, 1]
-        t[:, i + 1] = -s * cols[:, 0] + c * cols[:, 1]
-    return t + shift * np.eye(k)
+    """LAPACK eigenvalue iteration did not converge."""
 
 
 def eig4(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a 4x4 complex matrix, in no particular order.
-
-    Householder reduction to Hessenberg form followed by explicitly shifted
-    QR iteration with Wilkinson shifts; an eigenvalue deflates once the
-    adjacent subdiagonal falls below 1e-12 times the Frobenius norm of the
-    input.  Raises EigenConvergenceError after a bounded number of sweeps.
+    """Eigenvalues of a 4x4 complex matrix, in no particular order, from
+    LAPACK (numpy.linalg.eigvals).  Raises EigenConvergenceError when LAPACK
+    reports non-convergence.
     """
     a = np.asarray(matrix, dtype=np.complex128)
     if a.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix entries must be finite")
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(4, dtype=np.complex128)
-    tol = EIG_TOL_FACTOR * scale
-    h = _hessenberg(a)
-    eigs = np.empty(4, dtype=np.complex128)
-    m = 3
-    sweeps = 0
-    while True:
-        while m > 0 and abs(h[m, m - 1]) < tol:
-            eigs[m] = h[m, m]
-            m -= 1
-        if m == 0:
-            eigs[0] = h[0, 0]
-            return eigs
-        p = m
-        while p > 0 and abs(h[p, p - 1]) >= tol:
-            p -= 1
-        block = h[p : m + 1, p : m + 1]
-        h[p : m + 1, p : m + 1] = _shifted_qr_step(block, _wilkinson_shift(block))
-        sweeps += 1
-        if sweeps > EIG_MAX_SWEEPS:
-            raise EigenConvergenceError(
-                f"subdiagonal above {tol!r} after {sweeps} QR sweeps"
-            )
+    try:
+        return np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"4x4 eigenvalues did not converge: {exc}") from exc
 
 
 @dataclass(frozen=True)

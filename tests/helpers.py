@@ -130,8 +130,9 @@ def quartic_roots(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a 4x4 via its characteristic polynomial.
 
     Coefficients come from Newton's identities on the power-sum traces and
-    the roots from numpy's companion-matrix solver; fully independent of the
-    package's Hessenberg/QR path.
+    the roots from numpy's companion-matrix solver.  It never forms the
+    eigenvalue problem of the matrix itself, so it stays independent of the
+    package's LAPACK `eigvals` path.
     """
     a = np.asarray(matrix, dtype=np.complex128)
     powers = [a]
@@ -143,6 +144,31 @@ def quartic_roots(matrix: np.ndarray) -> np.ndarray:
     e3 = (e2 * s[0] - e1 * s[1] + s[2]) / 3.0
     e4 = (e3 * s[0] - e2 * s[1] + e1 * s[2] - s[3]) / 4.0
     return np.roots([1.0, -e1, e2, -e3, e4])
+
+
+# sigma_y (x) sigma_y: real and symmetric, so equal to its transpose and conjugate
+YY = np.array(
+    [[0.0, 0.0, 0.0, -1.0],
+     [0.0, 0.0, 1.0, 0.0],
+     [0.0, 1.0, 0.0, 0.0],
+     [-1.0, 0.0, 0.0, 0.0]]
+)
+
+
+def concurrence_svd(state: PureState, i: int, j: int) -> float:
+    """Wootters concurrence of qubits i and j from singular values, with no
+    eigenvalue problem.
+
+    With Z the 4 x 2^(n-2) coefficient matrix of the pair, rho = Z Z^dagger,
+    and the eigenvalues of rho (Y x Y) rho* (Y x Y) are the squared singular
+    values of M = Z^T (Y x Y) Z (M is symmetric, so M^dagger = conj(M)).  The
+    lambdas are those singular values, largest first, padded with zeros to four.
+    """
+    z = scatter_coefficient_matrix(state, [i, j])
+    sigma = np.linalg.svd(z.T @ YY @ z, compute_uv=False)[:4]  # descending
+    lam = np.zeros(4)
+    lam[: sigma.size] = sigma
+    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
 
 
 def match_multisets(a, b) -> float:

@@ -12,6 +12,10 @@ from entspec import cli
 from entspec.cli import main
 
 
+# stands for a GHZ(3) state file written to the test's tmp_path
+GHZ3_FILE = "<ghz3.json>"
+
+
 def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
@@ -404,12 +408,32 @@ class TestErrorsAndDeterminism:
               "--xmin", "0.5", "--xmax", "0.5", "--points", "3"), "--xmin/--xmax"),
             (("theory", "--model", "delta", "--n", "6", "--na", "2", "--nb", "3"),
              "--n does not"),
+            (("purity", "--state-file", GHZ3_FILE, "--n", "7", "--mask", "0x1"), "--n"),
+            (("spectrum", "--state-file", GHZ3_FILE, "--n", "7"), "--n"),
+            (("measures", "--state-file", GHZ3_FILE, "--n", "3"), "--n"),
+            (("theory", "--model", "asymptotic", "--n", "6", "--xmin", "5",
+              "--xmax", "1", "--points", "3"), "--xmin/--xmax"),
+            (("theory", "--model", "asymptotic", "--n", "6", "--pdf", "participation",
+              "--xmin", "0"), "--xmin"),
         ],
     )
-    def test_invalid_option_combinations_exit_2(self, capsys, args, named):
+    def test_invalid_option_combinations_exit_2(self, capsys, tmp_path, args, named):
+        if GHZ3_FILE in args:
+            path = str(tmp_path / "ghz3.json")
+            run_cli(capsys, "state", "--kind", "ghz", "--n", "3", "--out", path)
+            args = tuple(path if a == GHZ3_FILE else a for a in args)
         code, out, err = run_cli(capsys, *args)
         assert code == 2 and out == ""
         assert named in err
+
+    def test_eigensolver_failure_exits_3(self, capsys, monkeypatch):
+        def fail(_a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        code, out, err = run_cli(capsys, "measures", "--kind", "w", "--n", "3")
+        assert code == 3 and out == ""
+        assert "numerical failure" in err
 
     def test_sample_checks_cut_before_drawing(self, capsys, monkeypatch):
         def refuse(*_args):

@@ -1,5 +1,6 @@
 import json
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from entspec import (
     tangle2_and_R,
     tangle_report,
 )
-from entspec.measures import TangleReport, format_measures_json
-from helpers import haar_states, match_multisets, quartic_roots
+from entspec.measures import EigenConvergenceError, TangleReport, format_measures_json
+from helpers import concurrence_svd, haar_states, match_multisets, quartic_roots
 
 
 class TestEig4:
@@ -55,6 +56,14 @@ class TestEig4:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             eig4(bad)
+
+    def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
+        def fail(_a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(EigenConvergenceError, match="did not converge"):
+            eig4(np.eye(4))
 
 
 class TestQMeasure:
@@ -124,6 +133,24 @@ class TestConcurrence:
         message = re.escape(f"qubits {i} and {j} out of range for {n} qubits")
         with pytest.raises(ValueError, match=message):
             concurrence(make_ghz(n), i, j)
+
+
+class TestConcurrenceOracle:
+    """The package's eigenvalue path against singular values of Z^T (Y x Y) Z."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_svd_oracle_on_every_pair(self, n):
+        for state in haar_states(n, 30, 904 + n):
+            for i, j in combinations(range(n), 2):
+                value = concurrence(state, i, j).value
+                assert abs(value - concurrence_svd(state, i, j)) <= 1e-11
+
+    def test_two_qubit_closed_form(self):
+        for state in haar_states(2, 30, 904):
+            z = state.amplitudes
+            closed = 2.0 * abs(z[0] * z[3] - z[1] * z[2])
+            assert abs(concurrence(state, 0, 1).value - closed) <= 1e-11
+            assert abs(concurrence_svd(state, 0, 1) - closed) <= 1e-11
 
 
 class TestTangles:
