@@ -123,24 +123,31 @@ def coefficient_matrix(state: PureState, part: Bipartition) -> np.ndarray:
     return _qubit_groups(state, part.positions_a(), part.positions_b())
 
 
+def _gram(state: PureState, z: np.ndarray) -> np.ndarray:
+    """Z Z^dagger; for a real state the real Gram Z Z^T, with no conjugate copy."""
+    if state.is_real:
+        z = z.real
+        return z @ z.T
+    return z @ z.conj().T
+
+
 def reduced_density(state: PureState, part: Bipartition) -> ReducedDensity:
     """Partial trace over subsystem B: rho_A = Z Z^dagger."""
-    z = coefficient_matrix(state, part)
-    return ReducedDensity(part.dim_a, z @ z.conj().T)
+    return ReducedDensity(part.dim_a, _gram(state, coefficient_matrix(state, part)))
 
 
 def purity(state: PureState, part: Bipartition) -> PurityResult:
     """Purity of the reduced state across the bipartition.
 
-    Computed as the squared Frobenius norm of the Gram matrix of Z taken on
-    the smaller side (both sides give the same value); cost O(min^2 * max)
-    instead of the O(N^2) of the index-sum form.
+    Computed as the squared Frobenius norm of the Gram matrix Z Z^dagger;
+    cost O(min^2 * max) instead of the O(N^2) of the index-sum form.  The
+    cut is first turned so that A is the smaller side (both sides give the
+    same value), or of two equal sides the lower mask, so a mask and its
+    complement give bit-identical purities.
     """
-    z = coefficient_matrix(state, part)
-    if part.dim_a <= part.dim_b:
-        g = z @ z.conj().T
-    else:
-        g = z.conj().T @ z
+    if (part.n_a, part.mask) > (part.n_b, part.mask ^ ((1 << part.n) - 1)):
+        part = complement(part)
+    g = _gram(state, coefficient_matrix(state, part))
     return PurityResult.from_purity(float(np.real(np.vdot(g, g))))
 
 

@@ -148,18 +148,27 @@ def _masks_with_popcount(n: int, k: int) -> Iterator[int]:
 def compute_distribution(
     state: PureState, family: BipartitionFamily
 ) -> EntanglementDistribution:
-    """Evaluate the purity on every mask of the family, in ascending mask order."""
+    """Evaluate the purity on every mask of the family, in ascending mask order.
+
+    A mask and its complement are one cut, named by the lower of the two
+    masks.  Each cut is evaluated once, on the first family mask that names
+    it, and its value is scattered back to every mask of the cut.
+    """
     if family.n != state.n:
         raise ValueError(
             f"family is over {family.n} qubits but the state has {state.n}"
         )
     masks = family.masks()
-    values = np.fromiter(
-        (purity(state, Bipartition(state.n, m)).purity for m in masks),
-        np.float64,
-        masks.size,
+    full = (1 << state.n) - 1
+    _, first, where = np.unique(
+        np.minimum(masks, masks ^ full), return_index=True, return_inverse=True
     )
-    return EntanglementDistribution(masks, values)
+    values = np.fromiter(
+        (purity(state, Bipartition(state.n, m)).purity for m in masks[first]),
+        np.float64,
+        first.size,
+    )
+    return EntanglementDistribution(masks, values[where])
 
 
 def summarize(dist: EntanglementDistribution) -> dict:

@@ -8,7 +8,7 @@ bit and k = sum_j b_j 2^j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,10 +28,15 @@ def _check_qubits(n: int, minimum: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized complex amplitude vector over the 2**n computational basis."""
+    """Normalized complex amplitude vector over the 2**n computational basis.
+
+    is_real records, once on construction, that every imaginary part is zero
+    (a -0.0 counts as zero), so the purity kernels can take real Grams.
+    """
 
     n: int
     amplitudes: np.ndarray
+    is_real: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_qubits(self.n, 1, "state")
@@ -48,6 +53,7 @@ class PureState:
             raise ValueError(f"state is not normalized: sum |z|^2 = {norm2!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "is_real", not amps.imag.any())
 
     @property
     def dim(self) -> int:

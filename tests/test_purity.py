@@ -4,10 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from entspec import (
     Bipartition,
+    PureState,
     ReducedDensity,
     apply_single_qubit,
     complement,
     make_basis,
+    make_cluster1d,
     make_ghz,
     make_product,
     make_w,
@@ -16,7 +18,7 @@ from entspec import (
     purity_quadruple_sum,
     reduced_density,
 )
-from entspec.purity import coefficient_matrix
+from entspec.purity import _gram, coefficient_matrix
 from helpers import (
     haar_states, partial_trace_reshape, random_unitary2, scatter_coefficient_matrix,
 )
@@ -91,6 +93,33 @@ def test_purity_cut_properties(case, data):
     rho = partial_trace_reshape(state, part.positions_a())
     assert purity_quadruple_sum(state, part) == pytest.approx(res.purity, abs=1e-12)
     assert np.real(np.trace(rho @ rho)) == pytest.approx(res.purity, abs=1e-12)
+
+
+REAL_NAMED = {"ghz": make_ghz, "w": make_w, "cluster": make_cluster1d}
+
+
+@st.composite
+def real_state_cut(draw):
+    n = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["gaussian", *REAL_NAMED]))
+    if kind == "gaussian":  # signed real amplitudes
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        g = rng.standard_normal(1 << n)
+        state = PureState(n, g / np.linalg.norm(g))
+    else:
+        state = REAL_NAMED[kind](n)
+    return state, Bipartition(n, draw(st.integers(1, (1 << n) - 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(real_state_cut())
+def test_real_gram_matches_reshape_partial_trace(case):
+    state, part = case
+    assert state.is_real
+    assert _gram(state, coefficient_matrix(state, part)).dtype == np.float64
+    rho = partial_trace_reshape(state, part.positions_a())
+    assert abs(purity(state, part).purity - np.real(np.trace(rho @ rho))) <= 1e-14
+    np.testing.assert_allclose(reduced_density(state, part).entries, rho, rtol=0, atol=1e-14)
 
 
 class TestReducedDensity:
@@ -228,3 +257,9 @@ class TestComplement:
                 assert purity(state, part).purity == pytest.approx(
                     purity(state, complement(part)).purity, abs=1e-12
                 )
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_purity_symmetry_is_exact(self, n):
+        state = haar_states(n, 1, 960 + n)[0]
+        for part in all_masks(n):
+            assert purity(state, part).purity == purity(state, complement(part)).purity

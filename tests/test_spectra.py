@@ -165,6 +165,33 @@ def test_distribution_arrays_match_per_cut_purities(case):
     assert (dist.min, dist.max) == (np.min(values), np.max(values))
 
 
+@pytest.mark.parametrize(
+    ("n", "selector", "size", "cuts"),
+    [
+        (8, "balanced", None, math.comb(8, 4) // 2),
+        (10, "balanced", None, math.comb(10, 5) // 2),
+        (7, "balanced", None, math.comb(7, 3)),
+        (9, "balanced", None, math.comb(9, 4)),
+        (7, "all-sizes", None, 2**6 - 1),
+        (8, "all-sizes", None, 2**7 - 1),
+        (8, "fixed-size", 4, math.comb(8, 4) // 2),
+        (8, "fixed-size", 3, math.comb(8, 3)),
+    ],
+)
+def test_each_unordered_cut_is_evaluated_once(monkeypatch, n, selector, size, cuts):
+    masks = []
+
+    def counted(state, part):
+        masks.append(part.mask)
+        return purity(state, part)
+
+    monkeypatch.setattr("entspec.spectra.purity", counted)
+    family = BipartitionFamily(n, selector, size)
+    dist = compute_distribution(haar_states(n, 1, 970 + n)[0], family)
+    assert len(masks) == len(set(masks)) == cuts
+    assert dist.count == family.masks().size
+
+
 def test_distribution_retains_two_arrays_per_cut():
     state, family = make_ghz(10), BipartitionFamily.all_sizes(10)
     gc.collect()

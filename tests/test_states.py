@@ -52,6 +52,10 @@ class TestPureState:
         with pytest.raises(ValueError, match="guard"):
             PureState(27, np.zeros(8))
 
+    def test_is_real_ignores_negative_zero_imaginary_parts(self):
+        assert PureState(1, np.array([complex(1.0, -0.0), complex(0.0, -0.0)])).is_real
+        assert not PureState(1, np.array([1.0, complex(0.0, 1e-300)])).is_real
+
     def test_amplitudes_immutable(self):
         state = make_ghz(2)
         with pytest.raises(ValueError):
