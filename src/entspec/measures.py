@@ -14,18 +14,18 @@ from itertools import combinations
 import numpy as np
 
 from ._fmt import json_dumps
-from .purity import Bipartition, purity, reduced_density
-from .states import PureState
+from .purity import Bipartition, purity
+from .states import PureState, _qubit_groups
 
-EIGVAL_SNAP = 1e-10  # spin-flip eigenvalues within this of zero are roundoff
 TAU1_DEFINED_FLOOR = 1e-12
 
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+# sigma_y (x) sigma_y is real, so a real state's spin-flip product stays real
+_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
 
 
 class EigenConvergenceError(RuntimeError):
-    """LAPACK eigenvalue iteration did not converge."""
+    """A LAPACK factorization did not converge: the QR or singular values
+    behind a concurrence, or the eigenvalues of eig4."""
 
 
 def eig4(matrix: np.ndarray) -> np.ndarray:
@@ -46,7 +46,8 @@ def eig4(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
-    """Pairwise concurrence with the four sorted spin-flip singular values."""
+    """Pairwise concurrence with the four spin-flip roots, the singular values
+    of Z^T (Y x Y) Z, largest first."""
 
     value: float
     lambdas: tuple[float, float, float, float]
@@ -77,33 +78,32 @@ class TangleReport:
                 )
 
 
-def _pair_density(state: PureState, i: int, j: int) -> np.ndarray:
+def concurrence(state: PureState, i: int, j: int) -> ConcurrenceResult:
+    """Wootters concurrence of qubits i and j.
+
+    With Z the pair's 4 x N_B coefficient matrix (rho = Z Z^dagger), the
+    spin-flip roots lambda are the singular values of Z^T (Y x Y) Z, padded
+    with zeros to four (Wootters, PRL 80, 2245 (1998)), and the concurrence
+    is max(0, l1 - l2 - l3 - l4).  When N_B > 4, Z is first replaced by
+    R^dagger from the QR factorization Z^dagger = Q R: R^dagger R = Z Z^dagger
+    leaves the lambdas unchanged and keeps the SVD at most 4x4.
+    """
     if not (0 <= i < state.n and 0 <= j < state.n):
         raise ValueError(f"qubits {i} and {j} out of range for {state.n} qubits")
     if i == j:
         raise ValueError(f"qubits must differ, got {i} and {j}")
-    if state.n == 2:
-        # the whole state already lives on the pair
-        return np.outer(state.amplitudes, state.amplitudes.conj())
-    part = Bipartition(state.n, (1 << i) | (1 << j))
-    return reduced_density(state, part).entries
-
-
-def concurrence(state: PureState, i: int, j: int) -> ConcurrenceResult:
-    """Wootters concurrence of qubits i and j.
-
-    Forms R = rho (Y x Y) rho* (Y x Y) on the two-qubit reduction, takes the
-    square roots of its eig4 eigenvalues, and returns
-    max(0, l1 - l2 - l3 - l4) over the decreasing-sorted roots.  The product
-    has non-negative spectrum only in exact arithmetic, so eigenvalues within
-    EIGVAL_SNAP of zero are snapped to zero before the square root (a
-    leftover 1e-17 would otherwise surface as a 1e-8 error in the root).
-    """
-    rho = _pair_density(state, i, j)
-    evals = eig4(rho @ _YY @ rho.conj() @ _YY).real
-    evals[np.abs(evals) < EIGVAL_SNAP] = 0.0
-    lam = np.sqrt(np.clip(evals, 0.0, None))
-    lam = np.sort(lam)[::-1]
+    rest = [q for q in range(state.n) if q != i and q != j]
+    z = _qubit_groups(state, sorted((i, j)), rest)
+    if state.is_real:
+        z = z.real
+    try:
+        if z.shape[1] > 4:
+            z = np.linalg.qr(z.conj().T, mode="r").conj().T
+        sigma = np.linalg.svd(z.T @ _YY @ z, compute_uv=False)  # descending
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"spin-flip singular values: {exc}") from exc
+    lam = np.zeros(4)
+    lam[: sigma.size] = sigma
     value = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
     return ConcurrenceResult(value=value, lambdas=tuple(float(v) for v in lam))
 

@@ -426,12 +426,15 @@ class TestErrorsAndDeterminism:
         assert code == 2 and out == ""
         assert named in err
 
-    def test_eigensolver_failure_exits_3(self, capsys, monkeypatch):
-        def fail(_a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    # svd runs on every pair; qr only once the pair's partner side exceeds 4
+    # columns, first at n = 5
+    @pytest.mark.parametrize("solver, n", [("svd", "3"), ("qr", "5")])
+    def test_eigensolver_failure_exits_3(self, capsys, monkeypatch, solver, n):
+        def fail(*_args, **_kwargs):
+            raise np.linalg.LinAlgError(f"{solver} did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvals", fail)
-        code, out, err = run_cli(capsys, "measures", "--kind", "w", "--n", "3")
+        monkeypatch.setattr(np.linalg, solver, fail)
+        code, out, err = run_cli(capsys, "measures", "--kind", "w", "--n", n)
         assert code == 3 and out == ""
         assert "numerical failure" in err
 

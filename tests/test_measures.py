@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entspec import (
+    PureState,
+    apply_single_qubit,
     concurrence,
     eig4,
     make_basis,
@@ -19,7 +21,9 @@ from entspec import (
     tangle_report,
 )
 from entspec.measures import EigenConvergenceError, TangleReport, format_measures_json
-from helpers import concurrence_svd, haar_states, match_multisets, quartic_roots
+from helpers import (
+    concurrence_svd, haar_states, match_multisets, quartic_roots, random_unitary2,
+)
 
 
 class TestEig4:
@@ -136,21 +140,49 @@ class TestConcurrence:
 
 
 class TestConcurrenceOracle:
-    """The package's eigenvalue path against singular values of Z^T (Y x Y) Z."""
+    """The package's QR-reduced singular values against the oracle's singular
+    values of the full Z^T (Y x Y) Z, gathered by its own bit scatter."""
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_matches_svd_oracle_on_every_pair(self, n):
         for state in haar_states(n, 30, 904 + n):
             for i, j in combinations(range(n), 2):
                 value = concurrence(state, i, j).value
-                assert abs(value - concurrence_svd(state, i, j)) <= 1e-11
+                assert abs(value - concurrence_svd(state, i, j)) <= 1e-13
 
     def test_two_qubit_closed_form(self):
         for state in haar_states(2, 30, 904):
             z = state.amplitudes
             closed = 2.0 * abs(z[0] * z[3] - z[1] * z[2])
-            assert abs(concurrence(state, 0, 1).value - closed) <= 1e-11
-            assert abs(concurrence_svd(state, 0, 1) - closed) <= 1e-11
+            assert abs(concurrence(state, 0, 1).value - closed) <= 1e-13
+            assert abs(concurrence_svd(state, 0, 1) - closed) <= 1e-13
+
+
+class TestConcurrenceSmallRoots:
+    """Spin-flip roots far below 1 must not be rounded away."""
+
+    @pytest.mark.parametrize("eps", [3e-3, 1e-4, 1e-6])
+    def test_bell_mixture_keeps_small_root(self, eps):
+        # a|Phi+>|0> + eps|Psi+>|1> with qubits 0, 1 the pair: rho_01 is
+        # Bell-diagonal with weights a^2 and eps^2, so the roots are a^2 and
+        # eps^2 and C = a^2 - eps^2; a root of eps^2 = 1e-12 is an eigenvalue
+        # of 1e-24, which any eigenvalue threshold would round away
+        a2 = 1.0 - eps**2
+        amps = np.zeros(8)
+        amps[[0b000, 0b011]] = np.sqrt(a2 / 2)
+        amps[[0b101, 0b110]] = eps / np.sqrt(2)
+        value = concurrence(PureState(3, amps), 0, 1).value
+        assert abs(value - (a2 - eps**2)) <= 1e-13
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_locally_rotated_w_keeps_two_over_n(self, n):
+        # local unitaries leave every pair's concurrence at the W value 2/n
+        rng = np.random.default_rng(905 + n)
+        state = make_w(n)
+        for qubit in range(n):
+            state = apply_single_qubit(state, qubit, random_unitary2(rng))
+        for i, j in combinations(range(n), 2):
+            assert abs(concurrence(state, i, j).value - 2 / n) <= 1e-13
 
 
 class TestTangles:
