@@ -22,14 +22,15 @@ import numpy as np
 
 from ._fmt import g17, json_dumps
 from .measures import EigenConvergenceError, format_measures_json
-from .purity import Bipartition, purity
+from .purity import Bipartition, purities, purity
 from .spectra import (
     HISTOGRAM_BINS, SELECTORS, STATISTICS, BipartitionFamily, compute_distribution,
-    format_histogram_tsv, format_spectrum_csv, format_summary_json, histogram,
+    compute_distributions, format_histogram_tsv, format_spectrum_csv,
+    format_summary_json, histogram,
 )
 from .states import (
     ENSEMBLE_KINDS, MAX_QUBITS, EnsembleSpec, PureState, make_basis, make_cluster1d,
-    make_ghz, make_w, sample_haar, sample_phase_sphere, state_from_dict, state_to_dict,
+    make_ghz, make_w, sample_blocks, state_from_dict, state_to_dict,
 )
 from .theory import (
     MODEL_MAX_QUBITS, PROVIDER_KINDS, asymptotic_model, delta_moments, exact_moments,
@@ -112,17 +113,19 @@ def _run_sample(args: argparse.Namespace) -> str:
         raise ValueError("--size applies only to --family fixed-size, not --mask")
     else:
         part = Bipartition(args.n, _parse_mask(args.mask))
-    sampler = sample_haar if spec.kind == "haar" else sample_phase_sphere
-    states = sampler(spec, args.count)
+    # the states are drawn, evaluated and formatted one block at a time
+    blocks = sample_blocks(spec, args.count)
     if args.mask is not None:
         lines = ["sample,purity,participation"]
-        for i, state in enumerate(states):
-            res = purity(state, part)
-            lines.append(f"{i},{g17(res.purity)},{g17(res.participation)}")
+        values = (
+            v for block in blocks
+            for v in purities(block, args.n, [part.mask])[:, 0].tolist()
+        )
+        lines += (f"{i},{g17(v)},{g17(1.0 / v)}" for i, v in enumerate(values))
     else:
         lines = [",".join(("sample", *STATISTICS))]
-        for i, state in enumerate(states):
-            dist = compute_distribution(state, family)
+        dists = (d for block in blocks for d in compute_distributions(block, family))
+        for i, dist in enumerate(dists):
             cells = (g17(getattr(dist, name)) for name in STATISTICS)
             lines.append(",".join((str(i), *cells)))
     return "\n".join(lines) + "\n"
@@ -210,8 +213,8 @@ def _run_table1(args: argparse.Namespace) -> str:
         model = asymptotic_model(1 << n_a, 1 << (n - n_a))
         cells.append(g17(1.0 / model.mu))
         if haar is not None:
-            sampled = sample_haar(replace(haar, n=n), 1)[0]
-            dist = compute_distribution(sampled, family)
+            (block,) = sample_blocks(replace(haar, n=n), 1)
+            dist = compute_distributions(block, family)[0]
             cells.append(g17(dist.mean_participation))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

@@ -136,19 +136,75 @@ def reduced_density(state: PureState, part: Bipartition) -> ReducedDensity:
     return ReducedDensity(part.dim_a, _gram(state, coefficient_matrix(state, part)))
 
 
+def state_block(state: PureState) -> np.ndarray:
+    """The state as a 1 x 2**n block for `purities`: float64 when it is real."""
+    amps = state.amplitudes.real if state.is_real else state.amplitudes
+    return amps[None]
+
+
+def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
+    """Purity of every row of `block` across every cut in `masks`.
+
+    block holds count x 2**n amplitudes (float64 for real states, complex128
+    otherwise) and each mask is a valid bipartition of n qubits; the result
+    is a count x len(masks) float64 array.  Each cut is first turned so that
+    A is the smaller side, or of two equal sides the lower mask, so a mask
+    and its complement give bit-identical purities.  Its amplitudes are
+    copied into one gather buffer allocated per call, the Grams Z Z^dagger
+    (Z Z^T for real rows) go into one reused Gram buffer, and each row's
+    purity is the vdot of its Gram with itself.
+    """
+    count = block.shape[0]
+    full = (1 << n) - 1
+    cuts = []  # (mask of the smaller side, its qubit count)
+    for mask in masks:
+        mask = int(mask)
+        k = mask.bit_count()
+        if (k, mask) > (n - k, mask ^ full):
+            mask, k = mask ^ full, n - k
+        cuts.append((mask, k))
+    out = np.empty((count, len(cuts)))
+    if not cuts:
+        return out
+    tensor = block.reshape((count,) + (2,) * n)
+    gather = np.empty(tensor.shape, block.dtype)
+    conj = None if block.dtype == np.float64 else np.empty(tensor.shape, block.dtype)
+    gram = np.empty(count << 2 * max(k for _, k in cuts), block.dtype)
+    high_first = range(n - 1, -1, -1)
+    for c, (mask, k) in enumerate(cuts):
+        # axis n - q of the tensor holds qubit q: A's qubits first, high bit first
+        axes = [0]
+        rest = []
+        for q in high_first:
+            (axes if mask >> q & 1 else rest).append(n - q)
+        np.copyto(gather, tensor.transpose(axes + rest))
+        z = gather.reshape(count, 1 << k, 1 << (n - k))
+        g = gram[: count << 2 * k].reshape(count, 1 << k, 1 << k)
+        if conj is None:
+            np.matmul(z, z.transpose(0, 2, 1), out=g)
+        else:
+            zc = conj.reshape(z.shape)
+            np.conjugate(z, out=zc)
+            np.matmul(z, zc.transpose(0, 2, 1), out=g)
+        for r in range(count):
+            out[r, c] = np.vdot(g[r], g[r]).real
+    return out
+
+
 def purity(state: PureState, part: Bipartition) -> PurityResult:
     """Purity of the reduced state across the bipartition.
 
-    Computed as the squared Frobenius norm of the Gram matrix Z Z^dagger;
-    cost O(min^2 * max) instead of the O(N^2) of the index-sum form.  The
-    cut is first turned so that A is the smaller side (both sides give the
-    same value), or of two equal sides the lower mask, so a mask and its
-    complement give bit-identical purities.
+    The one-state, one-cut call of `purities`: the squared Frobenius norm of
+    the Gram matrix Z Z^dagger, cost O(min^2 * max) instead of the O(N^2)
+    of the index-sum form.  A mask and its complement give bit-identical
+    purities.
     """
-    if (part.n_a, part.mask) > (part.n_b, part.mask ^ ((1 << part.n) - 1)):
-        part = complement(part)
-    g = _gram(state, coefficient_matrix(state, part))
-    return PurityResult.from_purity(float(np.real(np.vdot(g, g))))
+    if part.n != state.n:
+        raise ValueError(
+            f"bipartition is over {part.n} qubits but the state has {state.n}"
+        )
+    value = purities(state_block(state), state.n, (part.mask,))[0, 0]
+    return PurityResult.from_purity(float(value))
 
 
 def purity_quadruple_sum(state: PureState, part: Bipartition) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fmt import g17, json_dumps
-from .purity import Bipartition, purity
+from .purity import purities, state_block
 from .states import PureState
 
 SELECTORS = ("balanced", "all-sizes", "fixed-size", "max-unbalanced")
@@ -145,30 +145,37 @@ def _masks_with_popcount(n: int, k: int) -> Iterator[int]:
         m = (((r ^ m) >> 2) // c) | r
 
 
+def compute_distributions(
+    block: np.ndarray, family: BipartitionFamily
+) -> list[EntanglementDistribution]:
+    """One distribution per row of a count x 2**n amplitude block.
+
+    A mask and its complement are one cut, named by the lower of the two
+    masks.  Each cut is evaluated once, on the first family mask that names
+    it, in one `purities` call over the whole block, and its value is
+    scattered back to every mask of the cut.
+    """
+    masks = family.masks()
+    full = (1 << family.n) - 1
+    _, first, where = np.unique(
+        np.minimum(masks, masks ^ full), return_index=True, return_inverse=True
+    )
+    values = purities(block, family.n, masks[first].tolist())
+    return [EntanglementDistribution(masks, row[where]) for row in values]
+
+
 def compute_distribution(
     state: PureState, family: BipartitionFamily
 ) -> EntanglementDistribution:
     """Evaluate the purity on every mask of the family, in ascending mask order.
 
-    A mask and its complement are one cut, named by the lower of the two
-    masks.  Each cut is evaluated once, on the first family mask that names
-    it, and its value is scattered back to every mask of the cut.
+    Each unordered cut is evaluated once (see `compute_distributions`).
     """
     if family.n != state.n:
         raise ValueError(
             f"family is over {family.n} qubits but the state has {state.n}"
         )
-    masks = family.masks()
-    full = (1 << state.n) - 1
-    _, first, where = np.unique(
-        np.minimum(masks, masks ^ full), return_index=True, return_inverse=True
-    )
-    values = np.fromiter(
-        (purity(state, Bipartition(state.n, m)).purity for m in masks[first]),
-        np.float64,
-        first.size,
-    )
-    return EntanglementDistribution(masks, values[where])
+    return compute_distributions(state_block(state), family)[0]
 
 
 def summarize(dist: EntanglementDistribution) -> dict:

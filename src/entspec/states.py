@@ -8,12 +8,14 @@ bit and k = sum_j b_j 2^j.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MAX_QUBITS = 26  # 2**26 complex amplitudes ~ 1 GiB
 NORM_TOL = 1e-12
+BLOCK_BYTES = 1 << 18  # bytes of amplitudes per sampled block
 
 ENSEMBLE_KINDS = ("haar", "phase-sphere")
 
@@ -168,46 +170,87 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def sample_haar(spec: EnsembleSpec, count: int) -> list[PureState]:
-    """Draw `count` states uniformly on the complex unit sphere.
+def _haar_rows(seed: int, indices: range, dim: int) -> np.ndarray:
+    g = np.empty((len(indices), 2 * dim))
+    for row, i in zip(g, indices):
+        _sample_rng(seed, i).standard_normal(out=row)
+    z = np.empty((len(indices), dim), np.complex128)
+    z.real, z.imag = g[:, :dim], g[:, dim:]
+    z /= np.array([np.linalg.norm(row) for row in z])[:, None]
+    return z
 
-    Each state is a vector of 2**n complex entries whose real and imaginary
-    parts are independent standard normals, normalized to unit length;
-    rotation invariance of the Gaussian makes the result Haar-uniform.
+
+def _phase_sphere_rows(seed: int, indices: range, dim: int) -> np.ndarray:
+    g = np.empty((len(indices), dim))
+    z = np.empty((len(indices), dim), np.complex128)
+    for row, phases, i in zip(g, z, indices):
+        rng = _sample_rng(seed, i)
+        rng.standard_normal(out=row)
+        phases[:] = 1j * rng.uniform(0.0, 2.0 * np.pi, dim)
+    moduli = np.abs(g)
+    moduli /= np.array([np.linalg.norm(row) for row in g])[:, None]
+    np.exp(z, out=z)
+    z *= moduli
+    return z
+
+
+_ENSEMBLE_ROWS = {"haar": _haar_rows, "phase-sphere": _phase_sphere_rows}
+
+
+def sample_blocks(spec: EnsembleSpec, count: int) -> Iterator[np.ndarray]:
+    """Draw `count` states as consecutive blocks of complex128 rows.
+
+    Each block holds at most BLOCK_BYTES of amplitudes (always at least one
+    row), so a caller that consumes the blocks one at a time holds a bounded
+    number of states whatever the count.  Row i is sample i of the ensemble:
+
+    haar:         2**(n+1) standard normals, the first half the real parts
+                  and the second half the imaginary parts, normalized to
+                  unit length; rotation invariance of the Gaussian makes
+                  the state Haar-uniform on the complex unit sphere.
+    phase-sphere: 2**n standard normals, folded and normalized to give
+                  moduli uniform on the real unit sphere, times phases from
+                  the next 2**n uniforms on [0, 2*pi).
+
+    Each block is checked once for finite, normalized rows.
     """
-    if spec.kind != "haar":
-        raise ValueError(f"ensemble kind is {spec.kind!r}, expected 'haar'")
     if count < 0:
         raise ValueError("count must be non-negative")
     dim = 1 << spec.n
-    states = []
-    for i in range(count):
-        g = _sample_rng(spec.seed, i).standard_normal(2 * dim)
-        z = g[:dim] + 1j * g[dim:]
-        states.append(PureState(spec.n, z / np.linalg.norm(z)))
-    return states
+    draw = _ENSEMBLE_ROWS[spec.kind]
+    step = max(1, BLOCK_BYTES // (16 * dim))
+    for start in range(0, count, step):
+        block = draw(spec.seed, range(start, min(start + step, count)), dim)
+        real = block.view(np.float64)
+        norm2 = np.einsum("ij,ij->i", real, real)
+        bad = np.flatnonzero(~(np.abs(norm2 - 1.0) <= NORM_TOL))  # NaN counts as bad
+        if bad.size:
+            raise ValueError(
+                f"sample {start + bad[0]} is not a finite unit vector: "
+                f"sum |z|^2 = {float(norm2[bad[0]])!r}"
+            )
+        yield block
+
+
+def sample_haar(spec: EnsembleSpec, count: int) -> list[PureState]:
+    """`count` Haar-random states as a list (see `sample_blocks`)."""
+    if spec.kind != "haar":
+        raise ValueError(f"ensemble kind is {spec.kind!r}, expected 'haar'")
+    return _sample_states(spec, count)
 
 
 def sample_phase_sphere(spec: EnsembleSpec, count: int) -> list[PureState]:
-    """Draw states with moduli uniform on the real unit sphere and independent
-    uniform phases.
-
-    Per sample, the stream yields 2**n standard normals (folded and normalized
-    to give the moduli) followed by 2**n uniform phases on [0, 2*pi).
-    """
+    """`count` phase-sphere states as a list: moduli uniform on the real unit
+    sphere and independent uniform phases (see `sample_blocks`)."""
     if spec.kind != "phase-sphere":
         raise ValueError(f"ensemble kind is {spec.kind!r}, expected 'phase-sphere'")
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    dim = 1 << spec.n
-    states = []
-    for i in range(count):
-        rng = _sample_rng(spec.seed, i)
-        g = rng.standard_normal(dim)
-        r = np.abs(g) / np.linalg.norm(g)
-        phases = rng.uniform(0.0, 2.0 * np.pi, dim)
-        states.append(PureState(spec.n, r * np.exp(1j * phases)))
-    return states
+    return _sample_states(spec, count)
+
+
+def _sample_states(spec: EnsembleSpec, count: int) -> list[PureState]:
+    return [
+        PureState(spec.n, row) for block in sample_blocks(spec, count) for row in block
+    ]
 
 
 def state_to_dict(state: PureState) -> dict:

@@ -14,6 +14,27 @@ def haar_states(n: int, count: int, seed: int) -> list[PureState]:
     return sample_haar(EnsembleSpec("haar", n, seed), count)
 
 
+def _sample_stream(seed: int, index: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+def haar_row_reference(n: int, seed: int, index: int) -> np.ndarray:
+    """Haar sample `index` drawn and normalized alone, one vector at a time."""
+    dim = 1 << n
+    g = _sample_stream(seed, index).standard_normal(2 * dim)
+    z = g[:dim] + 1j * g[dim:]
+    return z / np.linalg.norm(z)
+
+
+def phase_sphere_row_reference(n: int, seed: int, index: int) -> np.ndarray:
+    """Phase-sphere sample `index` drawn and built alone, one vector at a time."""
+    dim = 1 << n
+    rng = _sample_stream(seed, index)
+    g = rng.standard_normal(dim)
+    r = np.abs(g) / np.linalg.norm(g)
+    return r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim))
+
+
 def random_unitary2(rng: np.random.Generator) -> np.ndarray:
     """Haar 2x2 unitary via QR of a complex Ginibre matrix."""
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

@@ -1,9 +1,11 @@
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +258,30 @@ class TestSampleCommand:
         )
 
 
+    @pytest.mark.parametrize("cut", [("--mask", "0x1f"), ("--family", "max-unbalanced")])
+    def test_state_memory_does_not_grow_with_count(self, tmp_path, cut):
+        # at n = 10 a state is 16 KiB and an output row about 100 B; the
+        # states are drawn and evaluated one block at a time, so from C to 4C
+        # samples the peak may grow by the output text but not by 3C states
+        def peak(count):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                code = main([
+                    "sample", "--kind", "haar", "--n", "10", "--count", str(count),
+                    "--seed", "3", *cut, "--out", str(tmp_path / "out.csv"),
+                ])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        count = 64
+        peak(count)  # first-call allocations are not the states
+        (code, small), (code4, large) = peak(count), peak(4 * count)
+        assert code == code4 == 0
+        assert large - small <= 3 * count * 1024
+
+
 class TestTheoryCommand:
     def test_participation_curve_peak(self, capsys):
         code, out, _ = run_cli(
@@ -442,7 +468,7 @@ class TestErrorsAndDeterminism:
         def refuse(*_args):
             raise AssertionError("states drawn before the cut was checked")
 
-        monkeypatch.setattr(cli, "sample_haar", refuse)
+        monkeypatch.setattr(cli, "sample_blocks", refuse)
         for cut in (("--mask", "0x0"), ("--family", "fixed-size", "--size", "8")):
             code, out, _ = run_cli(
                 capsys, "sample", "--kind", "haar", "--n", "8", "--count", "20000",

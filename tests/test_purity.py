@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from entspec import (
     Bipartition,
+    EnsembleSpec,
     PureState,
     ReducedDensity,
     apply_single_qubit,
@@ -17,10 +18,14 @@ from entspec import (
     purity,
     purity_quadruple_sum,
     reduced_density,
+    sample_haar,
+    sample_phase_sphere,
 )
-from entspec.purity import _gram, coefficient_matrix
+from entspec.purity import _gram, coefficient_matrix, purities, state_block
+from entspec.states import BLOCK_BYTES, ENSEMBLE_KINDS, sample_blocks
 from helpers import (
-    haar_states, partial_trace_reshape, random_unitary2, scatter_coefficient_matrix,
+    haar_row_reference, haar_states, partial_trace_reshape, phase_sphere_row_reference,
+    random_unitary2, scatter_coefficient_matrix,
 )
 
 
@@ -263,3 +268,88 @@ class TestComplement:
         state = haar_states(n, 1, 960 + n)[0]
         for part in all_masks(n):
             assert purity(state, part).purity == purity(state, complement(part)).purity
+
+
+def gram_purity_2d(state, part):
+    """Reference: the cut turned as the kernel turns it, then one 2-D Gram."""
+    if (part.n_a, part.mask) > (part.n_b, complement(part).mask):
+        part = complement(part)
+    z = coefficient_matrix(state, part)
+    g = z @ z.conj().T
+    return float(np.real(np.vdot(g, g)))
+
+
+def real_gaussian_state(n, seed):
+    g = np.random.default_rng(seed).standard_normal(1 << n)
+    return PureState(n, g / np.linalg.norm(g))
+
+
+class TestPuritiesKernel:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_quadruple_sum_real_and_complex(self, n):
+        masks = range(1, (1 << n) - 1)
+        for state in (haar_states(n, 1, 1100 + n)[0], real_gaussian_state(n, 1200 + n)):
+            values = purities(state_block(state), n, masks)
+            assert values.shape == (1, len(masks)) and values.dtype == np.float64
+            for mask, value in zip(masks, values[0]):
+                oracle = purity_quadruple_sum(state, Bipartition(n, mask))
+                assert abs(value - oracle) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_complex_rows_bit_identical_to_2d_gram(self, n):
+        states = haar_states(n, 5, 1300 + n)
+        block = np.stack([s.amplitudes for s in states])
+        masks = list(range(1, (1 << n) - 1))
+        values = purities(block, n, masks)
+        assert values.shape == (len(states), len(masks))
+        for state, row in zip(states, values):
+            assert row.tolist() == [gram_purity_2d(state, Bipartition(n, m)) for m in masks]
+
+    def test_real_block_takes_real_gram(self):
+        state = make_cluster1d(6)
+        block = state_block(state)
+        assert block.dtype == np.float64 and block.shape == (1, 64)
+        # one chain edge crosses a contiguous cut; five cross the alternating one
+        values = purities(block, 6, [0b000111, 0b111000, 0b010101])
+        assert values.tolist() == [[0.5, 0.5, 0.125]]
+
+    def test_no_rows_or_no_masks(self):
+        assert purities(np.empty((0, 16), np.complex128), 4, [0x3]).shape == (0, 1)
+        assert purities(state_block(make_ghz(4)), 4, []).shape == (1, 0)
+
+
+STEP_N = 8  # qubits per sampled row in the block-boundary tests
+STEP = max(1, BLOCK_BYTES // (16 << STEP_N))  # rows per sampled block
+
+
+@pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+@pytest.mark.parametrize("count", [0, 1, STEP - 1, STEP, STEP + 1])
+def test_block_boundaries_match_one_state_at_a_time(kind, count):
+    spec = EnsembleSpec(kind, STEP_N, 1400 + count)
+    blocks = list(sample_blocks(spec, count))
+    assert [b.shape[0] for b in blocks] == [min(STEP, count - i) for i in range(0, count, STEP)]
+    assert all(b.dtype == np.complex128 and b.nbytes <= BLOCK_BYTES for b in blocks)
+    masks = [0x0F, 0x33, 0x01]
+    kernel = [v for b in blocks for v in purities(b, STEP_N, masks).tolist()]
+    one_at_a_time = [
+        [purity(PureState(STEP_N, row), Bipartition(STEP_N, m)).purity for m in masks]
+        for b in blocks for row in b
+    ]
+    assert kernel == one_at_a_time and len(kernel) == count
+
+
+@pytest.mark.parametrize("n", [2, 9, 11])
+def test_sampled_rows_bit_identical_to_per_state_draws(n):
+    count = min(3 * max(1, BLOCK_BYTES // (16 << n)) + 2, 100)  # three blocks from n = 9
+    for kind, wrapper, reference in (
+        ("haar", sample_haar, haar_row_reference),
+        ("phase-sphere", sample_phase_sphere, phase_sphere_row_reference),
+    ):
+        spec = EnsembleSpec(kind, n, 2**63 + n)
+        rows = np.concatenate(list(sample_blocks(spec, count)))
+        states = wrapper(spec, count)
+        assert len(states) == rows.shape[0] == count
+        for i in (0, 1, count // 2, count - 1):
+            assert rows[i].tobytes() == reference(n, spec.seed, i).tobytes()
+        for state, row in zip(states, rows):
+            assert state.amplitudes.tobytes() == row.tobytes()

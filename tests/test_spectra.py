@@ -20,6 +20,7 @@ from entspec import (
     purity,
     summarize,
 )
+from entspec.purity import purities
 from entspec.spectra import (
     SELECTORS,
     format_histogram_tsv,
@@ -181,11 +182,11 @@ def test_distribution_arrays_match_per_cut_purities(case):
 def test_each_unordered_cut_is_evaluated_once(monkeypatch, n, selector, size, cuts):
     masks = []
 
-    def counted(state, part):
-        masks.append(part.mask)
-        return purity(state, part)
+    def counted(block, n, cut_masks):
+        masks.extend(cut_masks)
+        return purities(block, n, cut_masks)
 
-    monkeypatch.setattr("entspec.spectra.purity", counted)
+    monkeypatch.setattr("entspec.spectra.purities", counted)
     family = BipartitionFamily(n, selector, size)
     dist = compute_distribution(haar_states(n, 1, 970 + n)[0], family)
     assert len(masks) == len(set(masks)) == cuts

@@ -22,6 +22,7 @@ from entspec import (
     state_from_dict,
     state_to_dict,
 )
+from entspec import states as states_module
 from helpers import (
     cluster1d_bit_parity, graph_state_line, haar_states, partial_trace_reshape,
     path_cut_rank, permute_amplitudes_bitloop,
@@ -284,6 +285,19 @@ class TestSamplers:
         )
         se = r2.std(ddof=1) / np.sqrt(r2.size)
         assert abs(r2.mean() - 1 / 8) < 3 * se
+
+    @pytest.mark.parametrize("bad", [np.nan, 2.0])
+    def test_block_check_names_the_bad_sample(self, monkeypatch, bad):
+        draw = states_module._haar_rows
+
+        def broken(seed, indices, dim):
+            block = draw(seed, indices, dim)
+            block[1, 0] = bad
+            return block
+
+        monkeypatch.setitem(states_module._ENSEMBLE_ROWS, "haar", broken)
+        with pytest.raises(ValueError, match="sample 1 is not a finite unit vector"):
+            sample_haar(EnsembleSpec("haar", 3, 0), 3)
 
     def test_kind_mismatch(self):
         with pytest.raises(ValueError, match="haar"):
