@@ -15,7 +15,7 @@ import numpy as np
 
 from ._fmt import json_dumps
 from .purity import Bipartition, purity
-from .states import PureState, _qubit_groups
+from .states import PureState, _qubit_axes
 
 TAU1_DEFINED_FLOOR = 1e-12
 
@@ -93,9 +93,7 @@ def concurrence(state: PureState, i: int, j: int) -> ConcurrenceResult:
     if i == j:
         raise ValueError(f"qubits must differ, got {i} and {j}")
     rest = [q for q in range(state.n) if q != i and q != j]
-    z = _qubit_groups(state, sorted((i, j)), rest)
-    if state.is_real:
-        z = z.real
+    z = _qubit_axes(state.amplitudes, state.n, sorted((i, j)), rest).reshape(4, -1)
     try:
         if z.shape[1] > 4:
             z = np.linalg.qr(z.conj().T, mode="r").conj().T

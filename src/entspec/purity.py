@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PureState, _qubit_groups
+from .states import PureState, _qubit_axes
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -120,38 +120,26 @@ def coefficient_matrix(state: PureState, part: Bipartition) -> np.ndarray:
         raise ValueError(
             f"bipartition is over {part.n} qubits but the state has {state.n}"
         )
-    return _qubit_groups(state, part.positions_a(), part.positions_b())
-
-
-def _gram(state: PureState, z: np.ndarray) -> np.ndarray:
-    """Z Z^dagger; for a real state the real Gram Z Z^T, with no conjugate copy."""
-    if state.is_real:
-        z = z.real
-        return z @ z.T
-    return z @ z.conj().T
+    z = _qubit_axes(state.amplitudes, state.n, part.positions_a(), part.positions_b())
+    return z.reshape(part.dim_a, part.dim_b)
 
 
 def reduced_density(state: PureState, part: Bipartition) -> ReducedDensity:
-    """Partial trace over subsystem B: rho_A = Z Z^dagger."""
-    return ReducedDensity(part.dim_a, _gram(state, coefficient_matrix(state, part)))
-
-
-def state_block(state: PureState) -> np.ndarray:
-    """The state as a 1 x 2**n block for `purities`: float64 when it is real."""
-    amps = state.amplitudes.real if state.is_real else state.amplitudes
-    return amps[None]
+    """Partial trace over subsystem B: rho_A = Z Z^dagger (Z Z^T for a real state)."""
+    z = coefficient_matrix(state, part)
+    return ReducedDensity(part.dim_a, z @ z.conj().T)
 
 
 def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     """Purity of every row of `block` across every cut in `masks`.
 
-    block holds count x 2**n amplitudes (float64 for real states, complex128
-    otherwise) and each mask is a valid bipartition of n qubits; the result
-    is a count x len(masks) float64 array.  Each cut is first turned so that
-    A is the smaller side, or of two equal sides the lower mask, so a mask
-    and its complement give bit-identical purities.  Its amplitudes are
+    block holds count x 2**n amplitudes, float64 or complex128, and each mask
+    lies in [1, 2**n - 2] (ValueError names the first that does not); the
+    result is a count x len(masks) float64 array.  Each cut is first turned so
+    that A is the smaller side, or of two equal sides the lower mask, so a
+    mask and its complement give bit-identical purities.  Its amplitudes are
     copied into one gather buffer allocated per call, the Grams Z Z^dagger
-    (Z Z^T for real rows) go into one reused Gram buffer, and each row's
+    (Z Z^T for a float64 block) go into one reused Gram buffer, and each row's
     purity is the vdot of its Gram with itself.
     """
     count = block.shape[0]
@@ -159,6 +147,8 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     cuts = []  # (mask of the smaller side, its qubit count)
     for mask in masks:
         mask = int(mask)
+        if not 0 < mask < full:
+            raise ValueError(f"mask {mask:#x} is not a cut of {n} qubits")
         k = mask.bit_count()
         if (k, mask) > (n - k, mask ^ full):
             mask, k = mask ^ full, n - k
@@ -166,18 +156,15 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     out = np.empty((count, len(cuts)))
     if not cuts:
         return out
-    tensor = block.reshape((count,) + (2,) * n)
-    gather = np.empty(tensor.shape, block.dtype)
-    conj = None if block.dtype == np.float64 else np.empty(tensor.shape, block.dtype)
+    shape = (count,) + (2,) * n
+    gather = np.empty(shape, block.dtype)
+    conj = None if block.dtype == np.float64 else np.empty(shape, block.dtype)
     gram = np.empty(count << 2 * max(k for _, k in cuts), block.dtype)
-    high_first = range(n - 1, -1, -1)
     for c, (mask, k) in enumerate(cuts):
-        # axis n - q of the tensor holds qubit q: A's qubits first, high bit first
-        axes = [0]
-        rest = []
-        for q in high_first:
-            (axes if mask >> q & 1 else rest).append(n - q)
-        np.copyto(gather, tensor.transpose(axes + rest))
+        a, b = [], []
+        for q in range(n):
+            (a if mask >> q & 1 else b).append(q)
+        np.copyto(gather, _qubit_axes(block, n, a, b))
         z = gather.reshape(count, 1 << k, 1 << (n - k))
         g = gram[: count << 2 * k].reshape(count, 1 << k, 1 << k)
         if conj is None:
@@ -203,7 +190,7 @@ def purity(state: PureState, part: Bipartition) -> PurityResult:
         raise ValueError(
             f"bipartition is over {part.n} qubits but the state has {state.n}"
         )
-    value = purities(state_block(state), state.n, (part.mask,))[0, 0]
+    value = purities(state.amplitudes[None], state.n, (part.mask,))[0, 0]
     return PurityResult.from_purity(float(value))
 
 

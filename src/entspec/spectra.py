@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fmt import g17, json_dumps
-from .purity import purities, state_block
+from .purity import purities
 from .states import PureState
 
 SELECTORS = ("balanced", "all-sizes", "fixed-size", "max-unbalanced")
@@ -175,7 +175,7 @@ def compute_distribution(
         raise ValueError(
             f"family is over {family.n} qubits but the state has {state.n}"
         )
-    return compute_distributions(state_block(state), family)[0]
+    return compute_distributions(state.amplitudes[None], family)[0]
 
 
 def summarize(dist: EntanglementDistribution) -> dict:

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-MAX_QUBITS = 26  # 2**26 complex amplitudes ~ 1 GiB
+MAX_QUBITS = 26  # 2**26 complex amplitudes ~ 1 GiB; a real state is half that
 NORM_TOL = 1e-12
 BLOCK_BYTES = 1 << 18  # bytes of amplitudes per sampled block
 
@@ -30,19 +30,25 @@ def _check_qubits(n: int, minimum: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized complex amplitude vector over the 2**n computational basis.
+    """Normalized amplitude vector over the 2**n computational basis.
 
-    is_real records, once on construction, that every imaginary part is zero
-    (a -0.0 counts as zero), so the purity kernels can take real Grams.
+    The amplitudes are stored as float64 when every imaginary part is zero
+    (a -0.0 counts as zero) and as complex128 otherwise, so the dtype alone
+    tells every kernel whether real arithmetic suffices.  An input that is
+    already a contiguous array of the stored dtype is kept, not copied, and
+    is made read-only.
     """
 
     n: int
     amplitudes: np.ndarray
-    is_real: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_qubits(self.n, 1, "state")
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
+        amps = np.asarray(self.amplitudes)
+        if np.iscomplexobj(amps) and not amps.imag.any():
+            amps = amps.real
+        dtype = np.complex128 if np.iscomplexobj(amps) else np.float64
+        amps = np.ascontiguousarray(amps, dtype=dtype)
         if amps.shape != (1 << self.n,):
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected {1 << self.n}"
@@ -55,7 +61,6 @@ class PureState:
             raise ValueError(f"state is not normalized: sum |z|^2 = {norm2!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "is_real", not amps.imag.any())
 
     @property
     def dim(self) -> int:
@@ -88,7 +93,7 @@ def make_basis(n: int, k: int) -> PureState:
     _check_qubits(n, 1, "basis state")
     if not (0 <= k < (1 << n)):
         raise ValueError(f"basis index {k} out of range for {n} qubits")
-    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps = np.zeros(1 << n)
     amps[k] = 1.0
     return PureState(n, amps)
 
@@ -96,7 +101,7 @@ def make_basis(n: int, k: int) -> PureState:
 def make_ghz(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2); every bipartition has participation 2."""
     _check_qubits(n, 2, "GHZ state")
-    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps = np.zeros(1 << n)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return PureState(n, amps)
 
@@ -104,7 +109,7 @@ def make_ghz(n: int) -> PureState:
 def make_w(n: int) -> PureState:
     """Equal superposition of the n single-excitation basis states, all phases +1."""
     _check_qubits(n, 2, "W state")
-    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps = np.zeros(1 << n)
     amps[[1 << j for j in range(n)]] = 1.0 / np.sqrt(n)
     return PureState(n, amps)
 
@@ -119,11 +124,9 @@ def make_cluster1d(n: int) -> PureState:
     CZ-circuit graph state on the same chain.
     """
     _check_qubits(n, 2, "cluster state")
-    amps = np.full(1 << n, 1.0 / np.sqrt(1 << n), dtype=np.complex128)
-    # axes (high bits, b_{k+1}, b_k, low bits); only the real parts flip, so
-    # the imaginary parts stay +0.0
-    for k in range(n - 1):
-        amps.real.reshape(-1, 2, 2, 1 << k)[:, 1, 0, :] *= -1
+    amps = np.full(1 << n, 1.0 / np.sqrt(1 << n))
+    for k in range(n - 1):  # axes (high bits, b_{k+1}, b_k, low bits)
+        amps.reshape(-1, 2, 2, 1 << k)[:, 1, 0, :] *= -1
     return PureState(n, amps)
 
 
@@ -135,15 +138,16 @@ def make_product(a: PureState, b: PureState) -> PureState:
     return PureState(n, np.kron(b.amplitudes, a.amplitudes))
 
 
-def _qubit_groups(state: PureState, *groups: list[int]) -> np.ndarray:
-    """Amplitudes with one index per group: bit t of index g is qubit groups[g][t].
-
-    Axis n-1-q of the (2,)*n tensor holds qubit q.  The result is a read-only
-    view of the amplitudes when no transpose is needed, and a copy otherwise.
+def _qubit_axes(amps: np.ndarray, n: int, *groups: list[int]) -> np.ndarray:
+    """View of the last axis of `amps` as one length-2 axis per qubit, in
+    group order, so that reshaped to one index per group, bit t of index g is
+    qubit groups[g][t].  Axis n-1-q of the (2,)*n tensor holds qubit q, and
+    any leading axes are kept.
     """
-    axes = [state.n - 1 - q for group in groups for q in reversed(group)]
-    tensor = state.amplitudes.reshape((2,) * state.n).transpose(axes)
-    return tensor.reshape([1 << len(group) for group in groups])
+    lead = amps.ndim - 1
+    axes = [lead + n - 1 - q for group in groups for q in reversed(group)]
+    tensor = amps.reshape(amps.shape[:lead] + (2,) * n)
+    return tensor.transpose(list(range(lead)) + axes)
 
 
 def permute_qubits(state: PureState, perm: list[int] | tuple[int, ...]) -> PureState:
@@ -151,14 +155,18 @@ def permute_qubits(state: PureState, perm: list[int] | tuple[int, ...]) -> PureS
     if sorted(perm) != list(range(state.n)):
         raise ValueError(f"perm must be a permutation of 0..{state.n - 1}")
     inverse = sorted(range(state.n), key=perm.__getitem__)  # perm[inverse[q]] == q
-    return PureState(state.n, _qubit_groups(state, inverse))
+    tensor = _qubit_axes(state.amplitudes, state.n, inverse)
+    return PureState(state.n, tensor.reshape(-1))
 
 
 def apply_single_qubit(state: PureState, qubit: int, u: np.ndarray) -> PureState:
-    """Apply a 2x2 unitary to one qubit (norm is re-checked on construction)."""
+    """Apply a 2x2 unitary to one qubit (norm is re-checked on construction).
+
+    A real `u` keeps a real state real.
+    """
     if not (0 <= qubit < state.n):
         raise ValueError(f"qubit {qubit} out of range for {state.n} qubits")
-    u = np.asarray(u, dtype=np.complex128)
+    u = np.asarray(u)
     if u.shape != (2, 2):
         raise ValueError("single-qubit operator must be 2x2")
     arr = state.amplitudes.reshape(-1, 2, 1 << qubit)

@@ -209,11 +209,11 @@ def cluster1d_bit_parity(n: int) -> np.ndarray:
 
     The sign of basis index k is the parity of the positions j with bit j
     clear and bit j+1 set, computed by an xor-fold popcount over the whole
-    index range.
+    index range.  The result is float64, like the package's real states.
     """
     k = np.arange(1 << n, dtype=np.int64)
     v = (~k) & (k >> 1) & ((1 << (n - 1)) - 1)
     for shift in (16, 8, 4, 2, 1):
         v ^= v >> shift
     signs = 1.0 - 2.0 * (v & 1)
-    return signs.astype(np.complex128) / np.sqrt(1 << n)
+    return signs / np.sqrt(1 << n)

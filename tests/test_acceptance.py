@@ -39,12 +39,13 @@ from entspec import (
     make_product,
     make_w,
     participation_pdf,
+    purities,
     purity,
     purity_pdf,
     purity_quadruple_sum,
     q_measure,
+    sample_blocks,
     sample_haar,
-    sample_phase_sphere,
     sphere_moments,
     summarize,
     tangle1,
@@ -158,14 +159,14 @@ def test_criterion_4_random_state_statistics():
 
     states = haar_states(10, 1000, 20240)
     part = Bipartition(10, 0b11111)
-    purities = np.array([purity(s, part).purity for s in states])
+    values = np.array([purity(s, part).purity for s in states])
     target = 63 / 1024
     crit.check(
-        abs(purities.mean() - target) / target <= 0.05,
-        f"mean purity {purities.mean():.6f} vs {target:.6f}",
+        abs(values.mean() - target) / target <= 0.05,
+        f"mean purity {values.mean():.6f} vs {target:.6f}",
     )
     var_target = 2 / 2**20
-    ratio = purities.var(ddof=1) / var_target
+    ratio = values.var(ddof=1) / var_target
     crit.check(0.5 <= ratio <= 2.0, f"variance ratio {ratio:.3f} outside [0.5, 2]")
 
     single = haar_states(12, 1, 20241)[0]
@@ -188,9 +189,8 @@ def test_criterion_5_moment_formulas():
     for N, (dim_a, dim_b, n, mask) in cases.items():
         model = exact_moments(dim_a, dim_b, sphere_moments(N))
         spec = EnsembleSpec("phase-sphere", n, 500 + N)
-        part = Bipartition(n, mask)
-        values = np.array(
-            [purity(s, part).purity for s in sample_phase_sphere(spec, 100_000)]
+        values = np.concatenate(
+            [purities(block, n, [mask])[:, 0] for block in sample_blocks(spec, 100_000)]
         )
         se_mean = values.std(ddof=1) / math.sqrt(values.size)
         crit.check(

@@ -21,7 +21,7 @@ from entspec import (
     sample_haar,
     sample_phase_sphere,
 )
-from entspec.purity import _gram, coefficient_matrix, purities, state_block
+from entspec.purity import coefficient_matrix, purities
 from entspec.states import BLOCK_BYTES, ENSEMBLE_KINDS, sample_blocks
 from helpers import (
     haar_row_reference, haar_states, partial_trace_reshape, phase_sphere_row_reference,
@@ -120,8 +120,7 @@ def real_state_cut(draw):
 @given(real_state_cut())
 def test_real_gram_matches_reshape_partial_trace(case):
     state, part = case
-    assert state.is_real
-    assert _gram(state, coefficient_matrix(state, part)).dtype == np.float64
+    assert state.amplitudes.dtype == np.float64
     rho = partial_trace_reshape(state, part.positions_a())
     assert abs(purity(state, part).purity - np.real(np.trace(rho @ rho))) <= 1e-14
     np.testing.assert_allclose(reduced_density(state, part).entries, rho, rtol=0, atol=1e-14)
@@ -289,7 +288,7 @@ class TestPuritiesKernel:
     def test_matches_quadruple_sum_real_and_complex(self, n):
         masks = range(1, (1 << n) - 1)
         for state in (haar_states(n, 1, 1100 + n)[0], real_gaussian_state(n, 1200 + n)):
-            values = purities(state_block(state), n, masks)
+            values = purities(state.amplitudes[None], n, masks)
             assert values.shape == (1, len(masks)) and values.dtype == np.float64
             for mask, value in zip(masks, values[0]):
                 oracle = purity_quadruple_sum(state, Bipartition(n, mask))
@@ -307,15 +306,21 @@ class TestPuritiesKernel:
 
     def test_real_block_takes_real_gram(self):
         state = make_cluster1d(6)
-        block = state_block(state)
+        block = state.amplitudes[None]
         assert block.dtype == np.float64 and block.shape == (1, 64)
         # one chain edge crosses a contiguous cut; five cross the alternating one
         values = purities(block, 6, [0b000111, 0b111000, 0b010101])
         assert values.tolist() == [[0.5, 0.5, 0.125]]
 
+    @pytest.mark.parametrize("mask", [8, 9, -1, 0, 7])
+    def test_rejects_masks_that_are_not_cuts(self, mask):
+        block = make_ghz(3).amplitudes[None]
+        with pytest.raises(ValueError, match=f"^mask {mask:#x} is not a cut of 3 qubits$"):
+            purities(block, 3, [0b001, mask, 0b1010])
+
     def test_no_rows_or_no_masks(self):
         assert purities(np.empty((0, 16), np.complex128), 4, [0x3]).shape == (0, 1)
-        assert purities(state_block(make_ghz(4)), 4, []).shape == (1, 0)
+        assert purities(make_ghz(4).amplitudes[None], 4, []).shape == (1, 0)
 
 
 STEP_N = 8  # qubits per sampled row in the block-boundary tests

@@ -54,8 +54,29 @@ class TestPureState:
             PureState(27, np.zeros(8))
 
     def test_is_real_ignores_negative_zero_imaginary_parts(self):
-        assert PureState(1, np.array([complex(1.0, -0.0), complex(0.0, -0.0)])).is_real
-        assert not PureState(1, np.array([1.0, complex(0.0, 1e-300)])).is_real
+        for imag in (0.0, -0.0):
+            amps = np.array([complex(1.0, imag), complex(0.0, imag)])
+            assert PureState(1, amps).amplitudes.dtype == np.float64
+        tiny = np.array([1.0, complex(0.0, 1e-300)])
+        assert PureState(1, tiny).amplitudes.dtype == np.complex128
+
+    @pytest.mark.parametrize(
+        "make", [lambda n: make_basis(n, 5), make_ghz, make_w, make_cluster1d]
+    )
+    def test_named_builders_are_real(self, make):
+        assert make(4).amplitudes.dtype == np.float64
+
+    def test_contiguous_float64_input_is_kept_read_only(self):
+        amps = np.array([0.6, 0.8])
+        assert PureState(1, amps).amplitudes is amps
+        assert not amps.flags.writeable
+
+    def test_real_gate_keeps_a_real_state_real(self):
+        state = make_ghz(3)
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        assert apply_single_qubit(state, 0, hadamard).amplitudes.dtype == np.float64
+        s_gate = np.diag([1.0, 1j])
+        assert apply_single_qubit(state, 0, s_gate).amplitudes.dtype == np.complex128
 
     def test_amplitudes_immutable(self):
         state = make_ghz(2)
@@ -133,7 +154,7 @@ class TestCluster:
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_matches_bit_parity_reference_bytes(self, n):
-        """In-place sign flips give the reference's bytes, +0.0 imaginary parts too."""
+        """In-place sign flips on the float64 array give the reference's bytes."""
         ours = make_cluster1d(n).amplitudes
         assert ours.tobytes() == cluster1d_bit_parity(n).tobytes()
 
@@ -318,6 +339,15 @@ class TestStateDict:
         back = state_from_dict(state_to_dict(state))
         assert back.n == state.n
         assert np.array_equal(back.amplitudes, state.amplitudes)
+
+    def test_zero_imaginary_parts_give_a_real_state(self):
+        state = state_from_dict({"n": 1, "amplitudes": [[0.6, 0.0], [0.8, -0.0]]})
+        assert state.amplitudes.dtype == np.float64
+
+    def test_negative_zero_imaginary_parts_print_as_zero(self):
+        # real storage keeps the real parts' signs but not the imaginary ones
+        state = PureState(1, np.array([complex(1.0, -0.0), complex(-0.0, -0.0)]))
+        assert repr(state_to_dict(state)["amplitudes"]) == "[[1.0, 0.0], [-0.0, 0.0]]"
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):

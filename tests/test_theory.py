@@ -19,8 +19,10 @@ from entspec import (
     make_ghz,
     marginal_amplitude_pdf,
     participation_pdf,
+    purities,
     purity,
     purity_pdf,
+    sample_blocks,
     sample_phase_sphere,
     sphere_moment,
     sphere_moments,
@@ -127,9 +129,8 @@ class TestExactMoments:
     def test_phase_sphere_monte_carlo(self):
         # 20k-sample check at N = 8; the acceptance suite runs the larger sweep
         spec = EnsembleSpec("phase-sphere", 3, 314)
-        part = Bipartition(3, 0b001)
-        values = np.array(
-            [purity(s, part).purity for s in sample_phase_sphere(spec, 20_000)]
+        values = np.concatenate(
+            [purities(block, 3, [0b001])[:, 0] for block in sample_blocks(spec, 20_000)]
         )
         model = exact_moments(2, 4, sphere_moments(8))
         se_mean = values.std(ddof=1) / math.sqrt(values.size)
