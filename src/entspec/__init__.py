@@ -11,10 +11,6 @@ from .measures import (
     EigenConvergenceError,
     TangleReport,
     concurrence,
-    eig4,
-    q_measure,
-    tangle1,
-    tangle2_and_R,
     tangle_report,
 )
 from .purity import (
@@ -33,7 +29,6 @@ from .spectra import (
     Histogram,
     compute_distribution,
     histogram,
-    summarize,
 )
 from .states import (
     EnsembleSpec,
@@ -60,6 +55,7 @@ from .theory import (
     exact_moments,
     factorized_gaussian_moments,
     marginal_amplitude_pdf,
+    moment_provider,
     participation_pdf,
     purity_pdf,
     sphere_moment,
@@ -89,7 +85,6 @@ __all__ = [
     "concentration_ratio",
     "concurrence",
     "delta_moments",
-    "eig4",
     "exact_moments",
     "factorized_gaussian_moments",
     "histogram",
@@ -99,13 +94,13 @@ __all__ = [
     "make_product",
     "make_w",
     "marginal_amplitude_pdf",
+    "moment_provider",
     "participation_pdf",
     "permute_qubits",
     "purities",
     "purity",
     "purity_pdf",
     "purity_quadruple_sum",
-    "q_measure",
     "reduced_density",
     "sample_blocks",
     "sample_haar",
@@ -114,9 +109,6 @@ __all__ = [
     "sphere_moments",
     "state_from_dict",
     "state_to_dict",
-    "summarize",
-    "tangle1",
-    "tangle2_and_R",
     "tangle_report",
     "w_participation",
     "xm_split",

@@ -33,9 +33,8 @@ from .states import (
     make_ghz, make_w, sample_blocks, state_from_dict, state_to_dict,
 )
 from .theory import (
-    MODEL_MAX_QUBITS, PROVIDER_KINDS, asymptotic_model, delta_moments, exact_moments,
-    factorized_gaussian_moments, format_curve_tsv, participation_pdf, purity_pdf,
-    sphere_moments,
+    MODEL_MAX_QUBITS, PROVIDER_KINDS, asymptotic_model, exact_moments, format_curve_tsv,
+    moment_provider, participation_pdf, purity_pdf,
 )
 
 RANGE_SIGMAS = 8.0  # default curve range: mu +/- 8 sigma, mapped for participation
@@ -159,12 +158,7 @@ def _run_theory(args: argparse.Namespace) -> str:
     if args.model == "asymptotic":
         model = asymptotic_model(dim_a, dim_b)
     else:
-        provider = {
-            "exact-sphere": sphere_moments,
-            "factorized-gaussian": factorized_gaussian_moments,
-            "delta": delta_moments,
-        }[args.model]
-        model = exact_moments(dim_a, dim_b, provider(dim_a * dim_b))
+        model = exact_moments(dim_a, dim_b, moment_provider(dim_a * dim_b, args.model))
     spread = RANGE_SIGMAS * np.sqrt(model.sigma2)
     lo, hi = model.mu - spread, model.mu + spread
     pdf = purity_pdf

@@ -14,8 +14,8 @@ from itertools import combinations
 import numpy as np
 
 from ._fmt import json_dumps
-from .purity import Bipartition, purity
-from .states import PureState, _qubit_axes
+from .purity import Bipartition, coefficient_matrix, purities
+from .states import PureState
 
 TAU1_DEFINED_FLOOR = 1e-12
 
@@ -24,24 +24,8 @@ _YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
 
 
 class EigenConvergenceError(RuntimeError):
-    """A LAPACK factorization did not converge: the QR or singular values
-    behind a concurrence, or the eigenvalues of eig4."""
-
-
-def eig4(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a 4x4 complex matrix, in no particular order, from
-    LAPACK (numpy.linalg.eigvals).  Raises EigenConvergenceError when LAPACK
-    reports non-convergence.
-    """
-    a = np.asarray(matrix, dtype=np.complex128)
-    if a.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix entries must be finite")
-    try:
-        return np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"4x4 eigenvalues did not converge: {exc}") from exc
+    """A LAPACK factorization behind a concurrence did not converge: the QR
+    of the pair's coefficient matrix or the singular values of Z^T (Y x Y) Z."""
 
 
 @dataclass(frozen=True)
@@ -77,6 +61,11 @@ class TangleReport:
                     f"monogamy violated: tau1 = {t1!r} < tau2 = {t2!r}"
                 )
 
+    @property
+    def q(self) -> float:
+        """Global measure Q = 2 (1 - mean single-qubit purity), the mean one-tangle."""
+        return sum(self.tau1) / len(self.tau1)
+
 
 def concurrence(state: PureState, i: int, j: int) -> ConcurrenceResult:
     """Wootters concurrence of qubits i and j.
@@ -92,8 +81,10 @@ def concurrence(state: PureState, i: int, j: int) -> ConcurrenceResult:
         raise ValueError(f"qubits {i} and {j} out of range for {state.n} qubits")
     if i == j:
         raise ValueError(f"qubits must differ, got {i} and {j}")
-    rest = [q for q in range(state.n) if q != i and q != j]
-    z = _qubit_axes(state.amplitudes, state.n, sorted((i, j)), rest).reshape(4, -1)
+    if state.n == 2:  # the pair is the whole state, which is no Bipartition
+        z = state.amplitudes.reshape(4, 1)
+    else:
+        z = coefficient_matrix(state, Bipartition(state.n, 1 << i | 1 << j))
     try:
         if z.shape[1] > 4:
             z = np.linalg.qr(z.conj().T, mode="r").conj().T
@@ -106,39 +97,14 @@ def concurrence(state: PureState, i: int, j: int) -> ConcurrenceResult:
     return ConcurrenceResult(value=value, lambdas=tuple(float(v) for v in lam))
 
 
-def q_measure(state: PureState) -> float:
-    """Global measure Q = 2 (1 - mean single-qubit purity), the mean one-tangle."""
-    if state.n < 2:
-        raise ValueError(f"Q needs at least 2 qubits, got {state.n}")
-    return sum(tangle1(state, i) for i in range(state.n)) / state.n
-
-
-def tangle1(state: PureState, i: int) -> float:
-    """One-tangle of qubit i: 4 det(rho_i) = 2 (1 - purity of qubit i)."""
-    if not (0 <= i < state.n):
-        raise ValueError(f"qubit {i} out of range for {state.n} qubits")
-    return 2.0 * (1.0 - purity(state, Bipartition(state.n, 1 << i)).purity)
-
-
-def _tau2_and_ratio(tau1: float, row: list[float]) -> tuple[float, float | None]:
-    """Two-tangle from one row of pair concurrences (ascending partner order,
-    0.0 for the qubit itself) and the ratio tau2/tau1, which is None when tau1
-    is numerically zero (factorized qubit)."""
-    tau2 = sum(c**2 for c in row)
-    return tau2, tau2 / tau1 if tau1 >= TAU1_DEFINED_FLOOR else None
-
-
-def tangle2_and_R(state: PureState, i: int) -> tuple[float, float | None]:
-    """Two-tangle of qubit i and the monogamy ratio tau2/tau1 (None when
-    tau1 is numerically zero)."""
-    if state.n < 2:
-        raise ValueError(f"two-tangle needs at least 2 qubits, got {state.n}")
-    row = [0.0 if j == i else concurrence(state, i, j).value for j in range(state.n)]
-    return _tau2_and_ratio(tangle1(state, i), row)
-
-
 def tangle_report(state: PureState) -> TangleReport:
-    """Per-qubit tangles from one purity per qubit and one concurrence per pair."""
+    """Per-qubit tangles from one `purities` call over the single-qubit cuts
+    and one concurrence per pair.
+
+    tau1 = 4 det(rho_i) = 2 (1 - purity of qubit i); tau2 is the sum of the
+    squared concurrences of qubit i with every other qubit; the ratio is
+    tau2/tau1, or None when tau1 is numerically zero (a factorized qubit).
+    """
     n = state.n
     if n < 2:
         raise ValueError(f"tangle report needs at least 2 qubits, got {n}")
@@ -147,12 +113,15 @@ def tangle_report(state: PureState) -> TangleReport:
     for i, j in pairs:
         table[i, j] = table[j, i] = concurrence(state, i, j).value
     rows = table.tolist()
-    tau1 = tuple(tangle1(state, i) for i in range(n))
-    tau2, ratio = zip(*map(_tau2_and_ratio, tau1, rows))
+    single = purities(state.amplitudes[None], n, [1 << i for i in range(n)])[0]
+    tau1 = tuple(2.0 * (1.0 - p) for p in single.tolist())
+    tau2 = tuple(sum(c**2 for c in row) for row in rows)
     return TangleReport(
         tau1=tau1,
         tau2=tau2,
-        ratio=ratio,
+        ratio=tuple(
+            t2 / t1 if t1 >= TAU1_DEFINED_FLOOR else None for t1, t2 in zip(tau1, tau2)
+        ),
         concurrences=tuple((i, j, rows[i][j]) for i, j in pairs),
     )
 
@@ -168,7 +137,7 @@ def format_measures_json(state: PureState) -> str:
     return json_dumps(
         {
             "n": state.n,
-            "Q": sum(report.tau1) / state.n,
+            "Q": report.q,
             "tau1": report.tau1,
             "tau2": report.tau2,
             "R": report.ratio,

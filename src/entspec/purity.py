@@ -135,32 +135,36 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
 
     block holds count x 2**n amplitudes, float64 or complex128, and each mask
     lies in [1, 2**n - 2] (ValueError names the first that does not); the
-    result is a count x len(masks) float64 array.  Each cut is first turned so
-    that A is the smaller side, or of two equal sides the lower mask, so a
-    mask and its complement give bit-identical purities.  Its amplitudes are
-    copied into one gather buffer allocated per call, the Grams Z Z^dagger
-    (Z Z^T for a float64 block) go into one reused Gram buffer, and each row's
-    purity is the vdot of its Gram with itself.
+    result is a count x len(masks) float64 array.  A mask and its complement
+    are one cut, turned so that A is the smaller side, or of two equal sides
+    the lower mask.  Each cut is gathered once, however many masks name it,
+    and its value is written to the column of every such mask, so a mask,
+    its complement and a repeat of either give bit-identical purities.  The
+    amplitudes of each cut are copied into one gather buffer allocated per
+    call, the Grams Z Z^dagger (Z Z^T for a float64 block) go into one reused
+    Gram buffer, and each row's purity is the vdot of its Gram with itself.
     """
-    count = block.shape[0]
     full = (1 << n) - 1
-    cuts = []  # (mask of the smaller side, its qubit count)
+    cuts = {}  # turned mask -> its column in `values`
+    where = []  # the column in `values` of each requested mask
     for mask in masks:
         mask = int(mask)
         if not 0 < mask < full:
             raise ValueError(f"mask {mask:#x} is not a cut of {n} qubits")
         k = mask.bit_count()
         if (k, mask) > (n - k, mask ^ full):
-            mask, k = mask ^ full, n - k
-        cuts.append((mask, k))
-    out = np.empty((count, len(cuts)))
+            mask ^= full
+        where.append(cuts.setdefault(mask, len(cuts)))
+    count = block.shape[0]
+    values = np.empty((count, len(cuts)))
     if not cuts:
-        return out
+        return values
     shape = (count,) + (2,) * n
     gather = np.empty(shape, block.dtype)
     conj = None if block.dtype == np.float64 else np.empty(shape, block.dtype)
-    gram = np.empty(count << 2 * max(k for _, k in cuts), block.dtype)
-    for c, (mask, k) in enumerate(cuts):
+    gram = np.empty(count << 2 * max(mask.bit_count() for mask in cuts), block.dtype)
+    for c, mask in enumerate(cuts):
+        k = mask.bit_count()
         a, b = [], []
         for q in range(n):
             (a if mask >> q & 1 else b).append(q)
@@ -174,8 +178,8 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
             np.conjugate(z, out=zc)
             np.matmul(z, zc.transpose(0, 2, 1), out=g)
         for r in range(count):
-            out[r, c] = np.vdot(g[r], g[r]).real
-    return out
+            values[r, c] = np.vdot(g[r], g[r]).real
+    return values[:, where]
 
 
 def purity(state: PureState, part: Bipartition) -> PurityResult:

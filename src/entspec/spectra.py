@@ -115,9 +115,6 @@ class EntanglementDistribution:
     def participations(self) -> np.ndarray:
         return 1.0 / self.purity_values
 
-    def purities(self) -> np.ndarray:
-        return self.purity_values
-
 
 @dataclass(frozen=True)
 class Histogram:
@@ -148,20 +145,12 @@ def _masks_with_popcount(n: int, k: int) -> Iterator[int]:
 def compute_distributions(
     block: np.ndarray, family: BipartitionFamily
 ) -> list[EntanglementDistribution]:
-    """One distribution per row of a count x 2**n amplitude block.
-
-    A mask and its complement are one cut, named by the lower of the two
-    masks.  Each cut is evaluated once, on the first family mask that names
-    it, in one `purities` call over the whole block, and its value is
-    scattered back to every mask of the cut.
-    """
+    """One distribution per row of a count x 2**n amplitude block, from one
+    `purities` call over the family's masks (which evaluates each unordered
+    cut once)."""
     masks = family.masks()
-    full = (1 << family.n) - 1
-    _, first, where = np.unique(
-        np.minimum(masks, masks ^ full), return_index=True, return_inverse=True
-    )
-    values = purities(block, family.n, masks[first].tolist())
-    return [EntanglementDistribution(masks, row[where]) for row in values]
+    values = purities(block, family.n, masks)
+    return [EntanglementDistribution(masks, row) for row in values]
 
 
 def compute_distribution(
@@ -169,27 +158,13 @@ def compute_distribution(
 ) -> EntanglementDistribution:
     """Evaluate the purity on every mask of the family, in ascending mask order.
 
-    Each unordered cut is evaluated once (see `compute_distributions`).
+    Each unordered cut is evaluated once (see `purities`).
     """
     if family.n != state.n:
         raise ValueError(
             f"family is over {family.n} qubits but the state has {state.n}"
         )
     return compute_distributions(state.amplitudes[None], family)[0]
-
-
-def summarize(dist: EntanglementDistribution) -> dict:
-    """Summary record of the participation-number distribution."""
-    return {
-        "mean": dist.mean_participation,
-        "var_population": dist.var_population,
-        "var_sample": dist.var_sample,
-        "std_population": math.sqrt(dist.var_population),
-        "std_sample": math.sqrt(dist.var_sample),
-        "min": dist.min,
-        "max": dist.max,
-        "count": dist.count,
-    }
 
 
 def _distinct_groups(values: np.ndarray) -> list[np.ndarray]:

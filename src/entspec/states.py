@@ -293,4 +293,6 @@ def state_from_dict(data: dict) -> PureState:
     arr = np.asarray(pairs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(not_pairs)
-    return PureState(n, arr[:, 0] + 1j * arr[:, 1])
+    # a complex view of the pairs keeps the sign of a -0.0 real part, which
+    # re + 1j * im would turn to +0.0
+    return PureState(n, arr.view(np.complex128)[:, 0])

@@ -108,9 +108,12 @@ _MOMENT_RULES = {
 }
 
 
-def _provider(N: int, kind: str) -> MomentProvider:
+def moment_provider(N: int, kind: str) -> MomentProvider:
+    """Moments of dimension N, as exact rationals, for a kind in PROVIDER_KINDS."""
     if N < 2:
         raise ValueError(f"dimension must be >= 2, got {N}")
+    if kind not in PROVIDER_KINDS:
+        raise ValueError(f"unknown provider kind {kind!r}")
     rule = _MOMENT_RULES[kind]
     return MomentProvider(
         N, kind, **{field: rule(N, ms) for field, ms in MOMENT_PATTERNS.items()}
@@ -119,17 +122,17 @@ def _provider(N: int, kind: str) -> MomentProvider:
 
 def sphere_moments(N: int) -> MomentProvider:
     """Exact moments of the uniform sphere measure."""
-    return _provider(N, "exact-sphere")
+    return moment_provider(N, "exact-sphere")
 
 
 def factorized_gaussian_moments(N: int) -> MomentProvider:
     """Independent-marginal approximation: E[r^(2m)] = (2m-1)!!/N^m."""
-    return _provider(N, "factorized-gaussian")
+    return moment_provider(N, "factorized-gaussian")
 
 
 def delta_moments(N: int) -> MomentProvider:
     """Deterministic moduli, every r_k^2 = 1/N."""
-    return _provider(N, "delta")
+    return moment_provider(N, "delta")
 
 
 def exact_moments(N_A: int, N_B: int, moments: MomentProvider) -> GaussianModel:

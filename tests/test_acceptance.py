@@ -30,7 +30,6 @@ from entspec import (
     compute_distribution,
     concurrence,
     delta_moments,
-    eig4,
     exact_moments,
     histogram,
     make_basis,
@@ -43,19 +42,18 @@ from entspec import (
     purity,
     purity_pdf,
     purity_quadruple_sum,
-    q_measure,
     sample_blocks,
     sample_haar,
     sphere_moments,
-    summarize,
-    tangle1,
-    tangle2_and_R,
+    tangle_report,
     w_participation,
     xm_split,
 )
 from helpers import (
+    YY,
     haar_states,
     match_multisets,
+    partial_trace_reshape,
     path_balanced_mean,
     quartic_roots,
     random_unitary2,
@@ -142,12 +140,12 @@ def test_criterion_3_pair_product_example():
     crit = Criterion(3, "two-Bell-pair product vs GHZ")
     bell = make_ghz(2)
     state = make_product(bell, bell)
-    rec = summarize(compute_distribution(state, BipartitionFamily.balanced(4)))
+    dist = compute_distribution(state, BipartitionFamily.balanced(4))
     # mathematically exactly 3; float construction leaves ~1e-15 roundoff
-    crit.close(1e-12, rec["mean"], 3.0, "mean participation")
-    crit.close(0.01, rec["std_sample"], 1.549, "Bessel-corrected width")
-    q_pairs = q_measure(state)
-    q_ghz = q_measure(make_ghz(4))
+    crit.close(1e-12, dist.mean_participation, 3.0, "mean participation")
+    crit.close(0.01, math.sqrt(dist.var_sample), 1.549, "Bessel-corrected width")
+    q_pairs = tangle_report(state).q
+    q_ghz = tangle_report(make_ghz(4)).q
     crit.close(1e-10, q_pairs, 1.0, "Q of the pair product")
     crit.close(1e-10, q_ghz, 1.0, "Q of GHZ(4)")
     crit.close(1e-10, q_pairs, q_ghz, "Q equality")
@@ -177,7 +175,7 @@ def test_criterion_4_random_state_statistics():
         abs(mean_part - 32.252) / 32.252 <= 0.05,
         f"mean participation {mean_part:.4f} vs 32.252",
     )
-    pur = dist.purities()
+    pur = dist.purity_values
     concentration = pur.std() / pur.mean()
     crit.check(concentration <= 0.05, f"purity sigma/mu {concentration:.4f} > 0.05")
     crit.finish()
@@ -220,22 +218,20 @@ def test_criterion_6_measures_suite():
     crit.close(1e-9, concurrence(make_ghz(2), 0, 1).value, 1.0, "C(Bell)")
     crit.close(1e-9, concurrence(make_ghz(3), 0, 1).value, 0.0, "C(GHZ3 pair)")
     crit.close(1e-9, concurrence(make_w(3), 0, 1).value, 2 / 3, "C(W3 pair)")
-    crit.close(1e-10, tangle1(make_w(3), 0), 8 / 9, "tau1(W3)")
+    crit.close(1e-10, tangle_report(make_w(3)).tau1[0], 8 / 9, "tau1(W3)")
 
     for idx, state in enumerate(haar_states(6, 100, 20242)):
-        for i in range(6):
-            t1 = tangle1(state, i)
-            t2, _ = tangle2_and_R(state, i)
+        report = tangle_report(state)
+        for i, (t1, t2) in enumerate(zip(report.tau1, report.tau2)):
             if t1 < t2 - 1e-10:
                 crit.check(False, f"monogamy violated on sample {idx} qubit {i}")
 
     tau1_values = []
     tau2_values = []
     for state in haar_states(10, 200, 20243):
-        for i in range(10):
-            tau1_values.append(tangle1(state, i))
-        t2, _ = tangle2_and_R(state, 0)
-        tau2_values.append(t2)
+        report = tangle_report(state)
+        tau1_values.extend(report.tau1)
+        tau2_values.append(report.tau2[0])
     crit.close(0.005, float(np.mean(tau1_values)), 1 - 1 / 512, "mean tau1")
     mean_tau2 = float(np.mean(tau2_values))
     crit.check(mean_tau2 <= 0.02, f"mean tau2 {mean_tau2:.4f} > 0.02")
@@ -314,11 +310,17 @@ def test_criterion_7_property_suites():
         mass = float(np.sum(hist.densities * np.diff(hist.bin_edges)))
         crit.close(1e-9, mass, 1.0, "histogram mass")
 
-    # eigensolver vs characteristic-polynomial oracle
-    for _ in range(200):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        crit.check(
-            match_multisets(eig4(a), quartic_roots(a)) < 1e-8,
-            "eig4 disagrees with quartic oracle",
-        )
+    # squared spin-flip roots vs the characteristic-polynomial oracle of
+    # rho (Y x Y) rho* (Y x Y); n >= 4, because the rank-2 pair states of n = 3
+    # leave a double root at zero that the oracle resolves only to ~5e-8
+    for n in range(4, 7):
+        for state in haar_states(n, 200, 20249 + n):
+            i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+            rho = partial_trace_reshape(state, [i, j])
+            roots = quartic_roots(rho @ YY @ rho.conj() @ YY)
+            lam2 = np.array(concurrence(state, i, j).lambdas) ** 2
+            crit.check(
+                match_multisets(lam2, roots) < 1e-8,
+                f"quartic oracle disagrees at n={n}, pair ({i}, {j})",
+            )
     crit.finish()

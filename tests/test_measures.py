@@ -7,85 +7,48 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entspec import (
+    Bipartition,
     PureState,
     apply_single_qubit,
     concurrence,
-    eig4,
     make_basis,
     make_ghz,
     make_product,
     make_w,
-    q_measure,
-    tangle1,
-    tangle2_and_R,
+    purity,
     tangle_report,
 )
 from entspec.measures import EigenConvergenceError, TangleReport, format_measures_json
-from helpers import (
-    concurrence_svd, haar_states, match_multisets, quartic_roots, random_unitary2,
-)
+from helpers import concurrence_svd, haar_states, random_unitary2
 
 
-class TestEig4:
-    def test_identity(self):
-        np.testing.assert_allclose(np.sort_complex(eig4(np.eye(4))), np.ones(4))
+def one_tangle(state, i):
+    """Reference: 2 (1 - purity) of qubit i, from its own single-cut call."""
+    return 2 * (1 - purity(state, Bipartition(state.n, 1 << i)).purity)
 
-    def test_diagonal(self):
-        d = np.array([2.0, -1.0, 0.5j, 3.0 - 1.0j])
-        np.testing.assert_allclose(
-            np.sort_complex(eig4(np.diag(d))), np.sort_complex(d)
-        )
 
-    def test_against_characteristic_polynomial_oracle(self):
-        rng = np.random.default_rng(12345)
-        for _ in range(200):
-            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            assert match_multisets(eig4(a), quartic_roots(a)) < 1e-8
-
-    def test_real_matrices_and_defective_cases(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            a = rng.standard_normal((4, 4))
-            assert match_multisets(eig4(a), quartic_roots(a)) < 1e-8
-        jordan = np.diag([1.0, 1.0, 2.0, 3.0]) + np.diag([1.0, 0.0, 0.0], k=1)
-        assert match_multisets(eig4(jordan), [1.0, 1.0, 2.0, 3.0]) < 1e-7
-
-    def test_zero_matrix(self):
-        np.testing.assert_array_equal(eig4(np.zeros((4, 4))), np.zeros(4))
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError, match="4x4"):
-            eig4(np.eye(3))
-        bad = np.eye(4, dtype=complex)
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            eig4(bad)
-
-    def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
-        def fail(_a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvals", fail)
-        with pytest.raises(EigenConvergenceError, match="did not converge"):
-            eig4(np.eye(4))
+def two_tangle(state, i):
+    """Reference: the squared concurrences of qubit i with each partner, summed
+    in ascending partner order."""
+    return sum(concurrence(state, i, j).value ** 2 for j in range(state.n) if j != i)
 
 
 class TestQMeasure:
     def test_product_basis_state(self):
-        assert q_measure(make_basis(5, 0b10101)) == pytest.approx(0.0, abs=1e-12)
+        assert tangle_report(make_basis(5, 0b10101)).q == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
     def test_ghz_is_one(self, n):
-        assert q_measure(make_ghz(n)) == pytest.approx(1.0, abs=1e-12)
+        assert tangle_report(make_ghz(n)).q == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_product_indistinguishable_from_ghz(self):
         bell = make_ghz(2)
-        assert q_measure(make_product(bell, bell)) == pytest.approx(
-            q_measure(make_ghz(4)), abs=1e-12
+        assert tangle_report(make_product(bell, bell)).q == pytest.approx(
+            tangle_report(make_ghz(4)).q, abs=1e-12
         )
 
     def test_w_states_decay_monotonically(self):
-        values = [q_measure(make_w(n)) for n in range(4, 13)]
+        values = [tangle_report(make_w(n)).q for n in range(4, 13)]
         assert all(a > b for a, b in zip(values, values[1:]))
         # closed form 4(n-1)/n^2 from the single-qubit reductions
         for n, value in zip(range(4, 13), values):
@@ -93,8 +56,8 @@ class TestQMeasure:
 
     def test_equals_mean_tangle1(self):
         for state in haar_states(5, 5, 900):
-            mean_tau = np.mean([tangle1(state, i) for i in range(5)])
-            assert q_measure(state) == pytest.approx(mean_tau, abs=1e-10)
+            mean_tau = np.mean([one_tangle(state, i) for i in range(5)])
+            assert tangle_report(state).q == pytest.approx(mean_tau, abs=1e-10)
 
 
 class TestConcurrence:
@@ -187,50 +150,43 @@ class TestConcurrenceSmallRoots:
 
 class TestTangles:
     def test_tangle1_values(self):
-        assert tangle1(make_ghz(5), 2) == pytest.approx(1.0, abs=1e-12)
-        assert tangle1(make_basis(3, 4), 1) == pytest.approx(0.0, abs=1e-12)
-        assert tangle1(make_w(3), 0) == pytest.approx(8 / 9, abs=1e-10)
+        assert tangle_report(make_ghz(5)).tau1[2] == pytest.approx(1.0, abs=1e-12)
+        assert tangle_report(make_basis(3, 4)).tau1[1] == pytest.approx(0.0, abs=1e-12)
+        assert tangle_report(make_w(3)).tau1[0] == pytest.approx(8 / 9, abs=1e-10)
 
     def test_ghz3_tangle2_and_ratio(self):
-        tau2, ratio = tangle2_and_R(make_ghz(3), 0)
-        assert tau2 == pytest.approx(0.0, abs=1e-12)
-        assert ratio == pytest.approx(0.0, abs=1e-12)
+        report = tangle_report(make_ghz(3))
+        assert report.tau2[0] == pytest.approx(0.0, abs=1e-12)
+        assert report.ratio[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_w3_saturates_monogamy(self):
-        tau2, ratio = tangle2_and_R(make_w(3), 1)
-        assert tau2 == pytest.approx(8 / 9, abs=1e-10)
-        assert ratio == pytest.approx(1.0, abs=1e-9)
+        report = tangle_report(make_w(3))
+        assert report.tau2[1] == pytest.approx(8 / 9, abs=1e-10)
+        assert report.ratio[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_ratio_undefined_for_product_state(self):
-        tau2, ratio = tangle2_and_R(make_basis(3, 5), 0)
-        assert tau2 == pytest.approx(0.0, abs=1e-12)
-        assert ratio is None
+        report = tangle_report(make_basis(3, 5))
+        assert report.tau2[0] == pytest.approx(0.0, abs=1e-12)
+        assert report.ratio[0] is None
 
     def test_monogamy_on_random_states(self):
         for state in haar_states(6, 25, 903):
-            for i in range(6):
-                t1 = tangle1(state, i)
-                t2, _ = tangle2_and_R(state, i)
+            report = tangle_report(state)
+            for t1, t2 in zip(report.tau1, report.tau2):
                 assert t1 >= t2 - 1e-10
 
     def test_report_consistent_with_scalars(self):
-        state = make_w(4)
-        report = tangle_report(state)
-        for i in range(4):
-            assert report.tau1[i] == pytest.approx(tangle1(state, i), abs=1e-12)
-            t2, ratio = tangle2_and_R(state, i)
-            assert report.tau2[i] == pytest.approx(t2, abs=1e-12)
-            assert report.ratio[i] == pytest.approx(ratio, abs=1e-12)
-        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        assert [(i, j) for i, j, _ in report.concurrences] == pairs
-        for i, j, value in report.concurrences:
-            assert value == concurrence(state, i, j).value
-
-    @pytest.mark.parametrize("n", [2, 4])
-    @pytest.mark.parametrize("i", [7, -3])
-    def test_tangle2_qubit_out_of_range_rejected(self, n, i):
-        with pytest.raises(ValueError, match=f"out of range for {n} qubits"):
-            tangle2_and_R(make_ghz(n), i)
+        for state in (make_w(4), make_ghz(2), *haar_states(4, 3, 906)):
+            n = state.n
+            report = tangle_report(state)
+            for i in range(n):
+                assert report.tau1[i] == one_tangle(state, i)
+                assert report.tau2[i] == two_tangle(state, i)
+                assert report.ratio[i] == report.tau2[i] / report.tau1[i]
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            assert [(i, j) for i, j, _ in report.concurrences] == pairs
+            for i, j, value in report.concurrences:
+                assert value == concurrence(state, i, j).value
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_w_closed_forms(self, n):
@@ -270,11 +226,12 @@ class TestMeasuresJson:
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_measures_share_one_definition(n, seed):
-    """Q is the mean one-tangle, and the report's tau2 and R come from the same
-    rule as tangle2_and_R, so all of them agree exactly."""
+    """Q is the mean one-tangle, and tau1, tau2 and R are the single-cut
+    purities and pair concurrences combined by one rule, so they agree exactly."""
     state = haar_states(n, 1, seed)[0]
     data = json.loads(format_measures_json(state))
-    assert data["Q"] == sum(data["tau1"]) / n
-    assert data["Q"] == q_measure(state)
+    assert data["Q"] == sum(data["tau1"]) / n == tangle_report(state).q
     for i in range(n):
-        assert (data["tau2"][i], data["R"][i]) == tangle2_and_R(state, i)
+        assert data["tau1"][i] == one_tangle(state, i)
+        assert data["tau2"][i] == two_tangle(state, i)
+        assert data["R"][i] == data["tau2"][i] / data["tau1"][i]

@@ -1,3 +1,5 @@
+from importlib import import_module
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,7 @@ from entspec import (
     sample_phase_sphere,
 )
 from entspec.purity import coefficient_matrix, purities
-from entspec.states import BLOCK_BYTES, ENSEMBLE_KINDS, sample_blocks
+from entspec.states import BLOCK_BYTES, ENSEMBLE_KINDS, _qubit_axes, sample_blocks
 from helpers import (
     haar_row_reference, haar_states, partial_trace_reshape, phase_sphere_row_reference,
     random_unitary2, scatter_coefficient_matrix,
@@ -311,6 +313,24 @@ class TestPuritiesKernel:
         # one chain edge crosses a contiguous cut; five cross the alternating one
         values = purities(block, 6, [0b000111, 0b111000, 0b010101])
         assert values.tolist() == [[0.5, 0.5, 0.125]]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_mask_complement_and_repeat_share_one_gather(self, monkeypatch, n):
+        gathers = []
+
+        def counted(*args):
+            gathers.append(args)
+            return _qubit_axes(*args)
+
+        # the module, not the package's re-exported function of the same name
+        monkeypatch.setattr(import_module("entspec.purity"), "_qubit_axes", counted)
+        block = np.stack([s.amplitudes for s in haar_states(n, 3, 1400 + n)])
+        full = (1 << n) - 1
+        for mask in range(1, full):
+            gathers.clear()
+            values = purities(block, n, [mask, mask ^ full, mask])
+            assert len(gathers) == 1
+            assert len({values[:, c].tobytes() for c in range(3)}) == 1
 
     @pytest.mark.parametrize("mask", [8, 9, -1, 0, 7])
     def test_rejects_masks_that_are_not_cuts(self, mask):

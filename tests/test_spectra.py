@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -18,9 +19,8 @@ from entspec import (
     make_w,
     permute_qubits,
     purity,
-    summarize,
 )
-from entspec.purity import purities
+from entspec.states import _qubit_axes
 from entspec.spectra import (
     SELECTORS,
     format_histogram_tsv,
@@ -153,10 +153,10 @@ def family_masks_reference(family):
 def test_distribution_arrays_match_per_cut_purities(case):
     state, family = case
     dist = compute_distribution(state, family)
-    assert dist.masks.dtype == np.int64 and dist.purities().dtype == np.float64
+    assert dist.masks.dtype == np.int64 and dist.purity_values.dtype == np.float64
     assert dist.masks.tolist() == family_masks_reference(family)
     per_cut = [purity(state, Bipartition(family.n, m)).purity for m in dist.masks]
-    assert np.array_equal(dist.purities(), per_cut)
+    assert np.array_equal(dist.purity_values, per_cut)
     values = dist.participations()
     assert np.array_equal(values, 1.0 / np.array(per_cut))
     assert dist.count == values.size == len(per_cut)
@@ -180,13 +180,14 @@ def test_distribution_arrays_match_per_cut_purities(case):
     ],
 )
 def test_each_unordered_cut_is_evaluated_once(monkeypatch, n, selector, size, cuts):
-    masks = []
+    masks = []  # subsystem A of every gather in the kernel
 
-    def counted(block, n, cut_masks):
-        masks.extend(cut_masks)
-        return purities(block, n, cut_masks)
+    def counted(amps, n, a, b):
+        masks.append(sum(1 << q for q in a))
+        return _qubit_axes(amps, n, a, b)
 
-    monkeypatch.setattr("entspec.spectra.purities", counted)
+    # the module, not the package's re-exported function of the same name
+    monkeypatch.setattr(import_module("entspec.purity"), "_qubit_axes", counted)
     family = BipartitionFamily(n, selector, size)
     dist = compute_distribution(haar_states(n, 1, 970 + n)[0], family)
     assert len(masks) == len(set(masks)) == cuts
@@ -211,20 +212,17 @@ def test_distribution_retains_two_arrays_per_cut():
 class TestSummaries:
     def test_bell_product_summary(self):
         dist = compute_distribution(bell_product(), BipartitionFamily.balanced(4))
-        rec = summarize(dist)
-        assert rec["count"] == 6
-        assert rec["mean"] == pytest.approx(3.0, abs=1e-12)
-        assert rec["std_sample"] == pytest.approx(math.sqrt(12 / 5), abs=1e-12)
-        assert rec["std_population"] == pytest.approx(math.sqrt(2.0), abs=1e-12)
-        assert rec["var_sample"] == pytest.approx(
-            rec["var_population"] * 6 / 5, abs=1e-12
-        )
+        assert dist.count == 6
+        assert dist.mean_participation == pytest.approx(3.0, abs=1e-12)
+        assert math.sqrt(dist.var_sample) == pytest.approx(math.sqrt(12 / 5), abs=1e-12)
+        assert math.sqrt(dist.var_population) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert dist.var_sample == pytest.approx(dist.var_population * 6 / 5, abs=1e-12)
 
     def test_ghz8_and_w6_zero_width(self):
         for state, n in ((make_ghz(8), 8), (make_w(6), 6)):
-            rec = summarize(compute_distribution(state, BipartitionFamily.balanced(n)))
-            assert rec["mean"] == pytest.approx(2.0, abs=1e-10)
-            assert rec["var_population"] == pytest.approx(0.0, abs=1e-12)
+            dist = compute_distribution(state, BipartitionFamily.balanced(n))
+            assert dist.mean_participation == pytest.approx(2.0, abs=1e-10)
+            assert dist.var_population == pytest.approx(0.0, abs=1e-12)
 
     def test_min_max_consistent(self):
         dist = compute_distribution(haar_states(5, 1, 103)[0], BipartitionFamily.balanced(5))

@@ -340,6 +340,11 @@ class TestStateDict:
         assert back.n == state.n
         assert np.array_equal(back.amplitudes, state.amplitudes)
 
+    def test_negative_zero_real_part_round_trips(self):
+        record = {"n": 1, "amplitudes": [[1.0, 0.0], [-0.0, 0.0]]}
+        back = state_to_dict(state_from_dict(record))
+        assert repr(back["amplitudes"]) == "[[1.0, 0.0], [-0.0, 0.0]]"
+
     def test_zero_imaginary_parts_give_a_real_state(self):
         state = state_from_dict({"n": 1, "amplitudes": [[0.6, 0.0], [0.8, -0.0]]})
         assert state.amplitudes.dtype == np.float64

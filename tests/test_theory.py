@@ -18,6 +18,7 @@ from entspec import (
     make_basis,
     make_ghz,
     marginal_amplitude_pdf,
+    moment_provider,
     participation_pdf,
     purities,
     purity,
@@ -29,7 +30,7 @@ from entspec import (
     w_participation,
     xm_split,
 )
-from entspec.theory import format_curve_tsv
+from entspec.theory import PROVIDER_KINDS, format_curve_tsv
 from helpers import haar_states
 
 # (N_A, N_B) pairs used for the algebraic checks
@@ -95,6 +96,16 @@ class TestProviders:
         assert sphere_moments(8).kind == "exact-sphere"
         assert factorized_gaussian_moments(8).kind == "factorized-gaussian"
         assert delta_moments(8).kind == "delta"
+
+    def test_moment_provider_by_kind(self):
+        for kind, factory in zip(
+            PROVIDER_KINDS, (sphere_moments, factorized_gaussian_moments, delta_moments)
+        ):
+            assert moment_provider(8, kind) == factory(8)
+        with pytest.raises(ValueError, match="unknown provider kind 'asymptotic'"):
+            moment_provider(8, "asymptotic")
+        with pytest.raises(ValueError, match="dimension"):
+            moment_provider(1, "delta")
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError, match="positive"):
