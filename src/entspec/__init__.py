@@ -16,12 +16,10 @@ from .measures import (
 from .purity import (
     Bipartition,
     PurityResult,
-    ReducedDensity,
     complement,
     purities,
     purity,
     purity_quadruple_sum,
-    reduced_density,
 )
 from .spectra import (
     BipartitionFamily,
@@ -41,25 +39,18 @@ from .states import (
     make_w,
     permute_qubits,
     sample_blocks,
-    sample_haar,
-    sample_phase_sphere,
     state_from_dict,
     state_to_dict,
 )
 from .theory import (
     GaussianModel,
-    MomentProvider,
     asymptotic_model,
     concentration_ratio,
-    delta_moments,
     exact_moments,
-    factorized_gaussian_moments,
     marginal_amplitude_pdf,
-    moment_provider,
     participation_pdf,
     purity_pdf,
     sphere_moment,
-    sphere_moments,
     w_participation,
     xm_split,
 )
@@ -73,10 +64,8 @@ __all__ = [
     "EntanglementDistribution",
     "GaussianModel",
     "Histogram",
-    "MomentProvider",
     "PureState",
     "PurityResult",
-    "ReducedDensity",
     "TangleReport",
     "apply_single_qubit",
     "asymptotic_model",
@@ -84,9 +73,7 @@ __all__ = [
     "compute_distribution",
     "concentration_ratio",
     "concurrence",
-    "delta_moments",
     "exact_moments",
-    "factorized_gaussian_moments",
     "histogram",
     "make_basis",
     "make_cluster1d",
@@ -94,19 +81,14 @@ __all__ = [
     "make_product",
     "make_w",
     "marginal_amplitude_pdf",
-    "moment_provider",
     "participation_pdf",
     "permute_qubits",
     "purities",
     "purity",
     "purity_pdf",
     "purity_quadruple_sum",
-    "reduced_density",
     "sample_blocks",
-    "sample_haar",
-    "sample_phase_sphere",
     "sphere_moment",
-    "sphere_moments",
     "state_from_dict",
     "state_to_dict",
     "tangle_report",

@@ -34,7 +34,7 @@ from .states import (
 )
 from .theory import (
     MODEL_MAX_QUBITS, PROVIDER_KINDS, asymptotic_model, exact_moments, format_curve_tsv,
-    moment_provider, participation_pdf, purity_pdf,
+    participation_pdf, purity_pdf,
 )
 
 RANGE_SIGMAS = 8.0  # default curve range: mu +/- 8 sigma, mapped for participation
@@ -158,7 +158,7 @@ def _run_theory(args: argparse.Namespace) -> str:
     if args.model == "asymptotic":
         model = asymptotic_model(dim_a, dim_b)
     else:
-        model = exact_moments(dim_a, dim_b, moment_provider(dim_a * dim_b, args.model))
+        model = exact_moments(dim_a, dim_b, args.model)
     spread = RANGE_SIGMAS * np.sqrt(model.sigma2)
     lo, hi = model.mu - spread, model.mu + spread
     pdf = purity_pdf

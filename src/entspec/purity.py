@@ -1,4 +1,4 @@
-"""Reduced density matrices, bipartite purity, and participation number.
+"""Bipartite purity and participation number.
 
 A bipartition is a bitmask over the qubits; set bits form subsystem A.  For
 basis index k, the subsystem indices (j_A, l_B) are the order-preserving
@@ -17,10 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import PureState, _qubit_axes
-
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-PSD_FLOOR = -1e-10
 
 QUAD_SUM_MAX_QUBITS = 12  # the literal quadruple sum costs O(N_A^2 N_B^2)
 
@@ -69,31 +65,6 @@ class Bipartition:
 
 
 @dataclass(frozen=True)
-class ReducedDensity:
-    """Density matrix of subsystem A; Hermitian, unit trace, PSD (validated)."""
-
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.entries, dtype=np.complex128)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"entries must be {self.dim}x{self.dim}")
-        if not np.isfinite(m).all():
-            raise ValueError("reduced density matrix has entries that are not finite")
-        # each check is written so that a NaN fails it
-        if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL:
-            raise ValueError("reduced density matrix is not Hermitian")
-        tr = complex(np.trace(m))
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise ValueError(f"reduced density matrix trace is {tr!r}, expected 1")
-        if not float(np.linalg.eigvalsh(m).min()) >= PSD_FLOOR:
-            raise ValueError("reduced density matrix is not positive semidefinite")
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-
-@dataclass(frozen=True)
 class PurityResult:
     """Purity pi, participation number 1/pi, and effective entangled spins log2(1/pi)."""
 
@@ -124,26 +95,28 @@ def coefficient_matrix(state: PureState, part: Bipartition) -> np.ndarray:
     return z.reshape(part.dim_a, part.dim_b)
 
 
-def reduced_density(state: PureState, part: Bipartition) -> ReducedDensity:
-    """Partial trace over subsystem B: rho_A = Z Z^dagger (Z Z^T for a real state)."""
-    z = coefficient_matrix(state, part)
-    return ReducedDensity(part.dim_a, z @ z.conj().T)
-
-
 def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     """Purity of every row of `block` across every cut in `masks`.
 
-    block holds count x 2**n amplitudes, float64 or complex128, and each mask
-    lies in [1, 2**n - 2] (ValueError names the first that does not); the
-    result is a count x len(masks) float64 array.  A mask and its complement
-    are one cut, turned so that A is the smaller side, or of two equal sides
-    the lower mask.  Each cut is gathered once, however many masks name it,
-    and its value is written to the column of every such mask, so a mask,
-    its complement and a repeat of either give bit-identical purities.  The
-    amplitudes of each cut are copied into one gather buffer allocated per
-    call, the Grams Z Z^dagger (Z Z^T for a float64 block) go into one reused
-    Gram buffer, and each row's purity is the vdot of its Gram with itself.
+    block holds count x 2**n amplitudes, float64 or complex128 (ValueError
+    names a shape or dtype that is not, before anything is allocated), and
+    each mask lies in [1, 2**n - 2] (ValueError names the first that does
+    not); the result is a count x len(masks) float64 array.  A mask and its
+    complement are one cut, turned so that A is the smaller side, or of two
+    equal sides the lower mask.  Each cut is gathered once, however many
+    masks name it, and its value is written to the column of every such
+    mask, so a mask, its complement and a repeat of either give bit-identical
+    purities.  The amplitudes of each cut are copied into one gather buffer
+    allocated per call, the Grams Z Z^dagger (Z Z^T for a float64 block) go
+    into one reused Gram buffer, and each row's purity is the vdot of its
+    Gram with itself.
     """
+    if block.ndim != 2 or block.shape[1] != 1 << n:
+        raise ValueError(f"block has shape {block.shape}, expected (count, {1 << n})")
+    if block.dtype not in (np.float64, np.complex128):
+        raise ValueError(
+            f"block has dtype {block.dtype}, expected float64 or complex128"
+        )
     full = (1 << n) - 1
     cuts = {}  # turned mask -> its column in `values`
     where = []  # the column in `values` of each requested mask

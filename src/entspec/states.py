@@ -240,27 +240,6 @@ def sample_blocks(spec: EnsembleSpec, count: int) -> Iterator[np.ndarray]:
         yield block
 
 
-def sample_haar(spec: EnsembleSpec, count: int) -> list[PureState]:
-    """`count` Haar-random states as a list (see `sample_blocks`)."""
-    if spec.kind != "haar":
-        raise ValueError(f"ensemble kind is {spec.kind!r}, expected 'haar'")
-    return _sample_states(spec, count)
-
-
-def sample_phase_sphere(spec: EnsembleSpec, count: int) -> list[PureState]:
-    """`count` phase-sphere states as a list: moduli uniform on the real unit
-    sphere and independent uniform phases (see `sample_blocks`)."""
-    if spec.kind != "phase-sphere":
-        raise ValueError(f"ensemble kind is {spec.kind!r}, expected 'phase-sphere'")
-    return _sample_states(spec, count)
-
-
-def _sample_states(spec: EnsembleSpec, count: int) -> list[PureState]:
-    return [
-        PureState(spec.n, row) for block in sample_blocks(spec, count) for row in block
-    ]
-
-
 def state_to_dict(state: PureState) -> dict:
     """JSON-ready form: {"n": ..., "amplitudes": [[re, im], ...]}."""
     return {

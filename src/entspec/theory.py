@@ -4,9 +4,10 @@ For states with independent uniform phases and moduli drawn from a
 symmetric distribution on the real unit sphere, the purity across a cut is
 a sum of O(N^2) terms of size O(1/N^2) and tends to a Gaussian.  Its exact
 mean and variance are polynomial combinations of a handful of moduli
-moments; this module carries those combinations, three interchangeable
-moment providers, the large-N model, and the change of variables from
-purity to participation number.
+moments; this module carries those combinations, evaluated under one of
+three moment kinds named by a string (exact sphere, factorized Gaussian,
+delta), the large-N model, and the change of variables from purity to
+participation number.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .states import PureState
 XM_MAX_QUBITS = 12  # literal split costs O(N_A^2 N_B^2)
 MODEL_MAX_QUBITS = 511  # largest n for which 2/N^2 = 2^(1-2n) is a normal double
 
-PROVIDER_KINDS = ("exact-sphere", "factorized-gaussian", "delta")
-
 
 @dataclass(frozen=True)
 class GaussianModel:
@@ -39,45 +38,12 @@ class GaussianModel:
             raise ValueError(f"variance must be positive, got {self.sigma2!r}")
 
 
-# Half-exponent pattern of each MomentProvider field: m224 = E[r1^2 r2^2 r3^4].
+# Half-exponent pattern of each moduli moment in the purity mean and variance,
+# by name: m224 = E[r1^2 r2^2 r3^4] for distinct coordinates.
 MOMENT_PATTERNS = {
     "m22": (1, 1), "m4": (2,), "m2222": (1, 1, 1, 1), "m224": (1, 1, 2),
     "m44": (2, 2), "m26": (1, 3), "m8": (4,),
 }
-
-
-@dataclass(frozen=True)
-class MomentProvider:
-    """The seven moduli moments entering the exact purity mean and variance.
-
-    Field m_<pattern> holds E[prod_i r_i^(2*p_i)] for distinct coordinates
-    with half-exponent pattern <pattern> (see MOMENT_PATTERNS), as an exact
-    rational.  `kind` records which approximation produced them:
-    exact-sphere (closed-form sphere moments), factorized-gaussian
-    (independent Gaussian marginals of variance 1/N), or delta (every
-    r_k^2 pinned to 1/N).
-    """
-
-    N: int
-    kind: str
-    m22: Fraction
-    m4: Fraction
-    m2222: Fraction
-    m224: Fraction
-    m44: Fraction
-    m26: Fraction
-    m8: Fraction
-
-    def __post_init__(self):
-        if self.N < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.N}")
-        if self.kind not in PROVIDER_KINDS:
-            raise ValueError(f"unknown provider kind {self.kind!r}")
-        if any(not getattr(self, field) > 0 for field in MOMENT_PATTERNS):
-            raise ValueError("all moments must be positive")
-        # Jensen: E[r^4] >= E[r^2]^2 with E[r^2] = 1/N by symmetry
-        if self.m4 < Fraction(1, self.N**2):
-            raise ValueError("E[r^4] below the Jensen bound (1/N)^2")
 
 
 def _double_factorials(ms) -> int:  # prod_i (2*m_i - 1)!!
@@ -100,66 +66,44 @@ def sphere_moment(N: int, exponents) -> Fraction:
     return Fraction(_double_factorials(ms), math.prod(range(N, N + 2 * sum(ms), 2)))
 
 
-# E[prod_i r_i^(2*m_i)] under each provider kind, with M = sum_i m_i.
+# E[prod_i r_i^(2*m_i)] under each moment kind, with M = sum_i m_i:
+# exact-sphere (closed-form sphere moments), factorized-gaussian (independent
+# Gaussian marginals of variance 1/N) or delta (every r_k^2 pinned to 1/N).
 _MOMENT_RULES = {
     "exact-sphere": sphere_moment,
     "factorized-gaussian": lambda N, ms: Fraction(_double_factorials(ms), N ** sum(ms)),
     "delta": lambda N, ms: Fraction(1, N ** sum(ms)),
 }
+PROVIDER_KINDS = tuple(_MOMENT_RULES)
 
 
-def moment_provider(N: int, kind: str) -> MomentProvider:
-    """Moments of dimension N, as exact rationals, for a kind in PROVIDER_KINDS."""
-    if N < 2:
-        raise ValueError(f"dimension must be >= 2, got {N}")
-    if kind not in PROVIDER_KINDS:
-        raise ValueError(f"unknown provider kind {kind!r}")
-    rule = _MOMENT_RULES[kind]
-    return MomentProvider(
-        N, kind, **{field: rule(N, ms) for field, ms in MOMENT_PATTERNS.items()}
-    )
-
-
-def sphere_moments(N: int) -> MomentProvider:
-    """Exact moments of the uniform sphere measure."""
-    return moment_provider(N, "exact-sphere")
-
-
-def factorized_gaussian_moments(N: int) -> MomentProvider:
-    """Independent-marginal approximation: E[r^(2m)] = (2m-1)!!/N^m."""
-    return moment_provider(N, "factorized-gaussian")
-
-
-def delta_moments(N: int) -> MomentProvider:
-    """Deterministic moduli, every r_k^2 = 1/N."""
-    return moment_provider(N, "delta")
-
-
-def exact_moments(N_A: int, N_B: int, moments: MomentProvider) -> GaussianModel:
+def exact_moments(N_A: int, N_B: int, kind: str) -> GaussianModel:
     """Exact purity mean and variance for an N_A x N_B cut.
 
-    mu comes from the modulus-only part of the purity (the phase-bearing
-    cross part has zero mean); the variance adds the second moments of both
-    parts.  The degree-8 coefficient polynomials are kept term for term as
-    derived, with no algebraic simplification, and are cross-checked against
-    Monte Carlo in the tests.  With rational moments the polynomial is exact,
-    and mu and sigma2 are rounded to doubles once.
+    The moduli moments of MOMENT_PATTERNS are taken, as exact rationals, from
+    the rule of `kind` (one of PROVIDER_KINDS; ValueError otherwise).  mu
+    comes from the modulus-only part of the purity (the phase-bearing cross
+    part has zero mean); the variance adds the second moments of both parts.
+    The degree-8 coefficient polynomials are kept term for term as derived,
+    with no algebraic simplification, and are cross-checked against Monte
+    Carlo in the tests.  With rational moments the polynomial is exact, and
+    mu and sigma2 are rounded to doubles once.
     """
     if N_A < 2 or N_B < 2:
         raise ValueError(f"subsystem dimensions must be >= 2, got {N_A}, {N_B}")
+    rule = _MOMENT_RULES.get(kind)
+    if rule is None:
+        raise ValueError(f"unknown provider kind {kind!r}")
     N = N_A * N_B
-    if N != moments.N:
-        raise ValueError(
-            f"provider is for dimension {moments.N}, but N_A*N_B = {N}"
-        )
-    mu = N * (N_A + N_B - 2) * moments.m22 + N * moments.m4
-    cross_sq = 2 * N * (N_A - 1) * (N_B - 1) * moments.m2222
+    m = {name: rule(N, ms) for name, ms in MOMENT_PATTERNS.items()}
+    mu = N * (N_A + N_B - 2) * m["m22"] + N * m["m4"]
+    cross_sq = 2 * N * (N_A - 1) * (N_B - 1) * m["m2222"]
     mod_sq = (
-        N * (N_A + N_B - 2) * ((N_A + N_B) * (N - 4) - 2 * (N - 5)) * moments.m2222
-        + 2 * N * (N_A + N_B - 2) * (N + 2 * N_A + 2 * N_B - 8) * moments.m224
-        + N * (N + 2 * N_A + 2 * N_B - 5) * moments.m44
-        + 4 * N * (N_A + N_B - 2) * moments.m26
-        + N * moments.m8
+        N * (N_A + N_B - 2) * ((N_A + N_B) * (N - 4) - 2 * (N - 5)) * m["m2222"]
+        + 2 * N * (N_A + N_B - 2) * (N + 2 * N_A + 2 * N_B - 8) * m["m224"]
+        + N * (N + 2 * N_A + 2 * N_B - 5) * m["m44"]
+        + 4 * N * (N_A + N_B - 2) * m["m26"]
+        + N * m["m8"]
     )
     return GaussianModel(mu=float(mu), sigma2=float(cross_sq + mod_sq - mu**2))
 

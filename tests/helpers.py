@@ -7,11 +7,18 @@ from math import comb
 
 import numpy as np
 
-from entspec import EnsembleSpec, PureState, sample_haar
+from entspec import EnsembleSpec, PureState, sample_blocks
+
+
+def sampled_rows(spec: EnsembleSpec, count: int) -> np.ndarray:
+    """The first `count` samples of `spec` as one count x 2**n array."""
+    return np.concatenate(list(sample_blocks(spec, count)))
 
 
 def haar_states(n: int, count: int, seed: int) -> list[PureState]:
-    return sample_haar(EnsembleSpec("haar", n, seed), count)
+    """The first `count` Haar samples of (n, seed), one `PureState` per row."""
+    spec = EnsembleSpec("haar", n, seed)
+    return [PureState(n, row) for block in sample_blocks(spec, count) for row in block]
 
 
 def _sample_stream(seed: int, index: int) -> np.random.Generator:

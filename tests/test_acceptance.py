@@ -29,7 +29,6 @@ from entspec import (
     complement,
     compute_distribution,
     concurrence,
-    delta_moments,
     exact_moments,
     histogram,
     make_basis,
@@ -43,8 +42,6 @@ from entspec import (
     purity_pdf,
     purity_quadruple_sum,
     sample_blocks,
-    sample_haar,
-    sphere_moments,
     tangle_report,
     w_participation,
     xm_split,
@@ -185,7 +182,7 @@ def test_criterion_5_moment_formulas():
     crit = Criterion(5, "exact moment formulas vs Monte Carlo")
     cases = {8: (2, 4, 3, 0b001), 16: (4, 4, 4, 0b0011), 32: (4, 8, 5, 0b00011)}
     for N, (dim_a, dim_b, n, mask) in cases.items():
-        model = exact_moments(dim_a, dim_b, sphere_moments(N))
+        model = exact_moments(dim_a, dim_b, "exact-sphere")
         spec = EnsembleSpec("phase-sphere", n, 500 + N)
         values = np.concatenate(
             [purities(block, n, [mask])[:, 0] for block in sample_blocks(spec, 100_000)]
@@ -204,7 +201,7 @@ def test_criterion_5_moment_formulas():
 
     pairs = [(2**a, 2**b) for a in range(1, 6) for b in range(a, a + 4)][:20]
     for dim_a, dim_b in pairs:
-        mu_delta = exact_moments(dim_a, dim_b, delta_moments(dim_a * dim_b)).mu
+        mu_delta = exact_moments(dim_a, dim_b, "delta").mu
         mu_asym = asymptotic_model(dim_a, dim_b).mu
         crit.check(
             abs(mu_delta - mu_asym) <= 1e-13 * mu_asym,

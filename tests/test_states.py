@@ -17,15 +17,13 @@ from entspec import (
     make_w,
     permute_qubits,
     purity,
-    sample_haar,
-    sample_phase_sphere,
     state_from_dict,
     state_to_dict,
 )
 from entspec import states as states_module
 from helpers import (
     cluster1d_bit_parity, graph_state_line, haar_states, partial_trace_reshape,
-    path_cut_rank, permute_amplitudes_bitloop,
+    path_cut_rank, permute_amplitudes_bitloop, sampled_rows,
 )
 
 
@@ -260,21 +258,16 @@ class TestSamplers:
 
     def test_haar_deterministic(self):
         spec = EnsembleSpec("haar", 5, 123)
-        a = sample_haar(spec, 4)
-        b = sample_haar(spec, 4)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.amplitudes, y.amplitudes)
+        assert np.array_equal(sampled_rows(spec, 4), sampled_rows(spec, 4))
 
     def test_haar_streams_independent_of_count(self):
         spec = EnsembleSpec("haar", 4, 77)
-        assert np.array_equal(
-            sample_haar(spec, 5)[2].amplitudes, sample_haar(spec, 3)[2].amplitudes
-        )
+        assert np.array_equal(sampled_rows(spec, 5)[2], sampled_rows(spec, 3)[2])
 
     def test_haar_seeds_differ(self):
-        a = sample_haar(EnsembleSpec("haar", 4, 1), 1)[0]
-        b = sample_haar(EnsembleSpec("haar", 4, 2), 1)[0]
-        assert not np.allclose(a.amplitudes, b.amplitudes)
+        a = sampled_rows(EnsembleSpec("haar", 4, 1), 1)[0]
+        b = sampled_rows(EnsembleSpec("haar", 4, 2), 1)[0]
+        assert not np.allclose(a, b)
 
     def test_haar_balanced_purity_mean(self):
         # 1000-sample mean against the large-N value, 5% headroom covers the
@@ -286,24 +279,17 @@ class TestSamplers:
 
     def test_phase_sphere_norms(self):
         spec = EnsembleSpec("phase-sphere", 4, 9)
-        for state in sample_phase_sphere(spec, 10):
-            assert np.vdot(state.amplitudes, state.amplitudes).real == pytest.approx(
-                1.0, abs=1e-12
-            )
+        for row in sampled_rows(spec, 10):
+            assert np.vdot(row, row).real == pytest.approx(1.0, abs=1e-12)
 
     def test_phase_sphere_deterministic(self):
         spec = EnsembleSpec("phase-sphere", 3, 42)
-        a = sample_phase_sphere(spec, 3)
-        b = sample_phase_sphere(spec, 3)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.amplitudes, y.amplitudes)
+        assert np.array_equal(sampled_rows(spec, 3), sampled_rows(spec, 3))
 
     def test_phase_sphere_second_moment(self):
         # E[r_k^2] = 1/N by symmetry under the sphere constraint
         spec = EnsembleSpec("phase-sphere", 3, 7)
-        r2 = np.array(
-            [np.abs(s.amplitudes[1]) ** 2 for s in sample_phase_sphere(spec, 4000)]
-        )
+        r2 = np.abs(sampled_rows(spec, 4000)[:, 1]) ** 2
         se = r2.std(ddof=1) / np.sqrt(r2.size)
         assert abs(r2.mean() - 1 / 8) < 3 * se
 
@@ -318,13 +304,7 @@ class TestSamplers:
 
         monkeypatch.setitem(states_module._ENSEMBLE_ROWS, "haar", broken)
         with pytest.raises(ValueError, match="sample 1 is not a finite unit vector"):
-            sample_haar(EnsembleSpec("haar", 3, 0), 3)
-
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError, match="haar"):
-            sample_haar(EnsembleSpec("phase-sphere", 3, 0), 1)
-        with pytest.raises(ValueError, match="phase-sphere"):
-            sample_phase_sphere(EnsembleSpec("haar", 3, 0), 1)
+            sampled_rows(EnsembleSpec("haar", 3, 0), 3)
 
     def test_bad_spec(self):
         with pytest.raises(ValueError, match="kind"):

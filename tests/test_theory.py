@@ -9,29 +9,23 @@ from entspec import (
     Bipartition,
     EnsembleSpec,
     GaussianModel,
-    MomentProvider,
     asymptotic_model,
     concentration_ratio,
-    delta_moments,
     exact_moments,
-    factorized_gaussian_moments,
     make_basis,
     make_ghz,
     marginal_amplitude_pdf,
-    moment_provider,
     participation_pdf,
     purities,
     purity,
     purity_pdf,
     sample_blocks,
-    sample_phase_sphere,
     sphere_moment,
-    sphere_moments,
     w_participation,
     xm_split,
 )
-from entspec.theory import PROVIDER_KINDS, format_curve_tsv
-from helpers import haar_states
+from entspec.theory import _MOMENT_RULES, MOMENT_PATTERNS, format_curve_tsv
+from helpers import haar_states, sampled_rows
 
 # (N_A, N_B) pairs used for the algebraic checks
 DIM_PAIRS = [
@@ -81,48 +75,24 @@ class TestSphereMoment:
 
 
 class TestProviders:
-    @pytest.mark.parametrize(
-        "factory", [sphere_moments, factorized_gaussian_moments, delta_moments]
-    )
-    def test_positive_and_jensen(self, factory):
-        prov = factory(16)
-        for value in (
-            prov.m22, prov.m4, prov.m2222, prov.m224, prov.m44, prov.m26, prov.m8
-        ):
+    @pytest.mark.parametrize("kind", list(_MOMENT_RULES))
+    def test_positive_and_jensen(self, kind):
+        N, rule = 16, _MOMENT_RULES[kind]
+        moments = {name: rule(N, ms) for name, ms in MOMENT_PATTERNS.items()}
+        for value in moments.values():
             assert value > 0
-        assert prov.m4 >= (1 / prov.N) ** 2 - 1e-15
-
-    def test_kind_tags(self):
-        assert sphere_moments(8).kind == "exact-sphere"
-        assert factorized_gaussian_moments(8).kind == "factorized-gaussian"
-        assert delta_moments(8).kind == "delta"
-
-    def test_moment_provider_by_kind(self):
-        for kind, factory in zip(
-            PROVIDER_KINDS, (sphere_moments, factorized_gaussian_moments, delta_moments)
-        ):
-            assert moment_provider(8, kind) == factory(8)
-        with pytest.raises(ValueError, match="unknown provider kind 'asymptotic'"):
-            moment_provider(8, "asymptotic")
-        with pytest.raises(ValueError, match="dimension"):
-            moment_provider(1, "delta")
-
-    def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError, match="positive"):
-            MomentProvider(4, "delta", 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="Jensen"):
-            MomentProvider(4, "delta", 0.01, 0.001, 1.0, 1.0, 1.0, 1.0, 1.0)
+        assert moments["m4"] >= (1 / N) ** 2 - 1e-15
 
 
 class TestExactMoments:
     def test_smallest_case_mean(self):
         # hand evaluation with sphere moments at N = 4: 4*2*(1/24) + 4*(3/24)
-        model = exact_moments(2, 2, sphere_moments(4))
+        model = exact_moments(2, 2, "exact-sphere")
         assert model.mu == pytest.approx(5 / 6, rel=1e-14)
 
     def test_delta_reproduces_asymptotic_mean(self):
         for N_A, N_B in DIM_PAIRS:
-            model = exact_moments(N_A, N_B, delta_moments(N_A * N_B))
+            model = exact_moments(N_A, N_B, "delta")
             assert model.mu == pytest.approx(
                 asymptotic_model(N_A, N_B).mu, rel=1e-13
             )
@@ -132,7 +102,7 @@ class TestExactMoments:
         # whole variance is the cross-term second moment
         for N_A, N_B in DIM_PAIRS:
             N = N_A * N_B
-            model = exact_moments(N_A, N_B, delta_moments(N))
+            model = exact_moments(N_A, N_B, "delta")
             assert model.sigma2 == pytest.approx(
                 2 * (N_A - 1) * (N_B - 1) / N**3, rel=1e-10
             )
@@ -143,20 +113,20 @@ class TestExactMoments:
         values = np.concatenate(
             [purities(block, 3, [0b001])[:, 0] for block in sample_blocks(spec, 20_000)]
         )
-        model = exact_moments(2, 4, sphere_moments(8))
+        model = exact_moments(2, 4, "exact-sphere")
         se_mean = values.std(ddof=1) / math.sqrt(values.size)
         assert abs(values.mean() - model.mu) < 3 * se_mean
         m4 = float(np.mean((values - values.mean()) ** 4))
         se_var = math.sqrt(max(m4 - values.var() ** 2, 0.0) / values.size)
         assert abs(values.var(ddof=1) - model.sigma2) < 3 * se_var
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            exact_moments(2, 4, sphere_moments(16))
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown provider kind 'asymptotic'$"):
+            exact_moments(2, 4, "asymptotic")
 
     def test_subsystem_bounds(self):
         with pytest.raises(ValueError):
-            exact_moments(1, 8, sphere_moments(8))
+            exact_moments(1, 8, "exact-sphere")
 
 
 class TestExactRationals:
@@ -166,14 +136,14 @@ class TestExactRationals:
     def test_delta_variance(self, n):
         N_A, N_B = 1 << (n // 2), 1 << (n - n // 2)
         N = N_A * N_B
-        model = exact_moments(N_A, N_B, delta_moments(N))
+        model = exact_moments(N_A, N_B, "delta")
         assert model.sigma2 == float(Fraction(2 * (N_A - 1) * (N_B - 1), N**3))
 
     @pytest.mark.parametrize("n", [8, 20, 30, 40, 60])
     def test_sphere_mean(self, n):
         N_A, N_B = 1 << (n // 2), 1 << (n - n // 2)
         N = N_A * N_B
-        model = exact_moments(N_A, N_B, sphere_moments(N))
+        model = exact_moments(N_A, N_B, "exact-sphere")
         assert model.mu == float(Fraction(N_A + N_B + 1, N + 2))
 
     def test_asymptotic_variance_does_not_overflow(self):
@@ -345,9 +315,7 @@ class TestMarginalAmplitudePdf:
         # reference CDF from cumulative quadrature of the density
         N = 64
         spec = EnsembleSpec("phase-sphere", 6, 1618)
-        moduli = np.array(
-            [abs(s.amplitudes[0]) for s in sample_phase_sphere(spec, 10_000)]
-        )
+        moduli = np.abs(sampled_rows(spec, 10_000)[:, 0])
         grid = np.linspace(0.0, 1.0, 4001)
         cdf = integrate.cumulative_trapezoid(
             marginal_amplitude_pdf(N, grid), grid, initial=0.0
