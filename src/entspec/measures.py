@@ -14,10 +14,11 @@ from itertools import combinations
 import numpy as np
 
 from ._fmt import json_dumps
-from .purity import Bipartition, coefficient_matrix, purities
+from .purity import purities
 from .states import PureState
 
 TAU1_DEFINED_FLOOR = 1e-12
+QR_ROWS = 1024  # rows per block of the stacked QR tree in `concurrences`
 
 # sigma_y (x) sigma_y is real, so a real state's spin-flip product stays real
 _YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
@@ -35,6 +36,12 @@ class ConcurrenceResult:
 
     value: float
     lambdas: tuple[float, float, float, float]
+
+    @classmethod
+    def from_lambdas(cls, lam: np.ndarray) -> "ConcurrenceResult":
+        """C = max(0, l1 - l2 - l3 - l4) from the four roots, largest first."""
+        value = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+        return cls(value=value, lambdas=tuple(lam.tolist()))
 
 
 @dataclass(frozen=True)
@@ -67,39 +74,63 @@ class TangleReport:
         return sum(self.tau1) / len(self.tau1)
 
 
-def concurrence(state: PureState, i: int, j: int) -> ConcurrenceResult:
-    """Wootters concurrence of qubits i and j.
+def concurrences(state: PureState, pairs) -> np.ndarray:
+    """Spin-flip roots of every qubit pair (i, j) in `pairs`, as a
+    len(pairs) x 4 float64 array, largest first in each row.
 
     With Z the pair's 4 x N_B coefficient matrix (rho = Z Z^dagger), the
     spin-flip roots lambda are the singular values of Z^T (Y x Y) Z, padded
     with zeros to four (Wootters, PRL 80, 2245 (1998)), and the concurrence
-    is max(0, l1 - l2 - l3 - l4).  When N_B > 4, Z is first replaced by
-    R^dagger from the QR factorization Z^dagger = Q R: R^dagger R = Z Z^dagger
-    leaves the lambdas unchanged and keeps the SVD at most 4x4.
+    is max(0, l1 - l2 - l3 - l4) (`ConcurrenceResult.from_lambdas`).
+    (i, j) and (j, i) name one pair.  Every pair is checked before anything
+    is allocated; each is then copied into one 4 x N_B buffer reused across
+    pairs, and Z^T is reduced to at most four rows by a tree of stacked QRs
+    (the tall-skinny QR of Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
+    Comput. 34, A206 (2012)): its blocks of QR_ROWS rows are factorized in
+    one call and their R factors stacked, until at most four rows remain.
+    With Z^T = Q R, R^T conj(R) = Z Z^dagger = rho, so Z := R^T leaves the
+    lambdas unchanged and keeps the SVD at most 4 x 4.
     """
-    if not (0 <= i < state.n and 0 <= j < state.n):
-        raise ValueError(f"qubits {i} and {j} out of range for {state.n} qubits")
-    if i == j:
-        raise ValueError(f"qubits must differ, got {i} and {j}")
-    if state.n == 2:  # the pair is the whole state, which is no Bipartition
-        z = state.amplitudes.reshape(4, 1)
-    else:
-        z = coefficient_matrix(state, Bipartition(state.n, 1 << i | 1 << j))
-    try:
-        if z.shape[1] > 4:
-            z = np.linalg.qr(z.conj().T, mode="r").conj().T
-        sigma = np.linalg.svd(z.T @ _YY @ z, compute_uv=False)  # descending
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"spin-flip singular values: {exc}") from exc
-    lam = np.zeros(4)
-    lam[: sigma.size] = sigma
-    value = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
-    return ConcurrenceResult(value=value, lambdas=tuple(float(v) for v in lam))
+    n = state.n
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"qubits {i} and {j} out of range for {n} qubits")
+        if i == j:
+            raise ValueError(f"qubits must differ, got {i} and {j}")
+    lambdas = np.zeros((len(pairs), 4))
+    if not pairs:
+        return lambdas
+    amps = state.amplitudes
+    pair = np.empty((4, 1 << (n - 2)), amps.dtype)
+    for lam, (i, j) in zip(lambdas, pairs):
+        lo, hi = min(i, j), max(i, j)
+        # the state as (hi, b_hi, mid, b_lo, lo): the qubits above hi, qubit
+        # hi, those between, qubit lo and those below; buffer row 2 b_hi + b_lo
+        # holds the (hi, mid, lo) amplitudes in order
+        runs = (1 << (n - 1 - hi), 1 << (hi - lo - 1), 1 << lo)
+        view = amps.reshape(runs[0], 2, runs[1], 2, runs[2])
+        np.copyto(pair.reshape((2, 2) + runs), view.transpose(1, 3, 0, 2, 4))
+        z = pair.T  # Z^T, then its R factor
+        try:
+            while z.shape[0] > 4:
+                rows = min(z.shape[0], QR_ROWS)
+                z = np.linalg.qr(z.reshape(-1, rows, 4), mode="r").reshape(-1, 4)
+            sigma = np.linalg.svd(z @ _YY @ z.T, compute_uv=False)  # descending
+        except np.linalg.LinAlgError as exc:
+            raise EigenConvergenceError(f"spin-flip singular values: {exc}") from exc
+        lam[: sigma.size] = sigma
+    return lambdas
+
+
+def concurrence(state: PureState, i: int, j: int) -> ConcurrenceResult:
+    """Wootters concurrence of qubits i and j: the one-pair call of
+    `concurrences`."""
+    return ConcurrenceResult.from_lambdas(concurrences(state, ((i, j),))[0])
 
 
 def tangle_report(state: PureState) -> TangleReport:
     """Per-qubit tangles from one `purities` call over the single-qubit cuts
-    and one concurrence per pair.
+    and one `concurrences` call over every pair.
 
     tau1 = 4 det(rho_i) = 2 (1 - purity of qubit i); tau2 is the sum of the
     squared concurrences of qubit i with every other qubit; the ratio is
@@ -109,9 +140,10 @@ def tangle_report(state: PureState) -> TangleReport:
     if n < 2:
         raise ValueError(f"tangle report needs at least 2 qubits, got {n}")
     pairs = tuple(combinations(range(n), 2))
+    lambdas = concurrences(state, pairs)
     table = np.zeros((n, n))
-    for i, j in pairs:
-        table[i, j] = table[j, i] = concurrence(state, i, j).value
+    for (i, j), lam in zip(pairs, lambdas):
+        table[i, j] = table[j, i] = ConcurrenceResult.from_lambdas(lam).value
     rows = table.tolist()
     single = purities(state.amplitudes[None], n, [1 << i for i in range(n)])[0]
     tau1 = tuple(2.0 * (1.0 - p) for p in single.tolist())

@@ -106,10 +106,11 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     equal sides the lower mask.  Each cut is gathered once, however many
     masks name it, and its value is written to the column of every such
     mask, so a mask, its complement and a repeat of either give bit-identical
-    purities.  The amplitudes of each cut are copied into one gather buffer
-    allocated per call, the Grams Z Z^dagger (Z Z^T for a float64 block) go
-    into one reused Gram buffer, and each row's purity is the vdot of its
-    Gram with itself.
+    purities.  When A is a run of qubits at either end, Z is a view of the
+    block; any other cut is copied into one gather buffer, allocated per
+    call by the first cut that needs it.  The Grams Z Z^dagger (Z Z^T for a
+    float64 block) go into one reused Gram buffer, and each row's purity is
+    the vdot of its Gram with itself.
     """
     if block.ndim != 2 or block.shape[1] != 1 << n:
         raise ValueError(f"block has shape {block.shape}, expected (count, {1 << n})")
@@ -133,7 +134,7 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     if not cuts:
         return values
     shape = (count,) + (2,) * n
-    gather = np.empty(shape, block.dtype)
+    gather = None
     conj = None if block.dtype == np.float64 else np.empty(shape, block.dtype)
     gram = np.empty(count << 2 * max(mask.bit_count() for mask in cuts), block.dtype)
     for c, mask in enumerate(cuts):
@@ -141,8 +142,13 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
         a, b = [], []
         for q in range(n):
             (a if mask >> q & 1 else b).append(q)
-        np.copyto(gather, _qubit_axes(block, n, a, b))
-        z = gather.reshape(count, 1 << k, 1 << (n - k))
+        z = _qubit_axes(block, n, a, b)  # reshapes without a copy when A is an end run
+        if mask not in ((1 << k) - 1, full ^ ((1 << (n - k)) - 1)):
+            if gather is None:
+                gather = np.empty(shape, block.dtype)
+            np.copyto(gather, z)
+            z = gather
+        z = z.reshape(count, 1 << k, 1 << (n - k))
         g = gram[: count << 2 * k].reshape(count, 1 << k, 1 << k)
         if conj is None:
             np.matmul(z, z.transpose(0, 2, 1), out=g)

@@ -59,7 +59,7 @@ def sphere_moment(N: int, exponents) -> Fraction:
     if N < 2:
         raise ValueError(f"dimension must be >= 2, got {N}")
     ms = list(exponents)
-    if not ms or any((not isinstance(m, int)) or m < 1 for m in ms):
+    if not ms or any(type(m) is not int or m < 1 for m in ms):  # bool is no exponent
         raise ValueError(f"exponents must be positive integers, got {exponents!r}")
     if len(ms) > N:
         raise ValueError(f"{len(ms)} coordinates requested but dimension is {N}")

@@ -199,6 +199,24 @@ def concurrence_svd(state: PureState, i: int, j: int) -> float:
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
 
 
+def concurrence_qr(state: PureState, i: int, j: int) -> np.ndarray:
+    """Spin-flip roots of qubits i and j through one QR of the whole pair
+    matrix, largest first and padded with zeros to four.
+
+    With Z the 4 x 2^(n-2) coefficient matrix of the pair, gathered by bit
+    scatter, Z is replaced by R^dagger from the single QR Z^dagger = Q R when
+    it has more than four columns (R^dagger R = Z Z^dagger), and the roots
+    are the singular values of Z^T (Y x Y) Z.
+    """
+    z = scatter_coefficient_matrix(state, [i, j])
+    if z.shape[1] > 4:
+        z = np.linalg.qr(z.conj().T, mode="r").conj().T
+    sigma = np.linalg.svd(z.T @ YY @ z, compute_uv=False)  # descending
+    lam = np.zeros(4)
+    lam[: sigma.size] = sigma
+    return lam
+
+
 def match_multisets(a, b) -> float:
     """Greedy nearest matching; returns the largest pairwise distance."""
     remaining = list(b)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -18,8 +19,14 @@ from entspec import (
     purity,
     tangle_report,
 )
-from entspec.measures import EigenConvergenceError, TangleReport, format_measures_json
-from helpers import concurrence_svd, haar_states, random_unitary2
+from entspec.measures import (
+    QR_ROWS,
+    EigenConvergenceError,
+    TangleReport,
+    concurrences,
+    format_measures_json,
+)
+from helpers import concurrence_qr, concurrence_svd, haar_states, random_unitary2
 
 
 def one_tangle(state, i):
@@ -119,6 +126,46 @@ class TestConcurrenceOracle:
             closed = 2.0 * abs(z[0] * z[3] - z[1] * z[2])
             assert abs(concurrence(state, 0, 1).value - closed) <= 1e-13
             assert abs(concurrence_svd(state, 0, 1) - closed) <= 1e-13
+
+
+class TestConcurrenceQrTree:
+    """The stacked-QR tree against one QR of the whole pair matrix.  At n = 13
+    each pair's Z^T has 2048 rows: two blocks of QR_ROWS, then their stacked
+    8 x 4 R factors, so the tree has two levels."""
+
+    @pytest.mark.parametrize("kind", ["haar", "real"])
+    def test_two_levels_match_single_qr_oracle(self, kind):
+        n = 13
+        assert 1 << (n - 2) == 2 * QR_ROWS
+        if kind == "haar":
+            state = haar_states(n, 1, 907)[0]
+        else:
+            g = np.random.default_rng(908).standard_normal(1 << n)
+            state = PureState(n, g / np.linalg.norm(g))
+        pairs = tuple(combinations(range(n), 2))
+        lambdas = concurrences(state, pairs)
+        report = tangle_report(state)
+        for (i, j), lam, (_, _, value) in zip(pairs, lambdas, report.concurrences):
+            oracle = concurrence_qr(state, i, j)
+            assert np.abs(lam - oracle).max() <= 1e-13
+            assert concurrence(state, i, j).value == value
+            assert abs(value - max(0.0, oracle[0] - oracle[1] - oracle[2] - oracle[3])) <= 1e-13
+
+    def test_w18_every_pair_two_over_n(self):
+        report = tangle_report(make_w(18))
+        assert len(report.concurrences) == 153
+        for _, _, value in report.concurrences:
+            assert abs(value - 2 / 18) <= 1e-13
+
+    def test_report_holds_one_pair_buffer_and_one_qr_copy(self):
+        state = make_w(14)
+        tracemalloc.start()
+        try:
+            tangle_report(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * state.amplitudes.nbytes + (16 << 10)
 
 
 class TestConcurrenceSmallRoots:

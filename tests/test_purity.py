@@ -1,3 +1,4 @@
+import tracemalloc
 from importlib import import_module
 
 import numpy as np
@@ -281,6 +282,28 @@ class TestPuritiesKernel:
             values = purities(block, n, [mask, mask ^ full, mask])
             assert len(gathers) == 1
             assert len({values[:, c].tobytes() for c in range(3)}) == 1
+
+    @pytest.mark.parametrize(
+        "mask, gathered", [(0xFF, False), (0xFF00, False), (0xF000, False), (0x0FF0, True)]
+    )
+    def test_end_runs_are_read_as_views(self, mask, gathered):
+        # when A is a run of qubits at either end, Z^T or Z is the block
+        # itself and only the Gram is allocated; a middle run is still copied
+        n = 16
+        amps = real_gaussian_state(n, 1500).amplitudes
+        k = min(mask.bit_count(), n - mask.bit_count())
+        tracemalloc.start()
+        try:
+            block = amps[None].copy()  # traced, so the peak counts the state
+            purities(block, n, [mask])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gram = 8 << 2 * k
+        if gathered:
+            assert peak >= 2 * block.nbytes + gram
+        else:
+            assert peak < block.nbytes + gram + (16 << 10)
 
     @pytest.mark.parametrize("mask", [8, 9, -1, 0, 7])
     def test_rejects_masks_that_are_not_cuts(self, mask):

@@ -70,6 +70,8 @@ class TestSphereMoment:
             sphere_moment(4, (0,))
         with pytest.raises(ValueError):
             sphere_moment(4, (1.5,))
+        with pytest.raises(ValueError, match="positive integers"):
+            sphere_moment(4, (True,))
         with pytest.raises(ValueError):
             sphere_moment(2, (1, 1, 1))
 
