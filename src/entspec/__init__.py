@@ -16,10 +16,8 @@ from .measures import (
 from .purity import (
     Bipartition,
     PurityResult,
-    complement,
     purities,
     purity,
-    purity_quadruple_sum,
 )
 from .spectra import (
     BipartitionFamily,
@@ -52,7 +50,6 @@ from .theory import (
     purity_pdf,
     sphere_moment,
     w_participation,
-    xm_split,
 )
 
 __all__ = [
@@ -69,7 +66,6 @@ __all__ = [
     "TangleReport",
     "apply_single_qubit",
     "asymptotic_model",
-    "complement",
     "compute_distribution",
     "concentration_ratio",
     "concurrence",
@@ -86,14 +82,12 @@ __all__ = [
     "purities",
     "purity",
     "purity_pdf",
-    "purity_quadruple_sum",
     "sample_blocks",
     "sphere_moment",
     "state_from_dict",
     "state_to_dict",
     "tangle_report",
     "w_participation",
-    "xm_split",
 ]
 
 __version__ = "0.1.0"

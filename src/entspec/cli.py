@@ -38,6 +38,9 @@ from .theory import (
 )
 
 RANGE_SIGMAS = 8.0  # default curve range: mu +/- 8 sigma, mapped for participation
+# largest theory --points and spectrum --bins, checked before the curve or
+# histogram arrays are allocated
+MAX_GRID = 1_000_000
 
 # Named states by --kind.  The lambdas look the constructors up when called,
 # so wrappers installed on this module's names (benchmarks/tracer.py) see them.
@@ -92,6 +95,8 @@ def _run_spectrum(args: argparse.Namespace) -> str:
         raise ValueError(f"--bins applies only to --format tsv, not {args.format}")
     if args.bins is not None and args.bins < 1:
         raise ValueError(f"--bins must be 1 or more, got {args.bins}")
+    if args.bins is not None and args.bins > MAX_GRID:
+        raise ValueError(f"--bins must be at most {MAX_GRID}, got {args.bins}")
     state = _load_state(args)
     family = BipartitionFamily(state.n, args.family, args.size)
     dist = compute_distribution(state, family)
@@ -133,6 +138,8 @@ def _run_sample(args: argparse.Namespace) -> str:
 def _run_theory(args: argparse.Namespace) -> str:
     if args.points < 1:
         raise ValueError(f"--points must be 1 or more, got {args.points}")
+    if args.points > MAX_GRID:
+        raise ValueError(f"--points must be at most {MAX_GRID}, got {args.points}")
     for name in ("xmin", "xmax"):
         value = getattr(args, name)
         if value is not None and not np.isfinite(value):
@@ -199,7 +206,7 @@ def _run_table1(args: argparse.Namespace) -> str:
         haar = EnsembleSpec("haar", args.nmin, args.haar_seed)
     lines = ["n,ghz,w,cluster,random" + (",haar" if haar is not None else "")]
     for n in range(args.nmin, args.nmax + 1):
-        family = BipartitionFamily.balanced(n)
+        family = BipartitionFamily(n, "balanced")
         cells = [str(n)]
         for state in (make_ghz(n), make_w(n), make_cluster1d(n)):
             cells.append(g17(compute_distribution(state, family).mean_participation))

@@ -18,8 +18,6 @@ import numpy as np
 
 from .states import PureState, _qubit_axes
 
-QUAD_SUM_MAX_QUBITS = 12  # the literal quadruple sum costs O(N_A^2 N_B^2)
-
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -57,12 +55,6 @@ class Bipartition:
     def dim_b(self) -> int:
         return 1 << self.n_b
 
-    def positions_a(self) -> list[int]:
-        return [j for j in range(self.n) if (self.mask >> j) & 1]
-
-    def positions_b(self) -> list[int]:
-        return [j for j in range(self.n) if not ((self.mask >> j) & 1)]
-
 
 @dataclass(frozen=True)
 class PurityResult:
@@ -79,20 +71,6 @@ class PurityResult:
             participation=1.0 / value,
             effective_spins=0.0 - math.log2(value),  # avoids -0.0 at purity 1
         )
-
-
-def coefficient_matrix(state: PureState, part: Bipartition) -> np.ndarray:
-    """Amplitudes rearranged into the N_A x N_B matrix Z[j_A, l_B].
-
-    Z may be a read-only view of the state's amplitudes rather than a copy;
-    every caller only reads it.
-    """
-    if part.n != state.n:
-        raise ValueError(
-            f"bipartition is over {part.n} qubits but the state has {state.n}"
-        )
-    z = _qubit_axes(state.amplitudes, state.n, part.positions_a(), part.positions_b())
-    return z.reshape(part.dim_a, part.dim_b)
 
 
 def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
@@ -175,24 +153,3 @@ def purity(state: PureState, part: Bipartition) -> PurityResult:
         )
     value = purities(state.amplitudes[None], state.n, (part.mask,))[0, 0]
     return PurityResult.from_purity(float(value))
-
-
-def purity_quadruple_sum(state: PureState, part: Bipartition) -> float:
-    """Slow oracle: the purity as a literal quadruple index sum.
-
-    Evaluates sum_{j,j',l,l'} z_{jl} conj(z_{j'l}) z_{j'l'} conj(z_{jl'})
-    term by term (optimize=False keeps einsum from factorizing the
-    contraction into the fast Gram form).
-    """
-    if state.n > QUAD_SUM_MAX_QUBITS:
-        raise ValueError(
-            f"quadruple sum limited to {QUAD_SUM_MAX_QUBITS} qubits, got {state.n}"
-        )
-    z = coefficient_matrix(state, part)
-    val = np.einsum("jl,Jl,JL,jL->", z, z.conj(), z, z.conj(), optimize=False)
-    return float(np.real(val))
-
-
-def complement(part: Bipartition) -> Bipartition:
-    """Swap the roles of A and B."""
-    return Bipartition(part.n, part.mask ^ ((1 << part.n) - 1))

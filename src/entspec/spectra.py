@@ -55,22 +55,6 @@ class BipartitionFamily:
         elif self.size is not None:
             raise ValueError(f"selector {self.selector!r} does not take a size")
 
-    @classmethod
-    def balanced(cls, n: int) -> "BipartitionFamily":
-        return cls(n, "balanced")
-
-    @classmethod
-    def all_sizes(cls, n: int) -> "BipartitionFamily":
-        return cls(n, "all-sizes")
-
-    @classmethod
-    def fixed_size(cls, n: int, size: int) -> "BipartitionFamily":
-        return cls(n, "fixed-size", size)
-
-    @classmethod
-    def max_unbalanced(cls, n: int) -> "BipartitionFamily":
-        return cls(n, "max-unbalanced")
-
     @property
     def label(self) -> str:
         if self.selector == "fixed-size":

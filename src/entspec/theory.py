@@ -19,10 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._fmt import g17
-from .purity import Bipartition, coefficient_matrix
-from .states import PureState
 
-XM_MAX_QUBITS = 12  # literal split costs O(N_A^2 N_B^2)
 MODEL_MAX_QUBITS = 511  # largest n for which 2/N^2 = 2^(1-2n) is a normal double
 
 
@@ -140,36 +137,6 @@ def w_participation(n: int, n_a: int) -> float:
         raise ValueError(f"subsystem size {n_a} invalid for {n} qubits")
     n_b = n - n_a
     return n**2 / (n_a**2 + n_b**2)
-
-
-def xm_split(state: PureState, part: Bipartition) -> tuple[float, float]:
-    """Split the purity into its phase-bearing and modulus-only parts.
-
-    Writing z = r * exp(i*phi) on the N_A x N_B index grid, the cross part
-    X sums the terms with both row and column indices distinct (the only
-    ones that keep their phases), and M collects the same-row, same-column,
-    and fourth-power terms, which depend on the moduli alone.  X + M equals
-    the purity.  Evaluated literally (O(N_A^2 N_B^2)); oracle use only.
-    """
-    if state.n > XM_MAX_QUBITS:
-        raise ValueError(
-            f"literal split limited to {XM_MAX_QUBITS} qubits, got {state.n}"
-        )
-    z = coefficient_matrix(state, part)
-    r = np.abs(z)
-    w = r * np.exp(1j * np.angle(z))
-    off_a = 1.0 - np.eye(part.dim_a)
-    off_b = 1.0 - np.eye(part.dim_b)
-    x = np.einsum(
-        "jl,Jl,JL,jL,jJ,lL->", w, w.conj(), w, w.conj(), off_a, off_b, optimize=False
-    )
-    r2 = r**2
-    m = (
-        np.einsum("jl,Jl,jJ->", r2, r2, off_a, optimize=False)
-        + np.einsum("jl,jL,lL->", r2, r2, off_b, optimize=False)
-        + np.sum(r2**2)
-    )
-    return float(np.real(x)), float(m)
 
 
 def marginal_amplitude_pdf(N: int, r):

@@ -1,4 +1,10 @@
-"""Shared test utilities: independent oracles and random inputs."""
+"""Shared test utilities: independent oracles and random inputs.
+
+The purity oracles (`purity_quadruple_sum`, `xm_split`) and the concurrence
+references gather Z through `scatter_coefficient_matrix`, which places each
+subsystem bit by integer bit operations; they share no code with the
+package's tensor-transpose gather, the one they check.
+"""
 
 from __future__ import annotations
 
@@ -89,6 +95,50 @@ def scatter_coefficient_matrix(state: PureState, keep: list[int]) -> np.ndarray:
     a_idx = scatter_indices(sorted(keep))
     b_idx = scatter_indices([q for q in range(state.n) if q not in keep])
     return state.amplitudes[a_idx[:, None] + b_idx[None, :]]
+
+
+def mask_qubits(mask: int) -> list[int]:
+    """The qubits whose bits are set in `mask`, ascending."""
+    return [q for q in range(mask.bit_length()) if mask >> q & 1]
+
+
+def purity_quadruple_sum(state: PureState, mask: int) -> float:
+    """Slow oracle: the purity across `mask` as a literal quadruple index sum.
+
+    Evaluates sum_{j,j',l,l'} z_{jl} conj(z_{j'l}) z_{j'l'} conj(z_{jl'}) term
+    by term over the bit-scatter Z (optimize=False keeps einsum from
+    factorizing the contraction into the Gram form).  O(N_A^2 N_B^2), so for
+    small n only.
+    """
+    z = scatter_coefficient_matrix(state, mask_qubits(mask))
+    val = np.einsum("jl,Jl,JL,jL->", z, z.conj(), z, z.conj(), optimize=False)
+    return float(np.real(val))
+
+
+def xm_split(state: PureState, mask: int) -> tuple[float, float]:
+    """Split the purity across `mask` into its phase-bearing and modulus-only parts.
+
+    Writing z = r * exp(i*phi) on the N_A x N_B index grid of the bit-scatter
+    Z, the cross part X sums the terms with both row and column indices
+    distinct (the only ones that keep their phases), and M collects the
+    same-row, same-column, and fourth-power terms, which depend on the moduli
+    alone.  X + M equals the purity.  Evaluated literally (O(N_A^2 N_B^2)).
+    """
+    z = scatter_coefficient_matrix(state, mask_qubits(mask))
+    r = np.abs(z)
+    w = r * np.exp(1j * np.angle(z))
+    off_a = 1.0 - np.eye(z.shape[0])
+    off_b = 1.0 - np.eye(z.shape[1])
+    x = np.einsum(
+        "jl,Jl,JL,jL,jJ,lL->", w, w.conj(), w, w.conj(), off_a, off_b, optimize=False
+    )
+    r2 = r**2
+    m = (
+        np.einsum("jl,Jl,jJ->", r2, r2, off_a, optimize=False)
+        + np.einsum("jl,jL,lL->", r2, r2, off_b, optimize=False)
+        + np.sum(r2**2)
+    )
+    return float(np.real(x)), float(m)
 
 
 def permute_amplitudes_bitloop(state: PureState, perm: list[int]) -> np.ndarray:

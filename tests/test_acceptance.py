@@ -26,7 +26,6 @@ from entspec import (
     PureState,
     apply_single_qubit,
     asymptotic_model,
-    complement,
     compute_distribution,
     concurrence,
     exact_moments,
@@ -40,11 +39,9 @@ from entspec import (
     purities,
     purity,
     purity_pdf,
-    purity_quadruple_sum,
     sample_blocks,
     tangle_report,
     w_participation,
-    xm_split,
 )
 from helpers import (
     YY,
@@ -52,8 +49,10 @@ from helpers import (
     match_multisets,
     partial_trace_reshape,
     path_balanced_mean,
+    purity_quadruple_sum,
     quartic_roots,
     random_unitary2,
+    xm_split,
 )
 
 TABLE_W = {5: 1.923, 6: 2.0, 7: 1.96, 8: 2.0, 9: 1.976, 10: 2.0, 11: 1.984, 12: 2.0}
@@ -91,7 +90,7 @@ def test_criterion_1_reference_table():
     crit = Criterion(1, "balanced-cut means for named and random states")
     start = time.monotonic()
     for n in range(5, 13):
-        family = BipartitionFamily.balanced(n)
+        family = BipartitionFamily(n, "balanced")
         n_a = n // 2
 
         ghz_mean = compute_distribution(make_ghz(n), family).mean_participation
@@ -116,7 +115,7 @@ def test_criterion_1_reference_table():
 
 def test_criterion_2_three_qubit_distributions():
     crit = Criterion(2, "three-qubit exact distributions")
-    family = BipartitionFamily.balanced(3)
+    family = BipartitionFamily(3, "balanced")
 
     values = compute_distribution(make_basis(3, 5), family).participations()
     crit.check(np.allclose(values, 1.0, atol=1e-10), f"factorized: {values}")
@@ -137,7 +136,7 @@ def test_criterion_3_pair_product_example():
     crit = Criterion(3, "two-Bell-pair product vs GHZ")
     bell = make_ghz(2)
     state = make_product(bell, bell)
-    dist = compute_distribution(state, BipartitionFamily.balanced(4))
+    dist = compute_distribution(state, BipartitionFamily(4, "balanced"))
     # mathematically exactly 3; float construction leaves ~1e-15 roundoff
     crit.close(1e-12, dist.mean_participation, 3.0, "mean participation")
     crit.close(0.01, math.sqrt(dist.var_sample), 1.549, "Bessel-corrected width")
@@ -165,7 +164,7 @@ def test_criterion_4_random_state_statistics():
     crit.check(0.5 <= ratio <= 2.0, f"variance ratio {ratio:.3f} outside [0.5, 2]")
 
     single = haar_states(12, 1, 20241)[0]
-    dist = compute_distribution(single, BipartitionFamily.balanced(12))
+    dist = compute_distribution(single, BipartitionFamily(12, "balanced"))
     crit.check(dist.count == 924, f"mask count {dist.count}")
     mean_part = dist.mean_participation
     crit.check(
@@ -249,7 +248,7 @@ def test_criterion_7_property_suites():
                 1.0 - 1e-12 <= res.participation <= bound * (1 + 1e-12),
                 f"bounds violated at mask {mask:#x}: {res.participation!r}",
             )
-            twin = purity(state, complement(part)).purity
+            twin = purity(state, Bipartition(5, mask ^ 31)).purity
             crit.check(
                 abs(res.purity - twin) <= 1e-12,
                 f"complement asymmetry at mask {mask:#x}",
@@ -273,11 +272,11 @@ def test_criterion_7_property_suites():
                 part = Bipartition(n, mask)
                 gram = purity(state, part).purity
                 crit.check(
-                    abs(gram - purity_quadruple_sum(state, part)) <= 1e-10,
+                    abs(gram - purity_quadruple_sum(state, mask)) <= 1e-10,
                     f"quadruple sum mismatch n={n} mask={mask:#x}",
                 )
             part = Bipartition(n, 1)
-            x, m = xm_split(state, part)
+            x, m = xm_split(state, part.mask)
             crit.check(
                 abs(x + m - purity(state, part).purity) <= 1e-10,
                 f"additive split mismatch at n={n}",
@@ -300,8 +299,8 @@ def test_criterion_7_property_suites():
 
     # histogram mass in both modes
     for dist in (
-        compute_distribution(make_cluster1d(6), BipartitionFamily.balanced(6)),
-        compute_distribution(haar_states(10, 1, 20248)[0], BipartitionFamily.balanced(10)),
+        compute_distribution(make_cluster1d(6), BipartitionFamily(6, "balanced")),
+        compute_distribution(haar_states(10, 1, 20248)[0], BipartitionFamily(10, "balanced")),
     ):
         hist = histogram(dist)
         mass = float(np.sum(hist.densities * np.diff(hist.bin_edges)))

@@ -441,6 +441,10 @@ class TestErrorsAndDeterminism:
               "--xmax", "1", "--points", "3"), "--xmin/--xmax"),
             (("theory", "--model", "asymptotic", "--n", "6", "--pdf", "participation",
               "--xmin", "0"), "--xmin"),
+            (("theory", "--model", "asymptotic", "--n", "10",
+              "--points", "100000000000"), "--points must be at most 1000000"),
+            (("spectrum", "--kind", "w", "--n", "4", "--format", "tsv",
+              "--bins", "100000000000"), "--bins must be at most 1000000"),
         ],
     )
     def test_invalid_option_combinations_exit_2(self, capsys, tmp_path, args, named):

@@ -10,7 +10,6 @@ from entspec import (
     EnsembleSpec,
     PureState,
     apply_single_qubit,
-    complement,
     make_basis,
     make_cluster1d,
     make_ghz,
@@ -18,18 +17,28 @@ from entspec import (
     make_w,
     permute_qubits,
     purity,
-    purity_quadruple_sum,
 )
-from entspec.purity import coefficient_matrix, purities
+from entspec.purity import purities
 from entspec.states import BLOCK_BYTES, ENSEMBLE_KINDS, _qubit_axes, sample_blocks
 from helpers import (
-    haar_row_reference, haar_states, partial_trace_reshape, phase_sphere_row_reference,
-    random_unitary2, scatter_coefficient_matrix,
+    haar_row_reference, haar_states, mask_qubits, partial_trace_reshape,
+    phase_sphere_row_reference, purity_quadruple_sum, random_unitary2,
+    scatter_coefficient_matrix,
 )
 
 
 def all_masks(n):
     return [Bipartition(n, m) for m in range(1, (1 << n) - 1)]
+
+
+def complement(part):
+    return Bipartition(part.n, part.mask ^ ((1 << part.n) - 1))
+
+
+def kernel_gather(state, part):
+    """Z as the purity kernel gathers it: `_qubit_axes`, reshaped to N_A x N_B."""
+    a, b = mask_qubits(part.mask), mask_qubits(complement(part).mask)
+    return _qubit_axes(state.amplitudes, state.n, a, b).reshape(part.dim_a, part.dim_b)
 
 
 class TestBipartition:
@@ -38,8 +47,6 @@ class TestBipartition:
         assert (part.n_a, part.n_b) == (3, 2)
         assert (part.dim_a, part.dim_b) == (8, 4)
         assert part.dim_a * part.dim_b == 2**5
-        assert part.positions_a() == [1, 2, 4]
-        assert part.positions_b() == [0, 3]
 
     def test_rejects_empty_subsystems(self):
         with pytest.raises(ValueError):
@@ -55,15 +62,20 @@ class TestCoefficientMatrix:
     def test_equals_bit_scatter_reference(self, n):
         state = haar_states(n, 1, 900 + n)[0]
         for part in all_masks(n):
-            z = coefficient_matrix(state, part)
+            z = kernel_gather(state, part)
+            reference = scatter_coefficient_matrix(state, mask_qubits(part.mask))
             assert z.shape == (part.dim_a, part.dim_b)
-            assert np.array_equal(z, scatter_coefficient_matrix(state, part.positions_a()))
+            assert np.array_equal(z, reference)
 
     def test_state_stays_read_only(self):
-        state = haar_states(4, 1, 909)[0]
-        for part in all_masks(4):
-            z = coefficient_matrix(state, part)
-            assert not (z.flags.writeable and np.shares_memory(z, state.amplitudes))
+        # end-run cuts read the block itself as a view, so a kernel that wrote
+        # through Z would change the caller's amplitudes
+        block = np.stack([s.amplitudes for s in haar_states(4, 2, 909)])
+        assert block.flags.writeable
+        before = block.tobytes()
+        for mask in range(1, 15):
+            purities(block, 4, [mask])
+            assert block.tobytes() == before
 
 
 @st.composite
@@ -78,11 +90,12 @@ def state_cut_perm(draw):
 @given(state_cut_perm(), st.data())
 def test_purity_cut_properties(case, data):
     state, part, perm = case
-    z = coefficient_matrix(state, part)
-    assert np.array_equal(z, scatter_coefficient_matrix(state, part.positions_a()))
+    keep = mask_qubits(part.mask)
+    z = kernel_gather(state, part)
+    assert np.array_equal(z, scatter_coefficient_matrix(state, keep))
     res = purity(state, part)
     # relabelled qubits carry the cut with them
-    moved = Bipartition(part.n, sum(1 << perm[q] for q in part.positions_a()))
+    moved = Bipartition(part.n, sum(1 << perm[q] for q in keep))
     assert purity(permute_qubits(state, perm), moved).purity == pytest.approx(
         res.purity, abs=1e-12
     )
@@ -94,8 +107,8 @@ def test_purity_cut_properties(case, data):
     rotated = apply_single_qubit(state, qubit, u)
     assert purity(rotated, part).purity == pytest.approx(res.purity, abs=1e-12)
     # the Gram form, the literal quadruple sum and a reshape partial trace agree
-    rho = partial_trace_reshape(state, part.positions_a())
-    assert purity_quadruple_sum(state, part) == pytest.approx(res.purity, abs=1e-12)
+    rho = partial_trace_reshape(state, keep)
+    assert purity_quadruple_sum(state, part.mask) == pytest.approx(res.purity, abs=1e-12)
     assert np.real(np.trace(rho @ rho)) == pytest.approx(res.purity, abs=1e-12)
 
 
@@ -120,7 +133,7 @@ def real_state_cut(draw):
 def test_real_gram_matches_reshape_partial_trace(case):
     state, part = case
     assert state.amplitudes.dtype == np.float64
-    rho = partial_trace_reshape(state, part.positions_a())
+    rho = partial_trace_reshape(state, mask_qubits(part.mask))
     assert abs(purity(state, part).purity - np.real(np.trace(rho @ rho))) <= 1e-14
 
 
@@ -145,7 +158,7 @@ class TestPurity:
     def test_matches_eigenvalue_sum(self):
         state = haar_states(5, 1, 55)[0]
         for part in all_masks(5):
-            rho = partial_trace_reshape(state, part.positions_a())
+            rho = partial_trace_reshape(state, mask_qubits(part.mask))
             evals = np.linalg.eigvalsh(rho)
             assert purity(state, part).purity == pytest.approx(
                 float(np.sum(evals**2)), abs=1e-10
@@ -178,36 +191,22 @@ class TestQuadrupleSum:
         for n in range(2, 7):
             for idx, state in enumerate(haar_states(n, 20, 700 + n)):
                 for part in all_masks(n):
-                    assert purity_quadruple_sum(state, part) == pytest.approx(
+                    assert purity_quadruple_sum(state, part.mask) == pytest.approx(
                         purity(state, part).purity, abs=1e-10
                     )
 
     def test_ghz_values(self):
         state = make_ghz(3)
         for part in all_masks(3):
-            assert purity_quadruple_sum(state, part) == pytest.approx(0.5, abs=1e-12)
+            assert purity_quadruple_sum(state, part.mask) == pytest.approx(0.5, abs=1e-12)
 
     def test_bell_product_split_cut(self):
         bell = make_ghz(2)
         state = make_product(bell, bell)
-        assert purity_quadruple_sum(state, Bipartition(4, 0b0011)) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-    def test_size_guard(self):
-        state = make_ghz(13)
-        with pytest.raises(ValueError, match="limited"):
-            purity_quadruple_sum(state, Bipartition(13, 1))
+        assert purity_quadruple_sum(state, 0b0011) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestComplement:
-    def test_bit_flip(self):
-        assert complement(Bipartition(4, 0x3)).mask == 0xC
-
-    def test_involution(self):
-        part = Bipartition(6, 0b010110)
-        assert complement(complement(part)) == part
-
     def test_purity_symmetry(self):
         for state in haar_states(5, 5, 62):
             for part in all_masks(5):
@@ -223,10 +222,11 @@ class TestComplement:
 
 
 def gram_purity_2d(state, part):
-    """Reference: the cut turned as the kernel turns it, then one 2-D Gram."""
+    """Reference: the cut turned as the kernel turns it, gathered by bit
+    scatter, then one 2-D Gram."""
     if (part.n_a, part.mask) > (part.n_b, complement(part).mask):
         part = complement(part)
-    z = coefficient_matrix(state, part)
+    z = scatter_coefficient_matrix(state, mask_qubits(part.mask))
     g = z @ z.conj().T
     return float(np.real(np.vdot(g, g)))
 
@@ -244,7 +244,7 @@ class TestPuritiesKernel:
             values = purities(state.amplitudes[None], n, masks)
             assert values.shape == (1, len(masks)) and values.dtype == np.float64
             for mask, value in zip(masks, values[0]):
-                oracle = purity_quadruple_sum(state, Bipartition(n, mask))
+                oracle = purity_quadruple_sum(state, mask)
                 assert abs(value - oracle) <= 1e-12
 
     @pytest.mark.parametrize("n", range(2, 9))

@@ -38,28 +38,28 @@ def bell_product():
 
 class TestFamilies:
     def test_balanced_three_qubits(self):
-        masks = BipartitionFamily.balanced(3).masks().tolist()
+        masks = BipartitionFamily(3, "balanced").masks().tolist()
         assert masks == [0x1, 0x2, 0x4]
 
     def test_fixed_size_four_qubits(self):
-        masks = BipartitionFamily.fixed_size(4, 2).masks().tolist()
+        masks = BipartitionFamily(4, "fixed-size", 2).masks().tolist()
         assert len(masks) == 6
         assert masks == sorted(masks)
 
     def test_balanced_twelve_qubits(self):
-        assert len(BipartitionFamily.balanced(12).masks()) == 924
+        assert len(BipartitionFamily(12, "balanced").masks()) == 924
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 11, 13, 16])
     def test_family_sizes_are_binomials(self, n):
         k = n // 2
-        assert len(BipartitionFamily.balanced(n).masks()) == math.comb(n, k)
-        assert len(BipartitionFamily.max_unbalanced(n).masks()) == n
-        assert len(BipartitionFamily.all_sizes(n).masks()) == 2**n - 2
+        assert len(BipartitionFamily(n, "balanced").masks()) == math.comb(n, k)
+        assert len(BipartitionFamily(n, "max-unbalanced").masks()) == n
+        assert len(BipartitionFamily(n, "all-sizes").masks()) == 2**n - 2
         if n > 2:
-            assert len(BipartitionFamily.fixed_size(n, 2).masks()) == math.comb(n, 2)
+            assert len(BipartitionFamily(n, "fixed-size", 2).masks()) == math.comb(n, 2)
 
     def test_balanced_contains_complements_for_even_n(self):
-        masks = set(BipartitionFamily.balanced(4).masks().tolist())
+        masks = set(BipartitionFamily(4, "balanced").masks().tolist())
         for m in masks:
             assert (m ^ 0xF) in masks
 
@@ -67,14 +67,14 @@ class TestFamilies:
         with pytest.raises(ValueError, match="selector"):
             BipartitionFamily(4, "widest")
         with pytest.raises(ValueError, match="size"):
-            BipartitionFamily.fixed_size(4, 4)
+            BipartitionFamily(4, "fixed-size", 4)
         with pytest.raises(ValueError, match="size"):
             BipartitionFamily(4, "balanced", 2)
 
 
 class TestDistribution:
     def test_ghz3_balanced_is_delta_at_two(self):
-        dist = compute_distribution(make_ghz(3), BipartitionFamily.balanced(3))
+        dist = compute_distribution(make_ghz(3), BipartitionFamily(3, "balanced"))
         np.testing.assert_allclose(dist.participations(), [2.0, 2.0, 2.0], atol=1e-10)
         assert dist.var_population == pytest.approx(0.0, abs=1e-12)
 
@@ -82,30 +82,30 @@ class TestDistribution:
         # (|000> + |110>)/sqrt(2): one unentangled cut, two maximal ones
         amps = np.zeros(8, dtype=complex)
         amps[0] = amps[6] = 1 / np.sqrt(2)
-        dist = compute_distribution(PureState(3, amps), BipartitionFamily.balanced(3))
+        dist = compute_distribution(PureState(3, amps), BipartitionFamily(3, "balanced"))
         np.testing.assert_allclose(
             sorted(dist.participations()), [1.0, 2.0, 2.0], atol=1e-10
         )
 
     def test_cluster5_balanced_mean(self):
-        dist = compute_distribution(make_cluster1d(5), BipartitionFamily.balanced(5))
+        dist = compute_distribution(make_cluster1d(5), BipartitionFamily(5, "balanced"))
         assert dist.count == 10
         assert dist.mean_participation == pytest.approx(3.6, abs=1e-10)
 
     def test_factorized_state_all_families(self):
         state = make_basis(4, 0b0110)
         for family in (
-            BipartitionFamily.balanced(4),
-            BipartitionFamily.all_sizes(4),
-            BipartitionFamily.max_unbalanced(4),
-            BipartitionFamily.fixed_size(4, 3),
+            BipartitionFamily(4, "balanced"),
+            BipartitionFamily(4, "all-sizes"),
+            BipartitionFamily(4, "max-unbalanced"),
+            BipartitionFamily(4, "fixed-size", 3),
         ):
             dist = compute_distribution(state, family)
             np.testing.assert_allclose(dist.participations(), 1.0, atol=1e-10)
 
     def test_complement_pairs_match_and_dedup_stats_agree(self):
         state = haar_states(4, 1, 99)[0]
-        dist = compute_distribution(state, BipartitionFamily.balanced(4))
+        dist = compute_distribution(state, BipartitionFamily(4, "balanced"))
         by_mask = dict(zip(dist.masks.tolist(), dist.participations()))
         for mask, value in by_mask.items():
             assert value == pytest.approx(by_mask[mask ^ 0xF], abs=1e-12)
@@ -117,14 +117,14 @@ class TestDistribution:
         state = haar_states(5, 1, 101)[0]
         rng = np.random.default_rng(3)
         permuted = permute_qubits(state, list(rng.permutation(5)))
-        family = BipartitionFamily.balanced(5)
+        family = BipartitionFamily(5, "balanced")
         before = np.sort(compute_distribution(state, family).participations())
         after = np.sort(compute_distribution(permuted, family).participations())
         np.testing.assert_allclose(before, after, atol=1e-10)
 
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError, match="qubits"):
-            compute_distribution(make_ghz(3), BipartitionFamily.balanced(4))
+            compute_distribution(make_ghz(3), BipartitionFamily(4, "balanced"))
 
 
 @st.composite
@@ -195,7 +195,7 @@ def test_each_unordered_cut_is_evaluated_once(monkeypatch, n, selector, size, cu
 
 
 def test_distribution_retains_two_arrays_per_cut():
-    state, family = make_ghz(10), BipartitionFamily.all_sizes(10)
+    state, family = make_ghz(10), BipartitionFamily(10, "all-sizes")
     gc.collect()
     tracemalloc.start()
     try:
@@ -211,7 +211,7 @@ def test_distribution_retains_two_arrays_per_cut():
 
 class TestSummaries:
     def test_bell_product_summary(self):
-        dist = compute_distribution(bell_product(), BipartitionFamily.balanced(4))
+        dist = compute_distribution(bell_product(), BipartitionFamily(4, "balanced"))
         assert dist.count == 6
         assert dist.mean_participation == pytest.approx(3.0, abs=1e-12)
         assert math.sqrt(dist.var_sample) == pytest.approx(math.sqrt(12 / 5), abs=1e-12)
@@ -220,19 +220,19 @@ class TestSummaries:
 
     def test_ghz8_and_w6_zero_width(self):
         for state, n in ((make_ghz(8), 8), (make_w(6), 6)):
-            dist = compute_distribution(state, BipartitionFamily.balanced(n))
+            dist = compute_distribution(state, BipartitionFamily(n, "balanced"))
             assert dist.mean_participation == pytest.approx(2.0, abs=1e-10)
             assert dist.var_population == pytest.approx(0.0, abs=1e-12)
 
     def test_min_max_consistent(self):
-        dist = compute_distribution(haar_states(5, 1, 103)[0], BipartitionFamily.balanced(5))
+        dist = compute_distribution(haar_states(5, 1, 103)[0], BipartitionFamily(5, "balanced"))
         values = dist.participations()
         assert dist.min == values.min() and dist.max == values.max()
 
 
 class TestHistogram:
     def test_single_bar_full_mass(self):
-        dist = compute_distribution(make_ghz(6), BipartitionFamily.balanced(6))
+        dist = compute_distribution(make_ghz(6), BipartitionFamily(6, "balanced"))
         hist = histogram(dist)
         assert hist.discrete
         assert len(hist.centers) == 1
@@ -243,7 +243,7 @@ class TestHistogram:
 
     def test_two_bars(self):
         hist = histogram(
-            compute_distribution(bell_product(), BipartitionFamily.balanced(4))
+            compute_distribution(bell_product(), BipartitionFamily(4, "balanced"))
         )
         assert hist.discrete
         np.testing.assert_allclose(hist.centers, [1.0, 4.0], atol=1e-10)
@@ -253,7 +253,7 @@ class TestHistogram:
 
     def test_continuous_mode_mass_and_shape(self):
         dist = compute_distribution(
-            haar_states(10, 1, 104)[0], BipartitionFamily.balanced(10)
+            haar_states(10, 1, 104)[0], BipartitionFamily(10, "balanced")
         )
         hist = histogram(dist, bins=40)
         assert not hist.discrete
@@ -262,14 +262,14 @@ class TestHistogram:
         assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_bins_rejected(self):
-        dist = compute_distribution(make_ghz(3), BipartitionFamily.balanced(3))
+        dist = compute_distribution(make_ghz(3), BipartitionFamily(3, "balanced"))
         with pytest.raises(ValueError, match="bin count"):
             histogram(dist, bins=0)
 
 
 class TestFormats:
     def test_spectrum_csv_layout(self):
-        dist = compute_distribution(make_basis(3, 0), BipartitionFamily.balanced(3))
+        dist = compute_distribution(make_basis(3, 0), BipartitionFamily(3, "balanced"))
         text = format_spectrum_csv(dist)
         lines = text.strip().split("\n")
         assert lines[0] == "mask_hex,n_A,purity,participation"
@@ -277,7 +277,7 @@ class TestFormats:
         assert [ln.split(",")[0] for ln in lines[1:]] == ["0x1", "0x2", "0x4"]
 
     def test_summary_json_layout(self):
-        family = BipartitionFamily.balanced(3)
+        family = BipartitionFamily(3, "balanced")
         dist = compute_distribution(make_basis(3, 0), family)
         text = format_summary_json(dist, family)
         assert text == (
@@ -286,7 +286,7 @@ class TestFormats:
         )
 
     def test_histogram_tsv_layout(self):
-        dist = compute_distribution(make_basis(3, 0), BipartitionFamily.balanced(3))
+        dist = compute_distribution(make_basis(3, 0), BipartitionFamily(3, "balanced"))
         text = format_histogram_tsv(histogram(dist))
         lines = text.strip().split("\n")
         assert lines[0] == "bin_center\tdensity\tcount"

@@ -182,11 +182,11 @@ class TestCluster:
             )
 
     def test_balanced_mean_five_qubits(self):
-        dist = compute_distribution(make_cluster1d(5), BipartitionFamily.balanced(5))
+        dist = compute_distribution(make_cluster1d(5), BipartitionFamily(5, "balanced"))
         assert dist.mean_participation == pytest.approx(3.6, abs=1e-10)
 
     def test_balanced_mean_twelve_qubits(self):
-        dist = compute_distribution(make_cluster1d(12), BipartitionFamily.balanced(12))
+        dist = compute_distribution(make_cluster1d(12), BipartitionFamily(12, "balanced"))
         assert dist.mean_participation == pytest.approx(1783 / 77, abs=1e-9)
 
 
@@ -205,7 +205,7 @@ class TestProduct:
     def test_bell_pair_mean(self):
         bell = make_ghz(2)
         dist = compute_distribution(
-            make_product(bell, bell), BipartitionFamily.balanced(4)
+            make_product(bell, bell), BipartitionFamily(4, "balanced")
         )
         assert dist.mean_participation == pytest.approx(3.0, abs=1e-12)
 

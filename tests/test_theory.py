@@ -22,10 +22,9 @@ from entspec import (
     sample_blocks,
     sphere_moment,
     w_participation,
-    xm_split,
 )
 from entspec.theory import _MOMENT_RULES, MOMENT_PATTERNS, format_curve_tsv
-from helpers import haar_states, sampled_rows
+from helpers import haar_states, sampled_rows, xm_split
 
 # (N_A, N_B) pairs used for the algebraic checks
 DIM_PAIRS = [
@@ -263,12 +262,12 @@ class TestWParticipation:
 
 class TestXmSplit:
     def test_basis_state(self):
-        x, m = xm_split(make_basis(3, 5), Bipartition(3, 0b001))
+        x, m = xm_split(make_basis(3, 5), 0b001)
         assert x == pytest.approx(0.0, abs=1e-14)
         assert m == pytest.approx(1.0, abs=1e-14)
 
     def test_ghz_single_qubit_cut(self):
-        x, m = xm_split(make_ghz(3), Bipartition(3, 0b001))
+        x, m = xm_split(make_ghz(3), 0b001)
         assert x == pytest.approx(0.0, abs=1e-14)
         assert m == pytest.approx(0.5, abs=1e-14)
 
@@ -277,14 +276,10 @@ class TestXmSplit:
             for state in haar_states(n, 20, 800 + n):
                 for mask in (1, (1 << (n // 2)) - 1 or 1):
                     part = Bipartition(n, mask)
-                    x, m = xm_split(state, part)
+                    x, m = xm_split(state, mask)
                     assert x + m == pytest.approx(
                         purity(state, part).purity, abs=1e-10
                     )
-
-    def test_size_guard(self):
-        with pytest.raises(ValueError, match="limited"):
-            xm_split(make_ghz(13), Bipartition(13, 1))
 
 
 class TestMarginalAmplitudePdf:
