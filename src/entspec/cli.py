@@ -5,7 +5,8 @@ one cut, `spectrum` sweeps a bipartition family, `sample` runs ensemble
 Monte Carlo, `theory` emits model curves, `measures` reports Q/tangles/
 concurrences, and `table1` tabulates balanced-cut means for the named state
 families.  Output is deterministic: identical arguments (and seed) produce
-byte-identical files.
+byte-identical files.  The library returns arrays and dataclasses; every
+output byte is written here, by `_table` (CSV and TSV) and `_record` (JSON).
 
 Exit codes: 0 success, 2 argument or input errors, 3 numerical failure.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -21,26 +23,26 @@ from pathlib import Path
 import numpy as np
 
 from ._fmt import g17, json_dumps
-from .measures import EigenConvergenceError, format_measures_json
+from .measures import EigenConvergenceError, tangle_report
 from .purity import Bipartition, purities, purity
 from .spectra import (
     HISTOGRAM_BINS, SELECTORS, STATISTICS, BipartitionFamily, compute_distribution,
-    compute_distributions, format_histogram_tsv, format_spectrum_csv,
-    format_summary_json, histogram,
+    compute_distributions, histogram,
 )
 from .states import (
     ENSEMBLE_KINDS, MAX_QUBITS, EnsembleSpec, PureState, make_basis, make_cluster1d,
     make_ghz, make_w, sample_blocks, state_from_dict, state_to_dict,
 )
 from .theory import (
-    MODEL_MAX_QUBITS, PROVIDER_KINDS, asymptotic_model, exact_moments, format_curve_tsv,
-    participation_pdf, purity_pdf,
+    MODEL_MAX_QUBITS, PROVIDER_KINDS, asymptotic_model, exact_moments, participation_pdf,
+    purity_pdf,
 )
 
 RANGE_SIGMAS = 8.0  # default curve range: mu +/- 8 sigma, mapped for participation
 # largest theory --points and spectrum --bins, checked before the curve or
 # histogram arrays are allocated
 MAX_GRID = 1_000_000
+MASK_TEXT = re.compile(r"(0[xX])?[0-9a-fA-F]+")  # ASCII hex digits only
 
 # Named states by --kind.  The lambdas look the constructors up when called,
 # so wrappers installed on this module's names (benchmarks/tracer.py) see them.
@@ -53,10 +55,24 @@ NAMED_STATES = {
 
 
 def _parse_mask(text: str) -> int:
-    try:
-        return int(text, 16)
-    except ValueError as exc:
-        raise ValueError(f"mask {text!r} is not a hex integer") from exc
+    if MASK_TEXT.fullmatch(text) is None:
+        raise ValueError(f"mask {text!r} is not a hex integer")
+    return int(text, 16)
+
+
+def _table(header, rows, sep: str = ",") -> str:
+    """CSV or TSV text: the header, then one line per row, each line
+    `\n`-terminated; a float cell is written by `g17`, any other by `str`."""
+    lines = [sep.join(header)]
+    lines += (
+        sep.join(g17(c) if isinstance(c, float) else str(c) for c in row) for row in rows
+    )
+    return "\n".join(lines) + "\n"
+
+
+def _record(d: dict) -> str:
+    """One JSON record on one line."""
+    return json_dumps(d) + "\n"
 
 
 def _load_state(args: argparse.Namespace) -> PureState:
@@ -79,7 +95,7 @@ def _load_state(args: argparse.Namespace) -> PureState:
 
 
 def _run_state(args: argparse.Namespace) -> str:
-    return json_dumps(state_to_dict(_load_state(args))) + "\n"
+    return _record(state_to_dict(_load_state(args)))
 
 
 def _run_purity(args: argparse.Namespace) -> str:
@@ -87,7 +103,7 @@ def _run_purity(args: argparse.Namespace) -> str:
     state = _load_state(args)
     part = Bipartition(state.n, mask)
     record = {"n": state.n, "mask": f"{part.mask:#x}", "n_A": part.n_a, "n_B": part.n_b}
-    return json_dumps({**record, **asdict(purity(state, part))}) + "\n"
+    return _record({**record, **asdict(purity(state, part))})
 
 
 def _run_spectrum(args: argparse.Namespace) -> str:
@@ -101,11 +117,16 @@ def _run_spectrum(args: argparse.Namespace) -> str:
     family = BipartitionFamily(state.n, args.family, args.size)
     dist = compute_distribution(state, family)
     if args.format == "json":
-        return format_summary_json(dist, family)
+        stats = {name: getattr(dist, name) for name in STATISTICS}
+        return _record({"n": family.n, "family": family.label, "count": dist.count, **stats})
     if args.format == "tsv":
-        bins = HISTOGRAM_BINS if args.bins is None else args.bins
-        return format_histogram_tsv(histogram(dist, bins=bins))
-    return format_spectrum_csv(dist)
+        hist = histogram(dist, bins=HISTOGRAM_BINS if args.bins is None else args.bins)
+        rows = zip(hist.centers.tolist(), hist.densities.tolist(), hist.counts.tolist())
+        return _table(("bin_center", "density", "count"), rows, sep="\t")
+    cuts = zip(dist.masks.tolist(), dist.purity_values.tolist(),
+               dist.participations().tolist())
+    rows = ((f"{m:#x}", m.bit_count(), p, v) for m, p, v in cuts)
+    return _table(("mask_hex", "n_A", "purity", "participation"), rows)
 
 
 def _run_sample(args: argparse.Namespace) -> str:
@@ -120,19 +141,15 @@ def _run_sample(args: argparse.Namespace) -> str:
     # the states are drawn, evaluated and formatted one block at a time
     blocks = sample_blocks(spec, args.count)
     if args.mask is not None:
-        lines = ["sample,purity,participation"]
         values = (
             v for block in blocks
             for v in purities(block, args.n, [part.mask])[:, 0].tolist()
         )
-        lines += (f"{i},{g17(v)},{g17(1.0 / v)}" for i, v in enumerate(values))
-    else:
-        lines = [",".join(("sample", *STATISTICS))]
-        dists = (d for block in blocks for d in compute_distributions(block, family))
-        for i, dist in enumerate(dists):
-            cells = (g17(getattr(dist, name)) for name in STATISTICS)
-            lines.append(",".join((str(i), *cells)))
-    return "\n".join(lines) + "\n"
+        rows = ((i, v, 1.0 / v) for i, v in enumerate(values))
+        return _table(("sample", "purity", "participation"), rows)
+    dists = (d for block in blocks for d in compute_distributions(block, family))
+    rows = ((i, *(getattr(d, name) for name in STATISTICS)) for i, d in enumerate(dists))
+    return _table(("sample", *STATISTICS), rows)
 
 
 def _run_theory(args: argparse.Namespace) -> str:
@@ -175,11 +192,14 @@ def _run_theory(args: argparse.Namespace) -> str:
             lo, hi = 1.0 / hi, 1.0 / lo
         elif args.xmin is None or args.xmax is None:
             raise ValueError("model too wide for a default range; pass --xmin/--xmax")
-    xs = np.linspace(
-        lo if args.xmin is None else args.xmin,
-        hi if args.xmax is None else args.xmax,
-        args.points,
-    )
+    start = lo if args.xmin is None else args.xmin
+    stop = hi if args.xmax is None else args.xmax
+    if not np.isfinite(float(stop) - float(start)):  # linspace would overflow
+        raise ValueError(
+            f"--xmin/--xmax range [{start:.17g}, {stop:.17g}] is wider than the "
+            "largest double"
+        )
+    xs = np.linspace(start, stop, args.points)
     if not np.all(np.diff(xs) > 0):
         raise ValueError(
             f"{args.points} points over [{xs[0]:.17g}, {xs[-1]:.17g}] do not strictly "
@@ -189,11 +209,16 @@ def _run_theory(args: argparse.Namespace) -> str:
         raise ValueError(
             f"--xmin must be positive for --pdf participation, got {args.xmin!r}"
         )
-    return format_curve_tsv(xs, pdf(model, xs))
+    return _table(("x", "density"), zip(xs.tolist(), pdf(model, xs).tolist()), sep="\t")
 
 
 def _run_measures(args: argparse.Namespace) -> str:
-    return format_measures_json(_load_state(args))
+    state = _load_state(args)
+    report = tangle_report(state)
+    return _record({
+        "n": state.n, "Q": report.q, "tau1": report.tau1, "tau2": report.tau2,
+        "R": report.ratio, "concurrence": report.concurrences,
+    })
 
 
 def _run_table1(args: argparse.Namespace) -> str:
@@ -204,21 +229,20 @@ def _run_table1(args: argparse.Namespace) -> str:
     haar = None
     if args.haar_seed is not None:  # the seed is checked before the first sweep
         haar = EnsembleSpec("haar", args.nmin, args.haar_seed)
-    lines = ["n,ghz,w,cluster,random" + (",haar" if haar is not None else "")]
+    header = ("n", "ghz", "w", "cluster", "random") + (("haar",) if haar is not None else ())
+    rows = []
     for n in range(args.nmin, args.nmax + 1):
         family = BipartitionFamily(n, "balanced")
-        cells = [str(n)]
+        row = [n]
         for state in (make_ghz(n), make_w(n), make_cluster1d(n)):
-            cells.append(g17(compute_distribution(state, family).mean_participation))
+            row.append(compute_distribution(state, family).mean_participation)
         n_a = n // 2
-        model = asymptotic_model(1 << n_a, 1 << (n - n_a))
-        cells.append(g17(1.0 / model.mu))
+        row.append(1.0 / asymptotic_model(1 << n_a, 1 << (n - n_a)).mu)
         if haar is not None:
             (block,) = sample_blocks(replace(haar, n=n), 1)
-            dist = compute_distributions(block, family)[0]
-            cells.append(g17(dist.mean_participation))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+            row.append(compute_distributions(block, family)[0].mean_participation)
+        rows.append(row)
+    return _table(header, rows)
 
 
 def _add_source_args(parser: argparse.ArgumentParser) -> None:

@@ -13,7 +13,6 @@ from itertools import combinations
 
 import numpy as np
 
-from ._fmt import json_dumps
 from .purity import purities
 from .states import PureState
 
@@ -156,23 +155,3 @@ def tangle_report(state: PureState) -> TangleReport:
         ),
         concurrences=tuple((i, j, rows[i][j]) for i, j in pairs),
     )
-
-
-def format_measures_json(state: PureState) -> str:
-    """Measures JSON: Q (the mean one-tangle), per-qubit tangles and ratios,
-    pairwise concurrences.
-
-    Concurrences are listed as [i, j, value] triples in row-major
-    upper-triangular order (i < j).
-    """
-    report = tangle_report(state)
-    return json_dumps(
-        {
-            "n": state.n,
-            "Q": report.q,
-            "tau1": report.tau1,
-            "tau2": report.tau2,
-            "R": report.ratio,
-            "concurrence": report.concurrences,
-        }
-    ) + "\n"

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fmt import g17, json_dumps
 from .purity import purities
 from .states import PureState
 
@@ -151,13 +150,6 @@ def compute_distribution(
     return compute_distributions(state.amplitudes[None], family)[0]
 
 
-def _distinct_groups(values: np.ndarray) -> list[np.ndarray]:
-    """Group sorted values whose neighbors differ by at most VALUE_MERGE_TOL."""
-    ordered = np.sort(values)
-    breaks = np.nonzero(np.diff(ordered) > VALUE_MERGE_TOL)[0] + 1
-    return np.split(ordered, breaks)
-
-
 def histogram(dist: EntanglementDistribution, bins: int = HISTOGRAM_BINS) -> Histogram:
     """Histogram of participation numbers.
 
@@ -168,8 +160,12 @@ def histogram(dist: EntanglementDistribution, bins: int = HISTOGRAM_BINS) -> His
     if bins < 1:
         raise ValueError(f"bin count must be positive, got {bins}")
     values = dist.participations()
-    groups = _distinct_groups(values)
-    if len(groups) <= DISCRETE_VALUE_LIMIT:
+    # sorted neighbors more than VALUE_MERGE_TOL apart start a new distinct
+    # value; the breaks are counted before any group is made
+    ordered = np.sort(values)
+    breaks = np.diff(ordered) > VALUE_MERGE_TOL
+    if np.count_nonzero(breaks) < DISCRETE_VALUE_LIMIT:
+        groups = np.split(ordered, np.flatnonzero(breaks) + 1)
         centers = np.array([g.mean() for g in groups])
         counts = np.array([g.size for g in groups])
         if len(centers) == 1:
@@ -196,33 +192,3 @@ def histogram(dist: EntanglementDistribution, bins: int = HISTOGRAM_BINS) -> His
         centers=(edges[:-1] + edges[1:]) / 2.0,
         discrete=False,
     )
-
-
-def format_spectrum_csv(dist: EntanglementDistribution) -> str:
-    """Per-mask CSV: mask_hex,n_A,purity,participation."""
-    lines = ["mask_hex,n_A,purity,participation"]
-    for mask, p, value in zip(
-        dist.masks.tolist(), dist.purity_values.tolist(), dist.participations().tolist()
-    ):
-        lines.append(f"{mask:#x},{mask.bit_count()},{g17(p)},{g17(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def format_summary_json(dist: EntanglementDistribution, family: BipartitionFamily) -> str:
-    """Summary JSON for one family sweep."""
-    return json_dumps(
-        {
-            "n": family.n,
-            "family": family.label,
-            "count": dist.count,
-            **{name: getattr(dist, name) for name in STATISTICS},
-        }
-    ) + "\n"
-
-
-def format_histogram_tsv(hist: Histogram) -> str:
-    """Histogram TSV: bin_center<TAB>density<TAB>count."""
-    lines = ["bin_center\tdensity\tcount"]
-    for center, density, count in zip(hist.centers, hist.densities, hist.counts):
-        lines.append(f"{g17(center)}\t{g17(density)}\t{int(count)}")
-    return "\n".join(lines) + "\n"

@@ -18,8 +18,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._fmt import g17
-
 MODEL_MAX_QUBITS = 511  # largest n for which 2/N^2 = 2^(1-2n) is a normal double
 
 
@@ -116,9 +114,10 @@ def asymptotic_model(N_A: int, N_B: int) -> GaussianModel:
 def purity_pdf(model: GaussianModel, x):
     """Gaussian density of the purity at x (scalar or array)."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.exp(-((x - model.mu) ** 2) / (2.0 * model.sigma2)) / np.sqrt(
-        2.0 * np.pi * model.sigma2
-    )
+    with np.errstate(over="ignore"):  # far tails: the exponent -> -inf, density 0
+        out = np.exp(-((x - model.mu) ** 2) / (2.0 * model.sigma2)) / np.sqrt(
+            2.0 * np.pi * model.sigma2
+        )
     return float(out) if out.ndim == 0 else out
 
 
@@ -127,8 +126,12 @@ def participation_pdf(model: GaussianModel, y):
     y = np.asarray(y, dtype=np.float64)
     if np.any(y <= 0):
         raise ValueError("participation values must be positive")
-    out = purity_pdf(model, 1.0 / y) / y**2
-    return float(out) if np.ndim(out) == 0 else out
+    # toward y = 0, 1/y overflows and y^2 underflows to 0; toward y = inf, y^2
+    # overflows: the density there is 0, and stays 0 rather than 0/0
+    with np.errstate(over="ignore", invalid="ignore"):
+        dens = purity_pdf(model, 1.0 / y)
+        out = np.where(dens == 0.0, 0.0, dens / y**2)
+    return float(out) if out.ndim == 0 else out
 
 
 def w_participation(n: int, n_a: int) -> float:
@@ -165,11 +168,3 @@ def concentration_ratio(N_A: int, N_B: int) -> float:
     if N_A < 2 or N_B < 2:
         raise ValueError(f"subsystem dimensions must be >= 2, got {N_A}, {N_B}")
     return math.sqrt(2.0) / (N_A + N_B - 1)
-
-
-def format_curve_tsv(xs, densities) -> str:
-    """Theory-curve TSV: x<TAB>density."""
-    lines = ["x\tdensity"]
-    for x, d in zip(xs, densities):
-        lines.append(f"{g17(x)}\t{g17(d)}")
-    return "\n".join(lines) + "\n"

@@ -324,6 +324,54 @@ class TestTheoryCommand:
         xs = [float(ln.split("\t")[0]) for ln in out.strip().split("\n")[1:]]
         assert len(set(xs)) == len(xs) == 5
 
+    def test_golden_bytes_purity_and_participation(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "theory", "--model", "exact-sphere", "--na", "1", "--nb", "2",
+            "--pdf", "purity", "--xmin", "0.3", "--xmax", "1.0", "--points", "4",
+        )
+        assert code == 0
+        assert out == (
+            "x\tdensity\n"
+            "0.29999999999999999\t0.009430736278305268\n"
+            "0.53333333333333333\t1.2306763818040181\n"
+            "0.76666666666666661\t2.9072657799105484\n"
+            "1\t0.12432778935104874\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "theory", "--model", "asymptotic", "--n", "10", "--points", "3"
+        )
+        assert code == 0
+        assert out == (
+            "x\tdensity\n"
+            "13.779422675615621\t1.9266798686891153e-14\n"
+            "16.795626139026297\t0.36484768657236855\n"
+            "19.811829602436969\t9.3201399911786418e-15\n"
+        )
+
+    @pytest.mark.parametrize(
+        "pdf, xmin, xmax, expected",
+        [
+            # 1/y overflows and y^2 underflows at the first point
+            ("participation", "1e-200", "1",
+             "9.9999999999999998e-201\t0\n0.5\t0\n1\t0\n"),
+            # y^2 overflows at the last point
+            ("participation", "1", "1e300",
+             "1\t0\n5.0000000000000003e+299\t0\n1.0000000000000001e+300\t0\n"),
+            # (x - mu)^2 overflows at both ends
+            ("purity", "-1e300", "1e300",
+             "-1.0000000000000001e+300\t0\n0\t0\n1.0000000000000001e+300\t0\n"),
+        ],
+    )
+    def test_far_tails_read_zero_without_warnings(self, capsys, pdf, xmin, xmax,
+                                                  expected):
+        # pytest turns a numpy RuntimeWarning into an error here
+        code, out, err = run_cli(
+            capsys, "theory", "--model", "asymptotic", "--n", "10", "--pdf", pdf,
+            f"--xmin={xmin}", f"--xmax={xmax}", "--points", "3",
+        )
+        assert code == 0 and err == ""
+        assert out == "x\tdensity\n" + expected
+
     def test_too_wide_model_needs_range(self, capsys):
         code, _, err = run_cli(
             capsys, "theory", "--model", "asymptotic", "--n", "4",
@@ -354,6 +402,27 @@ class TestTable1Command:
         assert n5[3] == pytest.approx(3.6, abs=1e-9)
         assert n5[4] == pytest.approx(32 / 11, abs=1e-12)
 
+    def test_golden_bytes_with_and_without_haar_column(self, capsys):
+        code, out, _ = run_cli(capsys, "table1", "--nmin", "4", "--nmax", "5")
+        assert code == 0
+        assert out == (
+            "n,ghz,w,cluster,random\n"
+            "4,2.0000000000000004,2,3.3333333333333335,2.2857142857142856\n"
+            "5,2.0000000000000009,1.9230769230769234,3.6000000000000005,"
+            "2.9090909090909092\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "table1", "--nmin", "4", "--nmax", "5", "--haar-seed", "3"
+        )
+        assert code == 0
+        assert out == (
+            "n,ghz,w,cluster,random,haar\n"
+            "4,2.0000000000000004,2,3.3333333333333335,2.2857142857142856,"
+            "2.3661362544369786\n"
+            "5,2.0000000000000009,1.9230769230769234,3.6000000000000005,"
+            "2.9090909090909092,2.944529329091103\n"
+        )
+
     def test_haar_column_deterministic(self, capsys):
         args = ("table1", "--nmin", "5", "--nmax", "5", "--haar-seed", "4")
         code, out1, _ = run_cli(capsys, *args)
@@ -369,6 +438,13 @@ class TestErrorsAndDeterminism:
             main(["state", "--kind", "ginibre", "--n", "3"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text", ["3", "0x3", "0X3", "0x03", "03"])
+    def test_hex_mask_spellings(self, capsys, text):
+        code, out, _ = run_cli(
+            capsys, "purity", "--kind", "cluster", "--n", "4", "--mask", text
+        )
+        assert code == 0 and json.loads(out)["mask"] == "0x3"
 
     def test_bad_mask_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -445,6 +521,19 @@ class TestErrorsAndDeterminism:
               "--points", "100000000000"), "--points must be at most 1000000"),
             (("spectrum", "--kind", "w", "--n", "4", "--format", "tsv",
               "--bins", "100000000000"), "--bins must be at most 1000000"),
+            # the width overflows a double, which linspace would turn into nan
+            (("theory", "--model", "asymptotic", "--n", "10", "--pdf", "purity",
+              "--xmin=-1.7e308", "--xmax=1.7e308", "--points", "3"),
+             "--xmin/--xmax range [-1.6999999999999999e+308"),
+            # a mask is an optional 0x and ASCII hex digits, nothing int() also takes
+            (("purity", "--kind", "ghz", "--n", "4", "--mask", "+3"), "mask '+3'"),
+            (("purity", "--kind", "ghz", "--n", "4", "--mask", " 3"), "mask ' 3'"),
+            (("purity", "--kind", "ghz", "--n", "4", "--mask", "0x_3"), "mask '0x_3'"),
+            (("purity", "--kind", "ghz", "--n", "4", "--mask", "\u0663"),
+             "mask '\u0663'"),
+            (("purity", "--kind", "ghz", "--n", "5", "--mask", "1_0"), "mask '1_0'"),
+            (("sample", "--kind", "haar", "--n", "4", "--count", "3", "--seed", "1",
+              "--mask", "+3"), "mask '+3'"),
         ],
     )
     def test_invalid_option_combinations_exit_2(self, capsys, tmp_path, args, named):

@@ -17,15 +17,11 @@ from entspec import (
     make_product,
     make_w,
     purity,
+    state_to_dict,
     tangle_report,
 )
-from entspec.measures import (
-    QR_ROWS,
-    EigenConvergenceError,
-    TangleReport,
-    concurrences,
-    format_measures_json,
-)
+from entspec.cli import main
+from entspec.measures import QR_ROWS, TangleReport, concurrences
 from helpers import concurrence_qr, concurrence_svd, haar_states, random_unitary2
 
 
@@ -254,9 +250,15 @@ class TestTangles:
             TangleReport(tau1=(0.5,), tau2=(float("nan"),), ratio=(None,))
 
 
+def measures_json(capsys, *source):
+    """The `measures` record of the CLI, parsed."""
+    assert main(["measures", *source]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 class TestMeasuresJson:
-    def test_w3_record(self):
-        data = json.loads(format_measures_json(make_w(3)))
+    def test_w3_record(self, capsys):
+        data = measures_json(capsys, "--kind", "w", "--n", "3")
         assert data["n"] == 3
         assert data["Q"] == pytest.approx(8 / 9, abs=1e-12)
         assert data["tau1"] == pytest.approx([8 / 9] * 3, abs=1e-10)
@@ -264,19 +266,23 @@ class TestMeasuresJson:
         assert data["R"] == pytest.approx([1.0] * 3, abs=1e-9)
         assert [(i, j) for i, j, _ in data["concurrence"]] == [(0, 1), (0, 2), (1, 2)]
 
-    def test_product_state_nulls(self):
-        data = json.loads(format_measures_json(make_basis(2, 1)))
+    def test_product_state_nulls(self, capsys):
+        data = measures_json(capsys, "--kind", "basis", "--n", "2", "--index", "1")
         assert data["R"] == [None, None]
         assert data["Q"] == pytest.approx(0.0, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
-def test_measures_share_one_definition(n, seed):
+def test_measures_share_one_definition(tmp_path_factory, n, seed):
     """Q is the mean one-tangle, and tau1, tau2 and R are the single-cut
     purities and pair concurrences combined by one rule, so they agree exactly."""
     state = haar_states(n, 1, seed)[0]
-    data = json.loads(format_measures_json(state))
+    work = tmp_path_factory.mktemp("measures")
+    state_file, out = work / "state.json", work / "measures.json"
+    state_file.write_text(json.dumps(state_to_dict(state)))
+    assert main(["measures", "--state-file", str(state_file), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
     assert data["Q"] == sum(data["tau1"]) / n == tangle_report(state).q
     for i in range(n):
         assert data["tau1"][i] == one_tangle(state, i)

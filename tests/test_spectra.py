@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from entspec import (
     Bipartition,
     BipartitionFamily,
+    EntanglementDistribution,
     compute_distribution,
     histogram,
     make_basis,
@@ -20,13 +21,9 @@ from entspec import (
     permute_qubits,
     purity,
 )
+from entspec.cli import main
 from entspec.states import _qubit_axes
-from entspec.spectra import (
-    SELECTORS,
-    format_histogram_tsv,
-    format_spectrum_csv,
-    format_summary_json,
-)
+from entspec.spectra import DISCRETE_VALUE_LIMIT, SELECTORS
 from entspec.states import PureState
 from helpers import haar_states
 
@@ -261,6 +258,33 @@ class TestHistogram:
         mass = float(np.sum(hist.densities * np.diff(hist.bin_edges)))
         assert mass == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("distinct", [DISCRETE_VALUE_LIMIT, DISCRETE_VALUE_LIMIT + 1])
+    def test_discrete_limit_is_inclusive(self, distinct):
+        values = np.repeat(1.0 / np.arange(1, distinct + 1), 2)
+        dist = EntanglementDistribution(np.arange(values.size), values)
+        hist = histogram(dist)
+        assert hist.discrete == (distinct <= DISCRETE_VALUE_LIMIT)
+        assert hist.counts.sum() == values.size
+
+    def test_broad_spectrum_is_not_split_per_value(self):
+        # 10^6 distinct participations go to bins; the bars of a discrete
+        # spectrum are made only once the distinct values are counted, so the
+        # peak stays near three value-sized arrays (participations, their sort
+        # and its differences), not one array per value
+        count = 10**6
+        dist = EntanglementDistribution(
+            np.arange(count, dtype=np.int64), np.linspace(0.1, 0.9, count)
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            hist = histogram(dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not hist.discrete and hist.counts.sum() == count
+        assert peak < 4 * dist.purity_values.nbytes
+
     def test_empty_bins_rejected(self):
         dist = compute_distribution(make_ghz(3), BipartitionFamily(3, "balanced"))
         with pytest.raises(ValueError, match="bin count"):
@@ -268,26 +292,31 @@ class TestHistogram:
 
 
 class TestFormats:
-    def test_spectrum_csv_layout(self):
-        dist = compute_distribution(make_basis(3, 0), BipartitionFamily(3, "balanced"))
-        text = format_spectrum_csv(dist)
+    """The three `spectrum` formats of the balanced sweep of |000>."""
+
+    @staticmethod
+    def spectrum(capsys, fmt):
+        code = main(["spectrum", "--kind", "basis", "--n", "3", "--index", "0",
+                     "--family", "balanced", "--format", fmt])
+        assert code == 0
+        return capsys.readouterr().out
+
+    def test_spectrum_csv_layout(self, capsys):
+        text = self.spectrum(capsys, "csv")
         lines = text.strip().split("\n")
         assert lines[0] == "mask_hex,n_A,purity,participation"
         assert lines[1] == "0x1,1,1,1"
         assert [ln.split(",")[0] for ln in lines[1:]] == ["0x1", "0x2", "0x4"]
 
-    def test_summary_json_layout(self):
-        family = BipartitionFamily(3, "balanced")
-        dist = compute_distribution(make_basis(3, 0), family)
-        text = format_summary_json(dist, family)
+    def test_summary_json_layout(self, capsys):
+        text = self.spectrum(capsys, "json")
         assert text == (
             '{"n": 3, "family": "balanced", "count": 3, "mean_participation": 1.0, '
             '"var_population": 0.0, "var_sample": 0.0, "min": 1.0, "max": 1.0}\n'
         )
 
-    def test_histogram_tsv_layout(self):
-        dist = compute_distribution(make_basis(3, 0), BipartitionFamily(3, "balanced"))
-        text = format_histogram_tsv(histogram(dist))
+    def test_histogram_tsv_layout(self, capsys):
+        text = self.spectrum(capsys, "tsv")
         lines = text.strip().split("\n")
         assert lines[0] == "bin_center\tdensity\tcount"
         assert lines[1] == "1\t1\t3"

@@ -23,7 +23,8 @@ from entspec import (
     sphere_moment,
     w_participation,
 )
-from entspec.theory import _MOMENT_RULES, MOMENT_PATTERNS, format_curve_tsv
+from entspec.cli import main
+from entspec.theory import _MOMENT_RULES, MOMENT_PATTERNS
 from helpers import haar_states, sampled_rows, xm_split
 
 # (N_A, N_B) pairs used for the algebraic checks
@@ -226,7 +227,7 @@ class TestDensities:
         with pytest.raises(ValueError):
             participation_pdf(model, 0.0)
 
-    def test_curve_family_emittable(self):
+    def test_curve_family_emittable(self, capsys):
         # one curve per qubit count, as plot data; for the smallest n the
         # model is wider than its mean and needs an explicit range
         for n in range(5, 13):
@@ -237,9 +238,13 @@ class TestDensities:
                 lo, hi = 1 / (model.mu + 8 * sigma), 1 / (model.mu - 8 * sigma)
             else:
                 lo, hi = 1.0, 2.0 / model.mu
-            ys = np.linspace(lo, hi, 64)
-            dens = participation_pdf(model, ys)
-            text = format_curve_tsv(ys, dens)
+            code = main([
+                "theory", "--model", "asymptotic", "--n", str(n),
+                "--pdf", "participation", f"--xmin={lo!r}", f"--xmax={hi!r}",
+                "--points", "64",
+            ])
+            assert code == 0
+            text = capsys.readouterr().out
             assert text.startswith("x\tdensity\n")
             assert len(text.strip().split("\n")) == 65
 
