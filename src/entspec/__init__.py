@@ -43,7 +43,6 @@ from .states import (
 from .theory import (
     GaussianModel,
     asymptotic_model,
-    concentration_ratio,
     exact_moments,
     marginal_amplitude_pdf,
     participation_pdf,
@@ -67,7 +66,6 @@ __all__ = [
     "apply_single_qubit",
     "asymptotic_model",
     "compute_distribution",
-    "concentration_ratio",
     "concurrence",
     "exact_moments",
     "histogram",

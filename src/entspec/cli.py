@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fmt import g17, json_dumps
 from .measures import EigenConvergenceError, tangle_report
 from .purity import Bipartition, purities, purity
 from .spectra import (
@@ -62,17 +61,22 @@ def _parse_mask(text: str) -> int:
 
 def _table(header, rows, sep: str = ",") -> str:
     """CSV or TSV text: the header, then one line per row, each line
-    `\n`-terminated; a float cell is written by `g17`, any other by `str`."""
+    `\n`-terminated.  A float cell is written with 17 significant digits,
+    enough to read back the same double, with no trailing zeros; any other
+    cell by `str`."""
     lines = [sep.join(header)]
     lines += (
-        sep.join(g17(c) if isinstance(c, float) else str(c) for c in row) for row in rows
+        sep.join(format(float(c), ".17g") if isinstance(c, float) else str(c) for c in row)
+        for row in rows
     )
     return "\n".join(lines) + "\n"
 
 
 def _record(d: dict) -> str:
-    """One JSON record on one line."""
-    return json_dumps(d) + "\n"
+    """One JSON record on one line, keys in insertion order.  A float is
+    written as its repr, the shortest text that reads back as the same double,
+    so output is byte-stable; NaN or an infinity raises ValueError."""
+    return json.dumps(d, allow_nan=False) + "\n"
 
 
 def _load_state(args: argparse.Namespace) -> PureState:

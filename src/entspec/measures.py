@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .purity import purities
-from .states import PureState
+from .states import PureState, _qubit_axes
 
 TAU1_DEFINED_FLOOR = 1e-12
 QR_ROWS = 1024  # rows per block of the stacked QR tree in `concurrences`
@@ -82,9 +82,10 @@ def concurrences(state: PureState, pairs) -> np.ndarray:
     with zeros to four (Wootters, PRL 80, 2245 (1998)), and the concurrence
     is max(0, l1 - l2 - l3 - l4) (`ConcurrenceResult.from_lambdas`).
     (i, j) and (j, i) name one pair.  Every pair is checked before anything
-    is allocated; each is then copied into one 4 x N_B buffer reused across
-    pairs, and Z^T is reduced to at most four rows by a tree of stacked QRs
-    (the tall-skinny QR of Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
+    is allocated; each is then copied, laid out by `_qubit_axes` with the
+    bits of (lo, hi) as the row, into one 4 x N_B buffer reused across pairs,
+    and Z^T is reduced to at most four rows by a tree of stacked QRs (the
+    tall-skinny QR of Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
     Comput. 34, A206 (2012)): its blocks of QR_ROWS rows are factorized in
     one call and their R factors stacked, until at most four rows remain.
     With Z^T = Q R, R^T conj(R) = Z Z^dagger = rho, so Z := R^T leaves the
@@ -103,12 +104,8 @@ def concurrences(state: PureState, pairs) -> np.ndarray:
     pair = np.empty((4, 1 << (n - 2)), amps.dtype)
     for lam, (i, j) in zip(lambdas, pairs):
         lo, hi = min(i, j), max(i, j)
-        # the state as (hi, b_hi, mid, b_lo, lo): the qubits above hi, qubit
-        # hi, those between, qubit lo and those below; buffer row 2 b_hi + b_lo
-        # holds the (hi, mid, lo) amplitudes in order
-        runs = (1 << (n - 1 - hi), 1 << (hi - lo - 1), 1 << lo)
-        view = amps.reshape(runs[0], 2, runs[1], 2, runs[2])
-        np.copyto(pair.reshape((2, 2) + runs), view.transpose(1, 3, 0, 2, 4))
+        rest = [q for q in range(n) if q != lo and q != hi]
+        np.copyto(pair.reshape((2,) * n), _qubit_axes(amps, n, (lo, hi), rest))
         z = pair.T  # Z^T, then its R factor
         try:
             while z.shape[0] > 4:

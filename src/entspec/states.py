@@ -17,8 +17,6 @@ MAX_QUBITS = 26  # 2**26 complex amplitudes ~ 1 GiB; a real state is half that
 NORM_TOL = 1e-12
 BLOCK_BYTES = 1 << 18  # bytes of amplitudes per sampled block
 
-ENSEMBLE_KINDS = ("haar", "phase-sphere")
-
 
 def _check_qubits(n: int, minimum: int, what: str) -> None:
     """The qubit-count range check, run before anything of size 2**n is allocated."""
@@ -203,6 +201,7 @@ def _phase_sphere_rows(seed: int, indices: range, dim: int) -> np.ndarray:
 
 
 _ENSEMBLE_ROWS = {"haar": _haar_rows, "phase-sphere": _phase_sphere_rows}
+ENSEMBLE_KINDS = tuple(_ENSEMBLE_ROWS)
 
 
 def sample_blocks(spec: EnsembleSpec, count: int) -> Iterator[np.ndarray]:

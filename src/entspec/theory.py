@@ -112,8 +112,10 @@ def asymptotic_model(N_A: int, N_B: int) -> GaussianModel:
 
 
 def purity_pdf(model: GaussianModel, x):
-    """Gaussian density of the purity at x (scalar or array)."""
+    """Gaussian density of the purity at x (scalar or array); NaN is refused."""
     x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        raise ValueError("purity values must not be NaN")
     with np.errstate(over="ignore"):  # far tails: the exponent -> -inf, density 0
         out = np.exp(-((x - model.mu) ** 2) / (2.0 * model.sigma2)) / np.sqrt(
             2.0 * np.pi * model.sigma2
@@ -124,7 +126,7 @@ def purity_pdf(model: GaussianModel, x):
 def participation_pdf(model: GaussianModel, y):
     """Density of the participation number: purity_pdf(1/y) / y^2."""
     y = np.asarray(y, dtype=np.float64)
-    if np.any(y <= 0):
+    if not np.all(y > 0):  # written so that NaN fails too
         raise ValueError("participation values must be positive")
     # toward y = 0, 1/y overflows and y^2 underflows to 0; toward y = inf, y^2
     # overflows: the density there is 0, and stays 0 rather than 0/0
@@ -151,7 +153,7 @@ def marginal_amplitude_pdf(N: int, r):
     if N < 4:
         raise ValueError(f"dimension must be >= 4, got {N}")
     r = np.asarray(r, dtype=np.float64)
-    if np.any(r < 0) or np.any(r > 1):
+    if not np.all((0 <= r) & (r <= 1)):  # written so that NaN fails too
         raise ValueError("modulus must lie in [0, 1]")
     log_norm = (
         math.log(2.0 / math.sqrt(math.pi))
@@ -161,10 +163,3 @@ def marginal_amplitude_pdf(N: int, r):
     with np.errstate(divide="ignore"):  # r = 1 gives log(0) -> density 0
         out = np.exp(log_norm + ((N - 3) / 2.0) * np.log1p(-(r**2)))
     return float(out) if out.ndim == 0 else out
-
-
-def concentration_ratio(N_A: int, N_B: int) -> float:
-    """Large-N ratio sigma/mu = sqrt(2)/(N_A + N_B - 1) of the purity."""
-    if N_A < 2 or N_B < 2:
-        raise ValueError(f"subsystem dimensions must be >= 2, got {N_A}, {N_B}")
-    return math.sqrt(2.0) / (N_A + N_B - 1)

@@ -10,8 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entspec import cli
+from entspec import cli, state_to_dict
 from entspec.cli import main
+from helpers import haar_states
 
 
 # stands for a GHZ(3) state file written to the test's tmp_path
@@ -98,6 +99,26 @@ class TestJsonBytes:
         assert out == (
             '{"n": 2, "Q": 0.0, "tau1": [0.0, 0.0], "tau2": [0.0, 0.0], '
             '"R": [null, null], "concurrence": [[0, 1, 0.0]]}\n'
+        )
+
+    def test_measures_complex_haar6_state_file(self, capsys, tmp_path):
+        # a complex state with two entangled pairs, (0, 1) and (3, 4)
+        (state,) = haar_states(6, 1, 179)
+        path = tmp_path / "haar6.json"
+        path.write_text(json.dumps(state_to_dict(state)))
+        code, out, _ = run_cli(capsys, "measures", "--state-file", str(path))
+        assert code == 0
+        assert out == (
+            '{"n": 6, "Q": 0.9177587068587606, "tau1": [0.9536908804109623, '
+            '0.9049027201278961, 0.8944704894558804, 0.9076399181831236, '
+            '0.9665434698781943, 0.8793047630965065], "tau2": [4.179248279714122e-06, '
+            '4.179248279714122e-06, 0.0, 0.0014941530124749555, 0.0014941530124749555, '
+            '0.0], "R": [4.382183331682075e-06, 4.618450344721519e-06, 0.0, '
+            '0.0016461957903591215, 0.0015458725438011098, 0.0], "concurrence": '
+            '[[0, 1, 0.002044320982554873], [0, 2, 0.0], [0, 3, 0.0], [0, 4, 0.0], '
+            '[0, 5, 0.0], [1, 2, 0.0], [1, 3, 0.0], [1, 4, 0.0], [1, 5, 0.0], '
+            '[2, 3, 0.0], [2, 4, 0.0], [2, 5, 0.0], [3, 4, 0.03865427547471244], '
+            '[3, 5, 0.0], [4, 5, 0.0]]}\n'
         )
 
 

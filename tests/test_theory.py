@@ -10,7 +10,6 @@ from entspec import (
     EnsembleSpec,
     GaussianModel,
     asymptotic_model,
-    concentration_ratio,
     exact_moments,
     make_basis,
     make_ghz,
@@ -227,6 +226,12 @@ class TestDensities:
         with pytest.raises(ValueError):
             participation_pdf(model, 0.0)
 
+    @pytest.mark.parametrize("pdf", [purity_pdf, participation_pdf])
+    @pytest.mark.parametrize("arg", [math.nan, np.array([0.5, math.nan, 2.0])])
+    def test_nan_argument_raises(self, pdf, arg):
+        with pytest.raises(ValueError):
+            pdf(asymptotic_model(4, 4), arg)
+
     def test_curve_family_emittable(self, capsys):
         # one curve per qubit count, as plot data; for the smallest n the
         # model is wider than its mean and needs an explicit range
@@ -312,6 +317,11 @@ class TestMarginalAmplitudePdf:
         with pytest.raises(ValueError):
             marginal_amplitude_pdf(3, 0.5)
 
+    @pytest.mark.parametrize("r", [math.nan, np.array([0.25, math.nan, 0.75])])
+    def test_nan_modulus_raises(self, r):
+        with pytest.raises(ValueError):
+            marginal_amplitude_pdf(8, r)
+
     def test_sampler_marginal_ks(self):
         # single-modulus law of the phase-sphere ensemble at N = 64,
         # reference CDF from cumulative quadrature of the density
@@ -328,21 +338,23 @@ class TestMarginalAmplitudePdf:
 
 
 class TestConcentrationRatio:
-    def test_values(self):
-        assert concentration_ratio(64, 64) == pytest.approx(
-            math.sqrt(2) / 127, rel=1e-15
-        )
-        assert concentration_ratio(4, 4) == pytest.approx(math.sqrt(2) / 7, rel=1e-15)
+    """sigma/mu of the large-N model, sqrt(2)/(N_A + N_B - 1)."""
 
-    def test_matches_asymptotic_model(self):
-        model = asymptotic_model(16, 32)
-        assert concentration_ratio(16, 32) == pytest.approx(
-            math.sqrt(model.sigma2) / model.mu, rel=1e-13
-        )
+    @staticmethod
+    def ratio(N_A, N_B):
+        model = asymptotic_model(N_A, N_B)
+        return math.sqrt(model.sigma2) / model.mu
+
+    def test_values(self):
+        assert self.ratio(64, 64) == pytest.approx(math.sqrt(2) / 127, rel=1e-15)
+        assert self.ratio(4, 4) == pytest.approx(math.sqrt(2) / 7, rel=1e-15)
+
+    def test_matches_closed_form(self):
+        assert self.ratio(16, 32) == pytest.approx(math.sqrt(2) / (16 + 32 - 1), rel=1e-13)
 
     def test_inverse_sqrt_scaling(self):
         for n in range(6, 21):
             n_a = n // 2
             N_A, N_B = 1 << n_a, 1 << (n - n_a)
-            scaled = concentration_ratio(N_A, N_B) * math.sqrt(N_A * N_B)
+            scaled = self.ratio(N_A, N_B) * math.sqrt(N_A * N_B)
             assert 0.5 <= scaled <= 1.5
