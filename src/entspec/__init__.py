@@ -29,13 +29,10 @@ from .spectra import (
 from .states import (
     EnsembleSpec,
     PureState,
-    apply_single_qubit,
     make_basis,
     make_cluster1d,
     make_ghz,
-    make_product,
     make_w,
-    permute_qubits,
     sample_blocks,
     state_from_dict,
     state_to_dict,
@@ -44,11 +41,9 @@ from .theory import (
     GaussianModel,
     asymptotic_model,
     exact_moments,
-    marginal_amplitude_pdf,
     participation_pdf,
     purity_pdf,
     sphere_moment,
-    w_participation,
 )
 
 __all__ = [
@@ -63,7 +58,6 @@ __all__ = [
     "PureState",
     "PurityResult",
     "TangleReport",
-    "apply_single_qubit",
     "asymptotic_model",
     "compute_distribution",
     "concurrence",
@@ -72,11 +66,8 @@ __all__ = [
     "make_basis",
     "make_cluster1d",
     "make_ghz",
-    "make_product",
     "make_w",
-    "marginal_amplitude_pdf",
     "participation_pdf",
-    "permute_qubits",
     "purities",
     "purity",
     "purity_pdf",
@@ -85,7 +76,6 @@ __all__ = [
     "state_from_dict",
     "state_to_dict",
     "tangle_report",
-    "w_participation",
 ]
 
 __version__ = "0.1.0"

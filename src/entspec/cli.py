@@ -93,7 +93,8 @@ def _load_state(args: argparse.Namespace) -> PureState:
         data = json.loads(path.read_text())
     except OSError as exc:
         raise ValueError(f"cannot read state file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's recursion limit
         raise ValueError(f"state file {path} is not valid JSON: {exc}") from exc
     return state_from_dict(data)
 

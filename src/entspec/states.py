@@ -51,18 +51,16 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected {1 << self.n}"
             )
-        # any NaN or infinite amplitude makes the norm non-finite
+        # a NaN or infinite amplitude, or a sum that overflows, is not finite
         norm2 = float(np.real(np.vdot(amps, amps)))
         if not math.isfinite(norm2):
-            raise ValueError(f"amplitudes are not finite: sum |z|^2 = {norm2!r}")
+            raise ValueError(
+                f"squared norm of the amplitudes is not finite: sum |z|^2 = {norm2!r}"
+            )
         if not abs(norm2 - 1.0) <= NORM_TOL:
             raise ValueError(f"state is not normalized: sum |z|^2 = {norm2!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
 
 
 @dataclass(frozen=True)
@@ -128,14 +126,6 @@ def make_cluster1d(n: int) -> PureState:
     return PureState(n, amps)
 
 
-def make_product(a: PureState, b: PureState) -> PureState:
-    """Tensor product; qubits of `a` keep positions 0..n_a-1, `b` fills the rest."""
-    n = a.n + b.n
-    _check_qubits(n, 1, "product state")
-    # index k = k_b * 2**n_a + k_a, so b supplies the high bits
-    return PureState(n, np.kron(b.amplitudes, a.amplitudes))
-
-
 def _qubit_axes(amps: np.ndarray, n: int, *groups: list[int]) -> np.ndarray:
     """View of the last axis of `amps` as one length-2 axis per qubit, in
     group order, so that reshaped to one index per group, bit t of index g is
@@ -146,29 +136,6 @@ def _qubit_axes(amps: np.ndarray, n: int, *groups: list[int]) -> np.ndarray:
     axes = [lead + n - 1 - q for group in groups for q in reversed(group)]
     tensor = amps.reshape(amps.shape[:lead] + (2,) * n)
     return tensor.transpose(list(range(lead)) + axes)
-
-
-def permute_qubits(state: PureState, perm: list[int] | tuple[int, ...]) -> PureState:
-    """Relabel qubits: qubit j of the input becomes qubit perm[j] of the output."""
-    if sorted(perm) != list(range(state.n)):
-        raise ValueError(f"perm must be a permutation of 0..{state.n - 1}")
-    inverse = sorted(range(state.n), key=perm.__getitem__)  # perm[inverse[q]] == q
-    tensor = _qubit_axes(state.amplitudes, state.n, inverse)
-    return PureState(state.n, tensor.reshape(-1))
-
-
-def apply_single_qubit(state: PureState, qubit: int, u: np.ndarray) -> PureState:
-    """Apply a 2x2 unitary to one qubit (norm is re-checked on construction).
-
-    A real `u` keeps a real state real.
-    """
-    if not (0 <= qubit < state.n):
-        raise ValueError(f"qubit {qubit} out of range for {state.n} qubits")
-    u = np.asarray(u)
-    if u.shape != (2, 2):
-        raise ValueError("single-qubit operator must be 2x2")
-    arr = state.amplitudes.reshape(-1, 2, 1 << qubit)
-    return PureState(state.n, np.einsum("ab,ibj->iaj", u, arr).reshape(-1))
 
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -268,7 +235,10 @@ def state_from_dict(data: dict) -> PureState:
         raise ValueError(not_pairs) from None
     if not components <= {int, float}:
         raise ValueError("amplitude components must be numbers")
-    arr = np.asarray(pairs, dtype=np.float64)
+    try:
+        arr = np.asarray(pairs, dtype=np.float64)
+    except ValueError:  # ragged pairs
+        raise ValueError(not_pairs) from None
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(not_pairs)
     # a complex view of the pairs keeps the sign of a -0.0 real part, which

@@ -134,32 +134,3 @@ def participation_pdf(model: GaussianModel, y):
         dens = purity_pdf(model, 1.0 / y)
         out = np.where(dens == 0.0, 0.0, dens / y**2)
     return float(out) if out.ndim == 0 else out
-
-
-def w_participation(n: int, n_a: int) -> float:
-    """Participation number of the n-qubit W state across any cut of size n_a."""
-    if not (1 <= n_a < n):
-        raise ValueError(f"subsystem size {n_a} invalid for {n} qubits")
-    n_b = n - n_a
-    return n**2 / (n_a**2 + n_b**2)
-
-
-def marginal_amplitude_pdf(N: int, r):
-    """Density of a single modulus of a sphere-uniform N-vector, on [0, 1].
-
-    p(r) = (2/sqrt(pi)) * Gamma(N/2)/Gamma((N-1)/2) * (1 - r^2)^((N-3)/2),
-    evaluated through log-gamma so large N does not overflow.
-    """
-    if N < 4:
-        raise ValueError(f"dimension must be >= 4, got {N}")
-    r = np.asarray(r, dtype=np.float64)
-    if not np.all((0 <= r) & (r <= 1)):  # written so that NaN fails too
-        raise ValueError("modulus must lie in [0, 1]")
-    log_norm = (
-        math.log(2.0 / math.sqrt(math.pi))
-        + math.lgamma(N / 2.0)
-        - math.lgamma((N - 1) / 2.0)
-    )
-    with np.errstate(divide="ignore"):  # r = 1 gives log(0) -> density 0
-        out = np.exp(log_norm + ((N - 3) / 2.0) * np.log1p(-(r**2)))
-    return float(out) if out.ndim == 0 else out

@@ -1,19 +1,22 @@
-"""Shared test utilities: independent oracles and random inputs.
+"""Shared test utilities: independent oracles, state fixtures and random inputs.
 
 The purity oracles (`purity_quadruple_sum`, `xm_split`) and the concurrence
 references gather Z through `scatter_coefficient_matrix`, which places each
 subsystem bit by integer bit operations; they share no code with the
-package's tensor-transpose gather, the one they check.
+package's tensor-transpose gather, the one they check.  The fixtures that
+relabel qubits (`permute_amplitudes_bitloop`) or act on them
+(`make_product`, `apply_single_qubit`) do not go through that gather either.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
 from entspec import EnsembleSpec, PureState, sample_blocks
+from entspec.states import _check_qubits
 
 
 def sampled_rows(spec: EnsembleSpec, count: int) -> np.ndarray:
@@ -46,6 +49,57 @@ def phase_sphere_row_reference(n: int, seed: int, index: int) -> np.ndarray:
     g = rng.standard_normal(dim)
     r = np.abs(g) / np.linalg.norm(g)
     return r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim))
+
+
+def make_product(a: PureState, b: PureState) -> PureState:
+    """Tensor product; qubits of `a` keep positions 0..n_a-1, `b` fills the rest."""
+    n = a.n + b.n
+    _check_qubits(n, 1, "product state")
+    # index k = k_b * 2**n_a + k_a, so b supplies the high bits
+    return PureState(n, np.kron(b.amplitudes, a.amplitudes))
+
+
+def apply_single_qubit(state: PureState, qubit: int, u: np.ndarray) -> PureState:
+    """Apply a 2x2 unitary to one qubit (norm is re-checked on construction).
+
+    A real `u` keeps a real state real.
+    """
+    if not (0 <= qubit < state.n):
+        raise ValueError(f"qubit {qubit} out of range for {state.n} qubits")
+    u = np.asarray(u)
+    if u.shape != (2, 2):
+        raise ValueError("single-qubit operator must be 2x2")
+    arr = state.amplitudes.reshape(-1, 2, 1 << qubit)
+    return PureState(state.n, np.einsum("ab,ibj->iaj", u, arr).reshape(-1))
+
+
+def w_participation(n: int, n_a: int) -> float:
+    """Participation number of the n-qubit W state across any cut of size n_a."""
+    if not (1 <= n_a < n):
+        raise ValueError(f"subsystem size {n_a} invalid for {n} qubits")
+    n_b = n - n_a
+    return n**2 / (n_a**2 + n_b**2)
+
+
+def marginal_amplitude_pdf(N: int, r):
+    """Density of a single modulus of a sphere-uniform N-vector, on [0, 1].
+
+    p(r) = (2/sqrt(pi)) * Gamma(N/2)/Gamma((N-1)/2) * (1 - r^2)^((N-3)/2),
+    evaluated through log-gamma so large N does not overflow.
+    """
+    if N < 4:
+        raise ValueError(f"dimension must be >= 4, got {N}")
+    r = np.asarray(r, dtype=np.float64)
+    if not np.all((0 <= r) & (r <= 1)):  # written so that NaN fails too
+        raise ValueError("modulus must lie in [0, 1]")
+    log_norm = (
+        math.log(2.0 / math.sqrt(math.pi))
+        + math.lgamma(N / 2.0)
+        - math.lgamma((N - 1) / 2.0)
+    )
+    with np.errstate(divide="ignore"):  # r = 1 gives log(0) -> density 0
+        out = np.exp(log_norm + ((N - 3) / 2.0) * np.log1p(-(r**2)))
+    return float(out) if out.ndim == 0 else out
 
 
 def random_unitary2(rng: np.random.Generator) -> np.ndarray:
@@ -143,7 +197,7 @@ def xm_split(state: PureState, mask: int) -> tuple[float, float]:
 
 def permute_amplitudes_bitloop(state: PureState, perm: list[int]) -> np.ndarray:
     """Reference relabelling: bit j of each basis index moves to bit perm[j]."""
-    src = np.arange(state.dim, dtype=np.int64)
+    src = np.arange(1 << state.n, dtype=np.int64)
     dest = np.zeros_like(src)
     for j, p in enumerate(perm):
         dest |= ((src >> j) & 1) << p
@@ -201,7 +255,7 @@ def path_balanced_mean(n: int) -> Fraction:
         for mask in range(1 << n)
         if mask.bit_count() == n // 2
     )
-    return Fraction(total, comb(n, n // 2))
+    return Fraction(total, math.comb(n, n // 2))
 
 
 def quartic_roots(matrix: np.ndarray) -> np.ndarray:

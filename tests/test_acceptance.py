@@ -24,7 +24,6 @@ from entspec import (
     BipartitionFamily,
     EnsembleSpec,
     PureState,
-    apply_single_qubit,
     asymptotic_model,
     compute_distribution,
     concurrence,
@@ -33,7 +32,6 @@ from entspec import (
     make_basis,
     make_cluster1d,
     make_ghz,
-    make_product,
     make_w,
     participation_pdf,
     purities,
@@ -41,17 +39,19 @@ from entspec import (
     purity_pdf,
     sample_blocks,
     tangle_report,
-    w_participation,
 )
 from helpers import (
     YY,
+    apply_single_qubit,
     haar_states,
+    make_product,
     match_multisets,
     partial_trace_reshape,
     path_balanced_mean,
     purity_quadruple_sum,
     quartic_roots,
     random_unitary2,
+    w_participation,
     xm_split,
 )
 

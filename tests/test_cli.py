@@ -656,6 +656,23 @@ class TestErrorsAndDeterminism:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"[" * 200_000 + b"]" * 200_000,
+            b'{"n": 2, "amplitudes": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+            b"\xff\xfe",
+        ],
+        ids=["nested", "nested-amplitudes", "not-utf8"],
+    )
+    def test_undecodable_state_file_names_the_file(self, capsys, tmp_path, data):
+        path = tmp_path / "state.json"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "purity", "--state-file", str(path),
+                                 "--mask", "0x1")
+        assert code == 2 and out == ""
+        assert f"state file {path} is not valid JSON" in err
+
     def test_stdout_matches_file_output(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "table1", "--nmin", "5", "--nmax", "7")
         out_file = tmp_path / "t.csv"

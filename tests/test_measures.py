@@ -10,11 +10,9 @@ from hypothesis import given, settings, strategies as st
 from entspec import (
     Bipartition,
     PureState,
-    apply_single_qubit,
     concurrence,
     make_basis,
     make_ghz,
-    make_product,
     make_w,
     purity,
     state_to_dict,
@@ -22,7 +20,10 @@ from entspec import (
 )
 from entspec.cli import main
 from entspec.measures import QR_ROWS, TangleReport, concurrences
-from helpers import concurrence_qr, concurrence_svd, haar_states, random_unitary2
+from helpers import (
+    apply_single_qubit, concurrence_qr, concurrence_svd, haar_states, make_product,
+    random_unitary2,
+)
 
 
 def one_tangle(state, i):

@@ -16,16 +16,14 @@ from entspec import (
     make_basis,
     make_cluster1d,
     make_ghz,
-    make_product,
     make_w,
-    permute_qubits,
     purity,
 )
 from entspec.cli import main
 from entspec.states import _qubit_axes
 from entspec.spectra import DISCRETE_VALUE_LIMIT, SELECTORS
 from entspec.states import PureState
-from helpers import haar_states
+from helpers import haar_states, make_product, permute_amplitudes_bitloop
 
 
 def bell_product():
@@ -113,7 +111,8 @@ class TestDistribution:
     def test_relabeling_preserves_balanced_multiset(self):
         state = haar_states(5, 1, 101)[0]
         rng = np.random.default_rng(3)
-        permuted = permute_qubits(state, list(rng.permutation(5)))
+        perm = list(rng.permutation(5))
+        permuted = PureState(5, permute_amplitudes_bitloop(state, perm))
         family = BipartitionFamily(5, "balanced")
         before = np.sort(compute_distribution(state, family).participations())
         after = np.sort(compute_distribution(permuted, family).participations())

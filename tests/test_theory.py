@@ -13,18 +13,18 @@ from entspec import (
     exact_moments,
     make_basis,
     make_ghz,
-    marginal_amplitude_pdf,
     participation_pdf,
     purities,
     purity,
     purity_pdf,
     sample_blocks,
     sphere_moment,
-    w_participation,
 )
 from entspec.cli import main
 from entspec.theory import _MOMENT_RULES, MOMENT_PATTERNS
-from helpers import haar_states, sampled_rows, xm_split
+from helpers import (
+    haar_states, marginal_amplitude_pdf, sampled_rows, w_participation, xm_split,
+)
 
 # (N_A, N_B) pairs used for the algebraic checks
 DIM_PAIRS = [
