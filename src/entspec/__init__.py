@@ -7,23 +7,17 @@ comparison measures (Q, concurrence, tangles).
 """
 
 from .measures import (
-    ConcurrenceResult,
     EigenConvergenceError,
     TangleReport,
-    concurrence,
+    concurrences,
     tangle_report,
 )
-from .purity import (
-    Bipartition,
-    PurityResult,
-    purities,
-    purity,
-)
+from .purity import purities
 from .spectra import (
     BipartitionFamily,
     EntanglementDistribution,
     Histogram,
-    compute_distribution,
+    compute_distributions,
     histogram,
 )
 from .states import (
@@ -47,20 +41,17 @@ from .theory import (
 )
 
 __all__ = [
-    "Bipartition",
     "BipartitionFamily",
-    "ConcurrenceResult",
     "EigenConvergenceError",
     "EnsembleSpec",
     "EntanglementDistribution",
     "GaussianModel",
     "Histogram",
     "PureState",
-    "PurityResult",
     "TangleReport",
     "asymptotic_model",
-    "compute_distribution",
-    "concurrence",
+    "compute_distributions",
+    "concurrences",
     "exact_moments",
     "histogram",
     "make_basis",
@@ -69,7 +60,6 @@ __all__ = [
     "make_w",
     "participation_pdf",
     "purities",
-    "purity",
     "purity_pdf",
     "sample_blocks",
     "sphere_moment",

@@ -15,18 +15,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .measures import EigenConvergenceError, tangle_report
-from .purity import Bipartition, purities, purity
+from .purity import purities
 from .spectra import (
-    HISTOGRAM_BINS, SELECTORS, STATISTICS, BipartitionFamily, compute_distribution,
-    compute_distributions, histogram,
+    HISTOGRAM_BINS, SELECTORS, STATISTICS, BipartitionFamily, compute_distributions,
+    histogram,
 )
 from .states import (
     ENSEMBLE_KINDS, MAX_QUBITS, EnsembleSpec, PureState, make_basis, make_cluster1d,
@@ -106,9 +107,13 @@ def _run_state(args: argparse.Namespace) -> str:
 def _run_purity(args: argparse.Namespace) -> str:
     mask = _parse_mask(args.mask)
     state = _load_state(args)
-    part = Bipartition(state.n, mask)
-    record = {"n": state.n, "mask": f"{part.mask:#x}", "n_A": part.n_a, "n_B": part.n_b}
-    return _record({**record, **asdict(purity(state, part))})
+    p = float(purities(state.amplitudes[None], state.n, [mask])[0, 0])
+    n_a = mask.bit_count()
+    return _record({
+        "n": state.n, "mask": f"{mask:#x}", "n_A": n_a, "n_B": state.n - n_a,
+        "purity": p, "participation": 1.0 / p,
+        "effective_spins": 0.0 - math.log2(p),  # avoids -0.0 at purity 1
+    })
 
 
 def _run_spectrum(args: argparse.Namespace) -> str:
@@ -120,7 +125,7 @@ def _run_spectrum(args: argparse.Namespace) -> str:
         raise ValueError(f"--bins must be at most {MAX_GRID}, got {args.bins}")
     state = _load_state(args)
     family = BipartitionFamily(state.n, args.family, args.size)
-    dist = compute_distribution(state, family)
+    (dist,) = compute_distributions(state.amplitudes[None], family)
     if args.format == "json":
         stats = {name: getattr(dist, name) for name in STATISTICS}
         return _record({"n": family.n, "family": family.label, "count": dist.count, **stats})
@@ -142,13 +147,14 @@ def _run_sample(args: argparse.Namespace) -> str:
     elif args.size is not None:
         raise ValueError("--size applies only to --family fixed-size, not --mask")
     else:
-        part = Bipartition(args.n, _parse_mask(args.mask))
+        mask = _parse_mask(args.mask)
+        purities(np.empty((0, 1 << args.n)), args.n, [mask])  # no rows: checks the mask
     # the states are drawn, evaluated and formatted one block at a time
     blocks = sample_blocks(spec, args.count)
     if args.mask is not None:
         values = (
             v for block in blocks
-            for v in purities(block, args.n, [part.mask])[:, 0].tolist()
+            for v in purities(block, args.n, [mask])[:, 0].tolist()
         )
         rows = ((i, v, 1.0 / v) for i, v in enumerate(values))
         return _table(("sample", "purity", "participation"), rows)
@@ -240,12 +246,14 @@ def _run_table1(args: argparse.Namespace) -> str:
         family = BipartitionFamily(n, "balanced")
         row = [n]
         for state in (make_ghz(n), make_w(n), make_cluster1d(n)):
-            row.append(compute_distribution(state, family).mean_participation)
+            (dist,) = compute_distributions(state.amplitudes[None], family)
+            row.append(dist.mean_participation)
         n_a = n // 2
         row.append(1.0 / asymptotic_model(1 << n_a, 1 << (n - n_a)).mu)
         if haar is not None:
             (block,) = sample_blocks(replace(haar, n=n), 1)
-            row.append(compute_distributions(block, family)[0].mean_participation)
+            (dist,) = compute_distributions(block, family)
+            row.append(dist.mean_participation)
         rows.append(row)
     return _table(header, rows)
 

@@ -29,21 +29,6 @@ class EigenConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ConcurrenceResult:
-    """Pairwise concurrence with the four spin-flip roots, the singular values
-    of Z^T (Y x Y) Z, largest first."""
-
-    value: float
-    lambdas: tuple[float, float, float, float]
-
-    @classmethod
-    def from_lambdas(cls, lam: np.ndarray) -> "ConcurrenceResult":
-        """C = max(0, l1 - l2 - l3 - l4) from the four roots, largest first."""
-        value = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
-        return cls(value=value, lambdas=tuple(lam.tolist()))
-
-
-@dataclass(frozen=True)
 class TangleReport:
     """Per-qubit one-tangle, two-tangle, and their ratio (None when undefined),
     with the pairwise concurrences behind the two-tangles as (i, j, C) triples
@@ -80,7 +65,7 @@ def concurrences(state: PureState, pairs) -> np.ndarray:
     With Z the pair's 4 x N_B coefficient matrix (rho = Z Z^dagger), the
     spin-flip roots lambda are the singular values of Z^T (Y x Y) Z, padded
     with zeros to four (Wootters, PRL 80, 2245 (1998)), and the concurrence
-    is max(0, l1 - l2 - l3 - l4) (`ConcurrenceResult.from_lambdas`).
+    is max(0, l1 - l2 - l3 - l4) (as `tangle_report` computes it).
     (i, j) and (j, i) name one pair.  Every pair is checked before anything
     is allocated; each is then copied, laid out by `_qubit_axes` with the
     bits of (lo, hi) as the row, into one 4 x N_B buffer reused across pairs,
@@ -118,12 +103,6 @@ def concurrences(state: PureState, pairs) -> np.ndarray:
     return lambdas
 
 
-def concurrence(state: PureState, i: int, j: int) -> ConcurrenceResult:
-    """Wootters concurrence of qubits i and j: the one-pair call of
-    `concurrences`."""
-    return ConcurrenceResult.from_lambdas(concurrences(state, ((i, j),))[0])
-
-
 def tangle_report(state: PureState) -> TangleReport:
     """Per-qubit tangles from one `purities` call over the single-qubit cuts
     and one `concurrences` call over every pair.
@@ -139,7 +118,7 @@ def tangle_report(state: PureState) -> TangleReport:
     lambdas = concurrences(state, pairs)
     table = np.zeros((n, n))
     for (i, j), lam in zip(pairs, lambdas):
-        table[i, j] = table[j, i] = ConcurrenceResult.from_lambdas(lam).value
+        table[i, j] = table[j, i] = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
     rows = table.tolist()
     single = purities(state.amplitudes[None], n, [1 << i for i in range(n)])[0]
     tau1 = tuple(2.0 * (1.0 - p) for p in single.tolist())

@@ -1,4 +1,4 @@
-"""Bipartite purity and participation number.
+"""Bipartite purity.
 
 A bipartition is a bitmask over the qubits; set bits form subsystem A.  For
 basis index k, the subsystem indices (j_A, l_B) are the order-preserving
@@ -11,66 +11,9 @@ full 2**n x 2**n density matrix.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .states import PureState, _qubit_axes
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """Split of n qubits into subsystem A (set bits of mask) and its complement."""
-
-    n: int
-    mask: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "mask", int(self.mask))
-        if self.n < 2:
-            raise ValueError(f"bipartition needs at least 2 qubits, got {self.n}")
-        if not (0 <= self.mask < (1 << self.n)):
-            raise ValueError(f"mask {self.mask:#x} out of range for {self.n} qubits")
-        k = self.mask.bit_count()
-        if k == 0 or k == self.n:
-            raise ValueError(
-                f"mask {self.mask:#x} leaves a subsystem empty for n={self.n}"
-            )
-
-    @property
-    def n_a(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def n_b(self) -> int:
-        return self.n - self.n_a
-
-    @property
-    def dim_a(self) -> int:
-        return 1 << self.n_a
-
-    @property
-    def dim_b(self) -> int:
-        return 1 << self.n_b
-
-
-@dataclass(frozen=True)
-class PurityResult:
-    """Purity pi, participation number 1/pi, and effective entangled spins log2(1/pi)."""
-
-    purity: float
-    participation: float
-    effective_spins: float
-
-    @classmethod
-    def from_purity(cls, value: float) -> "PurityResult":
-        return cls(
-            purity=value,
-            participation=1.0 / value,
-            effective_spins=0.0 - math.log2(value),  # avoids -0.0 at purity 1
-        )
+from .states import _qubit_axes
 
 
 def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
@@ -79,7 +22,7 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     block holds count x 2**n amplitudes, float64 or complex128 (ValueError
     names a shape or dtype that is not, before anything is allocated), and
     each mask lies in [1, 2**n - 2] (ValueError names the first that does
-    not); the result is a count x len(masks) float64 array.  A mask and its
+    not; this is the package's one check of a cut); the result is a count x len(masks) float64 array.  A mask and its
     complement are one cut, turned so that A is the smaller side, or of two
     equal sides the lower mask.  Each cut is gathered once, however many
     masks name it, and its value is written to the column of every such
@@ -138,18 +81,3 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
             values[r, c] = np.vdot(g[r], g[r]).real
     return values[:, where]
 
-
-def purity(state: PureState, part: Bipartition) -> PurityResult:
-    """Purity of the reduced state across the bipartition.
-
-    The one-state, one-cut call of `purities`: the squared Frobenius norm of
-    the Gram matrix Z Z^dagger, cost O(min^2 * max) instead of the O(N^2)
-    of the index-sum form.  A mask and its complement give bit-identical
-    purities.
-    """
-    if part.n != state.n:
-        raise ValueError(
-            f"bipartition is over {part.n} qubits but the state has {state.n}"
-        )
-    value = purities(state.amplitudes[None], state.n, (part.mask,))[0, 0]
-    return PurityResult.from_purity(float(value))

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .purity import purities
-from .states import PureState
 
 SELECTORS = ("balanced", "all-sizes", "fixed-size", "max-unbalanced")
 # EntanglementDistribution's participation statistics, in output order
@@ -129,25 +128,12 @@ def compute_distributions(
     block: np.ndarray, family: BipartitionFamily
 ) -> list[EntanglementDistribution]:
     """One distribution per row of a count x 2**n amplitude block, from one
-    `purities` call over the family's masks (which evaluates each unordered
-    cut once)."""
+    `purities` call over the family's masks in ascending order (which
+    evaluates each unordered cut once).  One state is the block
+    `state.amplitudes[None]`."""
     masks = family.masks()
     values = purities(block, family.n, masks)
     return [EntanglementDistribution(masks, row) for row in values]
-
-
-def compute_distribution(
-    state: PureState, family: BipartitionFamily
-) -> EntanglementDistribution:
-    """Evaluate the purity on every mask of the family, in ascending mask order.
-
-    Each unordered cut is evaluated once (see `purities`).
-    """
-    if family.n != state.n:
-        raise ValueError(
-            f"family is over {family.n} qubits but the state has {state.n}"
-        )
-    return compute_distributions(state.amplitudes[None], family)[0]
 
 
 def histogram(dist: EntanglementDistribution, bins: int = HISTOGRAM_BINS) -> Histogram:

@@ -217,9 +217,9 @@ def state_to_dict(state: PureState) -> dict:
 def state_from_dict(data: dict) -> PureState:
     """Inverse of state_to_dict; validates types, shape and normalization.
 
-    n must be a JSON integer and each [re, im] component a JSON number;
-    strings, booleans, nulls and a float n such as 2.0 are rejected rather
-    than converted.
+    n must be a JSON integer and each [re, im] component a JSON number
+    within the double range; strings, booleans, nulls and a float n such as
+    2.0 are rejected rather than converted.
     """
     try:
         n = data["n"]
@@ -239,6 +239,8 @@ def state_from_dict(data: dict) -> PureState:
         arr = np.asarray(pairs, dtype=np.float64)
     except ValueError:  # ragged pairs
         raise ValueError(not_pairs) from None
+    except OverflowError:  # an integer beyond the largest double
+        raise ValueError("amplitude components must fit in a double") from None
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(not_pairs)
     # a complex view of the pairs keeps the sign of a -0.0 real part, which

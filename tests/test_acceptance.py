@@ -20,13 +20,10 @@ import numpy as np
 from scipy import integrate
 
 from entspec import (
-    Bipartition,
     BipartitionFamily,
     EnsembleSpec,
     PureState,
     asymptotic_model,
-    compute_distribution,
-    concurrence,
     exact_moments,
     histogram,
     make_basis,
@@ -35,7 +32,6 @@ from entspec import (
     make_w,
     participation_pdf,
     purities,
-    purity,
     purity_pdf,
     sample_blocks,
     tangle_report,
@@ -54,6 +50,7 @@ from helpers import (
     w_participation,
     xm_split,
 )
+from one_state import concurrence, distribution, participation_bound, purity, spin_flip_roots
 
 TABLE_W = {5: 1.923, 6: 2.0, 7: 1.96, 8: 2.0, 9: 1.976, 10: 2.0, 11: 1.984, 12: 2.0}
 TABLE_CLUSTER = {
@@ -93,14 +90,14 @@ def test_criterion_1_reference_table():
         family = BipartitionFamily(n, "balanced")
         n_a = n // 2
 
-        ghz_mean = compute_distribution(make_ghz(n), family).mean_participation
+        ghz_mean = distribution(make_ghz(n), family).mean_participation
         crit.close(1e-9, ghz_mean, 2.0, f"ghz n={n}")
 
-        w_mean = compute_distribution(make_w(n), family).mean_participation
+        w_mean = distribution(make_w(n), family).mean_participation
         crit.close(1e-9, w_mean, w_participation(n, n_a), f"w closed form n={n}")
         crit.close(5e-4, w_mean, TABLE_W[n], f"w reference n={n}")
 
-        cluster_mean = compute_distribution(make_cluster1d(n), family).mean_participation
+        cluster_mean = distribution(make_cluster1d(n), family).mean_participation
         exact = float(path_balanced_mean(n))
         crit.close(1e-9, cluster_mean, exact, f"cluster cut-rank oracle n={n}")
         crit.close(5e-4, TABLE_CLUSTER[n], exact, f"cluster table entry n={n}")
@@ -117,15 +114,15 @@ def test_criterion_2_three_qubit_distributions():
     crit = Criterion(2, "three-qubit exact distributions")
     family = BipartitionFamily(3, "balanced")
 
-    values = compute_distribution(make_basis(3, 5), family).participations()
+    values = distribution(make_basis(3, 5), family).participations()
     crit.check(np.allclose(values, 1.0, atol=1e-10), f"factorized: {values}")
 
-    values = compute_distribution(make_ghz(3), family).participations()
+    values = distribution(make_ghz(3), family).participations()
     crit.check(np.allclose(values, 2.0, atol=1e-10), f"ghz: {values}")
 
     amps = np.zeros(8, dtype=complex)
     amps[0] = amps[6] = 1 / np.sqrt(2)
-    values = np.sort(compute_distribution(PureState(3, amps), family).participations())
+    values = np.sort(distribution(PureState(3, amps), family).participations())
     crit.check(
         np.allclose(values, [1.0, 2.0, 2.0], atol=1e-10), f"pair+spectator: {values}"
     )
@@ -136,7 +133,7 @@ def test_criterion_3_pair_product_example():
     crit = Criterion(3, "two-Bell-pair product vs GHZ")
     bell = make_ghz(2)
     state = make_product(bell, bell)
-    dist = compute_distribution(state, BipartitionFamily(4, "balanced"))
+    dist = distribution(state, BipartitionFamily(4, "balanced"))
     # mathematically exactly 3; float construction leaves ~1e-15 roundoff
     crit.close(1e-12, dist.mean_participation, 3.0, "mean participation")
     crit.close(0.01, math.sqrt(dist.var_sample), 1.549, "Bessel-corrected width")
@@ -152,8 +149,7 @@ def test_criterion_4_random_state_statistics():
     crit = Criterion(4, "random-state statistics")
 
     states = haar_states(10, 1000, 20240)
-    part = Bipartition(10, 0b11111)
-    values = np.array([purity(s, part).purity for s in states])
+    values = np.array([purity(s, 0b11111) for s in states])
     target = 63 / 1024
     crit.check(
         abs(values.mean() - target) / target <= 0.05,
@@ -164,7 +160,7 @@ def test_criterion_4_random_state_statistics():
     crit.check(0.5 <= ratio <= 2.0, f"variance ratio {ratio:.3f} outside [0.5, 2]")
 
     single = haar_states(12, 1, 20241)[0]
-    dist = compute_distribution(single, BipartitionFamily(12, "balanced"))
+    dist = distribution(single, BipartitionFamily(12, "balanced"))
     crit.check(dist.count == 924, f"mask count {dist.count}")
     mean_part = dist.mean_participation
     crit.check(
@@ -211,9 +207,9 @@ def test_criterion_5_moment_formulas():
 
 def test_criterion_6_measures_suite():
     crit = Criterion(6, "comparison measures")
-    crit.close(1e-9, concurrence(make_ghz(2), 0, 1).value, 1.0, "C(Bell)")
-    crit.close(1e-9, concurrence(make_ghz(3), 0, 1).value, 0.0, "C(GHZ3 pair)")
-    crit.close(1e-9, concurrence(make_w(3), 0, 1).value, 2 / 3, "C(W3 pair)")
+    crit.close(1e-9, concurrence(make_ghz(2), 0, 1), 1.0, "C(Bell)")
+    crit.close(1e-9, concurrence(make_ghz(3), 0, 1), 0.0, "C(GHZ3 pair)")
+    crit.close(1e-9, concurrence(make_w(3), 0, 1), 2 / 3, "C(W3 pair)")
     crit.close(1e-10, tangle_report(make_w(3)).tau1[0], 8 / 9, "tau1(W3)")
 
     for idx, state in enumerate(haar_states(6, 100, 20242)):
@@ -241,27 +237,26 @@ def test_criterion_7_property_suites():
     # participation bounds and complement symmetry on random states, all masks
     for state in haar_states(5, 10, 20245):
         for mask in range(1, 31):
-            part = Bipartition(5, mask)
-            res = purity(state, part)
-            bound = min(part.dim_a, part.dim_b)
+            p = purity(state, mask)
+            bound = participation_bound(5, mask)
             crit.check(
-                1.0 - 1e-12 <= res.participation <= bound * (1 + 1e-12),
-                f"bounds violated at mask {mask:#x}: {res.participation!r}",
+                1.0 - 1e-12 <= 1.0 / p <= bound * (1 + 1e-12),
+                f"bounds violated at mask {mask:#x}: {1.0 / p!r}",
             )
-            twin = purity(state, Bipartition(5, mask ^ 31)).purity
+            twin = purity(state, mask ^ 31)
             crit.check(
-                abs(res.purity - twin) <= 1e-12,
+                abs(p - twin) <= 1e-12,
                 f"complement asymmetry at mask {mask:#x}",
             )
 
     # local-unitary invariance
     state = haar_states(4, 1, 20246)[0]
-    reference = [purity(state, Bipartition(4, m)).purity for m in range(1, 15)]
+    reference = [purity(state, m) for m in range(1, 15)]
     for qubit in range(4):
         rotated = apply_single_qubit(state, qubit, random_unitary2(rng))
         for ref, mask in zip(reference, range(1, 15)):
             crit.check(
-                abs(purity(rotated, Bipartition(4, mask)).purity - ref) <= 1e-10,
+                abs(purity(rotated, mask) - ref) <= 1e-10,
                 f"local unitary on qubit {qubit} moved mask {mask:#x}",
             )
 
@@ -269,16 +264,14 @@ def test_criterion_7_property_suites():
     for n in range(2, 7):
         for state in haar_states(n, 20, 20247 + n):
             for mask in range(1, (1 << n) - 1):
-                part = Bipartition(n, mask)
-                gram = purity(state, part).purity
+                gram = purity(state, mask)
                 crit.check(
                     abs(gram - purity_quadruple_sum(state, mask)) <= 1e-10,
                     f"quadruple sum mismatch n={n} mask={mask:#x}",
                 )
-            part = Bipartition(n, 1)
-            x, m = xm_split(state, part.mask)
+            x, m = xm_split(state, 1)
             crit.check(
-                abs(x + m - purity(state, part).purity) <= 1e-10,
+                abs(x + m - purity(state, 1)) <= 1e-10,
                 f"additive split mismatch at n={n}",
             )
 
@@ -299,8 +292,8 @@ def test_criterion_7_property_suites():
 
     # histogram mass in both modes
     for dist in (
-        compute_distribution(make_cluster1d(6), BipartitionFamily(6, "balanced")),
-        compute_distribution(haar_states(10, 1, 20248)[0], BipartitionFamily(10, "balanced")),
+        distribution(make_cluster1d(6), BipartitionFamily(6, "balanced")),
+        distribution(haar_states(10, 1, 20248)[0], BipartitionFamily(10, "balanced")),
     ):
         hist = histogram(dist)
         mass = float(np.sum(hist.densities * np.diff(hist.bin_edges)))
@@ -314,7 +307,7 @@ def test_criterion_7_property_suites():
             i, j = sorted(rng.choice(n, 2, replace=False).tolist())
             rho = partial_trace_reshape(state, [i, j])
             roots = quartic_roots(rho @ YY @ rho.conj() @ YY)
-            lam2 = np.array(concurrence(state, i, j).lambdas) ** 2
+            lam2 = spin_flip_roots(state, i, j) ** 2
             crit.check(
                 match_multisets(lam2, roots) < 1e-8,
                 f"quartic oracle disagrees at n={n}, pair ({i}, {j})",

@@ -477,7 +477,7 @@ class TestErrorsAndDeterminism:
         code, _, err = run_cli(
             capsys, "purity", "--kind", "ghz", "--n", "3", "--mask", "0x7"
         )
-        assert code == 2 and "empty" in err
+        assert code == 2 and "mask 0x7 is not a cut of 3 qubits" in err
 
     def test_size_guard_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -555,6 +555,12 @@ class TestErrorsAndDeterminism:
             (("purity", "--kind", "ghz", "--n", "5", "--mask", "1_0"), "mask '1_0'"),
             (("sample", "--kind", "haar", "--n", "4", "--count", "3", "--seed", "1",
               "--mask", "+3"), "mask '+3'"),
+            # a mask that is not a cut of the qubits is refused by the purity kernel
+            *((("purity", "--kind", "ghz", "--n", "3", "--mask", mask),
+               f"mask {mask} is not a cut of 3 qubits") for mask in ("0x0", "0x7", "0x8")),
+            *((("sample", "--kind", "haar", "--n", "3", "--count", "2", "--seed", "1",
+                "--mask", mask), f"mask {mask} is not a cut of 3 qubits")
+              for mask in ("0x0", "0x7", "0x8")),
         ],
     )
     def test_invalid_option_combinations_exit_2(self, capsys, tmp_path, args, named):
@@ -594,7 +600,7 @@ class TestErrorsAndDeterminism:
         def refuse(*_args):
             raise AssertionError("a sweep ran before the seed was checked")
 
-        monkeypatch.setattr(cli, "compute_distribution", refuse)
+        monkeypatch.setattr(cli, "compute_distributions", refuse)
         for seed in ("-1", str(2**64)):
             code, out, err = run_cli(
                 capsys, "table1", "--nmin", "13", "--nmax", "13", "--haar-seed", seed
@@ -632,6 +638,14 @@ class TestErrorsAndDeterminism:
                                  *command[1:])
         assert code == 2 and out == ""
         assert "must be" in err
+
+    def test_integer_beyond_the_double_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text('{"n": 1, "amplitudes": [[1' + "0" * 400 + ', 0], [0, 0]]}')
+        code, out, err = run_cli(capsys, "purity", "--state-file", str(path),
+                                 "--mask", "0x1")
+        assert code == 2 and out == ""
+        assert "amplitude components must fit in a double" in err
 
     def test_integer_state_file_components_load(self, capsys, tmp_path):
         path = tmp_path / "state.json"

@@ -8,13 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entspec import (
-    Bipartition,
     PureState,
-    concurrence,
     make_basis,
     make_ghz,
     make_w,
-    purity,
     state_to_dict,
     tangle_report,
 )
@@ -24,17 +21,18 @@ from helpers import (
     apply_single_qubit, concurrence_qr, concurrence_svd, haar_states, make_product,
     random_unitary2,
 )
+from one_state import concurrence, purity, spin_flip_roots
 
 
 def one_tangle(state, i):
     """Reference: 2 (1 - purity) of qubit i, from its own single-cut call."""
-    return 2 * (1 - purity(state, Bipartition(state.n, 1 << i)).purity)
+    return 2 * (1 - purity(state, 1 << i))
 
 
 def two_tangle(state, i):
     """Reference: the squared concurrences of qubit i with each partner, summed
     in ascending partner order."""
-    return sum(concurrence(state, i, j).value ** 2 for j in range(state.n) if j != i)
+    return sum(concurrence(state, i, j) ** 2 for j in range(state.n) if j != i)
 
 
 class TestQMeasure:
@@ -66,33 +64,33 @@ class TestQMeasure:
 
 class TestConcurrence:
     def test_bell_pair(self):
-        res = concurrence(make_ghz(2), 0, 1)
-        assert res.value == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(res.lambdas, [1.0, 0.0, 0.0, 0.0], atol=1e-10)
+        assert concurrence(make_ghz(2), 0, 1) == pytest.approx(1.0, abs=1e-12)
+        lam = spin_flip_roots(make_ghz(2), 0, 1)
+        np.testing.assert_allclose(lam, [1.0, 0.0, 0.0, 0.0], atol=1e-10)
 
     def test_ghz3_any_pair(self):
         state = make_ghz(3)
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            assert concurrence(state, i, j).value == pytest.approx(0.0, abs=1e-12)
+            assert concurrence(state, i, j) == pytest.approx(0.0, abs=1e-12)
 
     def test_w3_any_pair(self):
         state = make_w(3)
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            assert concurrence(state, i, j).value == pytest.approx(2 / 3, abs=1e-12)
+            assert concurrence(state, i, j) == pytest.approx(2 / 3, abs=1e-12)
 
     def test_symmetric_in_qubits(self):
         for state in haar_states(4, 5, 901):
             for i in range(4):
                 for j in range(i + 1, 4):
-                    assert concurrence(state, i, j).value == pytest.approx(
-                        concurrence(state, j, i).value, abs=1e-10
+                    assert concurrence(state, i, j) == pytest.approx(
+                        concurrence(state, j, i), abs=1e-10
                     )
 
     def test_range_and_sorted_roots(self):
         for state in haar_states(5, 10, 902):
-            res = concurrence(state, 0, 3)
-            assert 0.0 <= res.value <= 1.0
-            assert list(res.lambdas) == sorted(res.lambdas, reverse=True)
+            assert 0.0 <= concurrence(state, 0, 3) <= 1.0
+            lam = spin_flip_roots(state, 0, 3).tolist()
+            assert lam == sorted(lam, reverse=True)
 
     def test_same_qubit_rejected(self):
         with pytest.raises(ValueError, match="differ"):
@@ -114,14 +112,14 @@ class TestConcurrenceOracle:
     def test_matches_svd_oracle_on_every_pair(self, n):
         for state in haar_states(n, 30, 904 + n):
             for i, j in combinations(range(n), 2):
-                value = concurrence(state, i, j).value
+                value = concurrence(state, i, j)
                 assert abs(value - concurrence_svd(state, i, j)) <= 1e-13
 
     def test_two_qubit_closed_form(self):
         for state in haar_states(2, 30, 904):
             z = state.amplitudes
             closed = 2.0 * abs(z[0] * z[3] - z[1] * z[2])
-            assert abs(concurrence(state, 0, 1).value - closed) <= 1e-13
+            assert abs(concurrence(state, 0, 1) - closed) <= 1e-13
             assert abs(concurrence_svd(state, 0, 1) - closed) <= 1e-13
 
 
@@ -145,7 +143,7 @@ class TestConcurrenceQrTree:
         for (i, j), lam, (_, _, value) in zip(pairs, lambdas, report.concurrences):
             oracle = concurrence_qr(state, i, j)
             assert np.abs(lam - oracle).max() <= 1e-13
-            assert concurrence(state, i, j).value == value
+            assert concurrence(state, i, j) == value
             assert abs(value - max(0.0, oracle[0] - oracle[1] - oracle[2] - oracle[3])) <= 1e-13
 
     def test_w18_every_pair_two_over_n(self):
@@ -178,7 +176,7 @@ class TestConcurrenceSmallRoots:
         amps = np.zeros(8)
         amps[[0b000, 0b011]] = np.sqrt(a2 / 2)
         amps[[0b101, 0b110]] = eps / np.sqrt(2)
-        value = concurrence(PureState(3, amps), 0, 1).value
+        value = concurrence(PureState(3, amps), 0, 1)
         assert abs(value - (a2 - eps**2)) <= 1e-13
 
     @pytest.mark.parametrize("n", range(3, 10))
@@ -189,7 +187,7 @@ class TestConcurrenceSmallRoots:
         for qubit in range(n):
             state = apply_single_qubit(state, qubit, random_unitary2(rng))
         for i, j in combinations(range(n), 2):
-            assert abs(concurrence(state, i, j).value - 2 / n) <= 1e-13
+            assert abs(concurrence(state, i, j) - 2 / n) <= 1e-13
 
 
 class TestTangles:
@@ -230,7 +228,7 @@ class TestTangles:
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
             assert [(i, j) for i, j, _ in report.concurrences] == pairs
             for i, j, value in report.concurrences:
-                assert value == concurrence(state, i, j).value
+                assert value == concurrence(state, i, j)
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_w_closed_forms(self, n):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from importlib import import_module
 
@@ -5,16 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entspec import (
-    Bipartition,
-    EnsembleSpec,
-    PureState,
-    make_basis,
-    make_cluster1d,
-    make_ghz,
-    make_w,
-    purity,
-)
+from entspec import EnsembleSpec, PureState, make_basis, make_cluster1d, make_ghz, make_w
 from entspec.purity import purities
 from entspec.states import BLOCK_BYTES, ENSEMBLE_KINDS, _qubit_axes, sample_blocks
 from helpers import (
@@ -22,46 +14,33 @@ from helpers import (
     partial_trace_reshape, permute_amplitudes_bitloop, phase_sphere_row_reference,
     purity_quadruple_sum, random_unitary2, scatter_coefficient_matrix,
 )
+from one_state import participation_bound, purity
 
 
 def all_masks(n):
-    return [Bipartition(n, m) for m in range(1, (1 << n) - 1)]
+    return range(1, (1 << n) - 1)
 
 
-def complement(part):
-    return Bipartition(part.n, part.mask ^ ((1 << part.n) - 1))
+def complement(n, mask):
+    return mask ^ ((1 << n) - 1)
 
 
-def kernel_gather(state, part):
+def kernel_gather(state, mask):
     """Z as the purity kernel gathers it: `_qubit_axes`, reshaped to N_A x N_B."""
-    a, b = mask_qubits(part.mask), mask_qubits(complement(part).mask)
-    return _qubit_axes(state.amplitudes, state.n, a, b).reshape(part.dim_a, part.dim_b)
-
-
-class TestBipartition:
-    def test_derived_quantities(self):
-        part = Bipartition(5, 0b10110)
-        assert (part.n_a, part.n_b) == (3, 2)
-        assert (part.dim_a, part.dim_b) == (8, 4)
-        assert part.dim_a * part.dim_b == 2**5
-
-    def test_rejects_empty_subsystems(self):
-        with pytest.raises(ValueError):
-            Bipartition(3, 0)
-        with pytest.raises(ValueError):
-            Bipartition(3, 0b111)
-        with pytest.raises(ValueError):
-            Bipartition(3, 0b1000)
+    n, k = state.n, mask.bit_count()
+    a, b = mask_qubits(mask), mask_qubits(complement(n, mask))
+    return _qubit_axes(state.amplitudes, n, a, b).reshape(1 << k, 1 << (n - k))
 
 
 class TestCoefficientMatrix:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_equals_bit_scatter_reference(self, n):
         state = haar_states(n, 1, 900 + n)[0]
-        for part in all_masks(n):
-            z = kernel_gather(state, part)
-            reference = scatter_coefficient_matrix(state, mask_qubits(part.mask))
-            assert z.shape == (part.dim_a, part.dim_b)
+        for mask in all_masks(n):
+            z = kernel_gather(state, mask)
+            reference = scatter_coefficient_matrix(state, mask_qubits(mask))
+            k = mask.bit_count()
+            assert z.shape == (1 << k, 1 << (n - k))
             assert np.array_equal(z, reference)
 
     def test_state_stays_read_only(self):
@@ -79,33 +58,34 @@ class TestCoefficientMatrix:
 def state_cut_perm(draw):
     n = draw(st.integers(2, 8))
     state = haar_states(n, 1, draw(st.integers(0, 2**32 - 1)))[0]
-    part = Bipartition(n, draw(st.integers(1, (1 << n) - 2)))
-    return state, part, draw(st.permutations(range(n)))
+    mask = draw(st.integers(1, (1 << n) - 2))
+    return state, mask, draw(st.permutations(range(n)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(state_cut_perm(), st.data())
 def test_purity_cut_properties(case, data):
-    state, part, perm = case
-    keep = mask_qubits(part.mask)
-    z = kernel_gather(state, part)
+    state, mask, perm = case
+    n = state.n
+    keep = mask_qubits(mask)
+    z = kernel_gather(state, mask)
     assert np.array_equal(z, scatter_coefficient_matrix(state, keep))
-    res = purity(state, part)
+    p = purity(state, mask)
     # relabelled qubits carry the cut with them
-    moved = Bipartition(part.n, sum(1 << perm[q] for q in keep))
-    permuted = PureState(state.n, permute_amplitudes_bitloop(state, perm))
-    assert purity(permuted, moved).purity == pytest.approx(res.purity, abs=1e-12)
-    assert purity(state, complement(part)).purity == pytest.approx(res.purity, abs=1e-12)
-    assert 1.0 - 1e-12 <= res.participation <= min(part.dim_a, part.dim_b) * (1 + 1e-12)
+    moved = sum(1 << perm[q] for q in keep)
+    permuted = PureState(n, permute_amplitudes_bitloop(state, perm))
+    assert purity(permuted, moved) == pytest.approx(p, abs=1e-12)
+    assert purity(state, complement(n, mask)) == pytest.approx(p, abs=1e-12)
+    assert 1.0 - 1e-12 <= 1.0 / p <= participation_bound(n, mask) * (1 + 1e-12)
     # a unitary on one qubit, on either side of the cut, is local
-    qubit = data.draw(st.integers(0, state.n - 1))
+    qubit = data.draw(st.integers(0, n - 1))
     u = random_unitary2(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
     rotated = apply_single_qubit(state, qubit, u)
-    assert purity(rotated, part).purity == pytest.approx(res.purity, abs=1e-12)
+    assert purity(rotated, mask) == pytest.approx(p, abs=1e-12)
     # the Gram form, the literal quadruple sum and a reshape partial trace agree
     rho = partial_trace_reshape(state, keep)
-    assert purity_quadruple_sum(state, part.mask) == pytest.approx(res.purity, abs=1e-12)
-    assert np.real(np.trace(rho @ rho)) == pytest.approx(res.purity, abs=1e-12)
+    assert purity_quadruple_sum(state, mask) == pytest.approx(p, abs=1e-12)
+    assert np.real(np.trace(rho @ rho)) == pytest.approx(p, abs=1e-12)
 
 
 REAL_NAMED = {"ghz": make_ghz, "w": make_w, "cluster": make_cluster1d}
@@ -121,64 +101,63 @@ def real_state_cut(draw):
         state = PureState(n, g / np.linalg.norm(g))
     else:
         state = REAL_NAMED[kind](n)
-    return state, Bipartition(n, draw(st.integers(1, (1 << n) - 2)))
+    return state, draw(st.integers(1, (1 << n) - 2))
 
 
 @settings(max_examples=150, deadline=None)
 @given(real_state_cut())
 def test_real_gram_matches_reshape_partial_trace(case):
-    state, part = case
+    state, mask = case
     assert state.amplitudes.dtype == np.float64
-    rho = partial_trace_reshape(state, mask_qubits(part.mask))
-    assert abs(purity(state, part).purity - np.real(np.trace(rho @ rho))) <= 1e-14
+    rho = partial_trace_reshape(state, mask_qubits(mask))
+    assert abs(purity(state, mask) - np.real(np.trace(rho @ rho))) <= 1e-14
 
 
 class TestPurity:
     def test_ghz_every_mask(self):
         state = make_ghz(4)
-        for part in all_masks(4):
-            res = purity(state, part)
-            assert res.purity == pytest.approx(0.5, abs=1e-12)
-            assert res.participation == pytest.approx(2.0, abs=1e-12)
-            assert res.effective_spins == pytest.approx(1.0, abs=1e-12)
+        for mask in all_masks(4):
+            p = purity(state, mask)
+            assert p == pytest.approx(0.5, abs=1e-12)
+            assert 1.0 / p == pytest.approx(2.0, abs=1e-12)
+            assert -math.log2(p) == pytest.approx(1.0, abs=1e-12)
 
     def test_w5_balanced(self):
-        res = purity(make_w(5), Bipartition(5, 0b00011))
-        assert res.purity == pytest.approx(13 / 25, abs=1e-12)
-        assert res.participation == pytest.approx(25 / 13, abs=1e-12)
+        p = purity(make_w(5), 0b00011)
+        assert p == pytest.approx(13 / 25, abs=1e-12)
+        assert 1.0 / p == pytest.approx(25 / 13, abs=1e-12)
 
     def test_basis_state(self):
-        res = purity(make_basis(4, 9), Bipartition(4, 0b0101))
-        assert res.purity == pytest.approx(1.0, abs=1e-13)
+        assert purity(make_basis(4, 9), 0b0101) == pytest.approx(1.0, abs=1e-13)
 
     def test_matches_eigenvalue_sum(self):
         state = haar_states(5, 1, 55)[0]
-        for part in all_masks(5):
-            rho = partial_trace_reshape(state, mask_qubits(part.mask))
+        for mask in all_masks(5):
+            rho = partial_trace_reshape(state, mask_qubits(mask))
             evals = np.linalg.eigvalsh(rho)
-            assert purity(state, part).purity == pytest.approx(
+            assert purity(state, mask) == pytest.approx(
                 float(np.sum(evals**2)), abs=1e-10
             )
 
     def test_bounds_on_random_states(self):
         for idx, state in enumerate(haar_states(5, 10, 60)):
-            for part in all_masks(5):
-                res = purity(state, part)
-                assert res.participation >= 1.0 - 1e-12
-                assert res.participation <= min(part.dim_a, part.dim_b) * (1 + 1e-12)
+            for mask in all_masks(5):
+                participation = 1.0 / purity(state, mask)
+                assert participation >= 1.0 - 1e-12
+                assert participation <= participation_bound(5, mask) * (1 + 1e-12)
 
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(8)
         state = haar_states(4, 1, 61)[0]
-        reference = [purity(state, part).purity for part in all_masks(4)]
+        reference = [purity(state, mask) for mask in all_masks(4)]
         for qubit in range(4):
             rotated = apply_single_qubit(state, qubit, random_unitary2(rng))
-            for ref, part in zip(reference, all_masks(4)):
-                assert purity(rotated, part).purity == pytest.approx(ref, abs=1e-10)
+            for ref, mask in zip(reference, all_masks(4)):
+                assert purity(rotated, mask) == pytest.approx(ref, abs=1e-10)
 
     def test_qubit_count_mismatch(self):
-        with pytest.raises(ValueError, match="qubits"):
-            purity(make_ghz(3), Bipartition(4, 0b0011))
+        with pytest.raises(ValueError, match=r"shape \(1, 8\), expected \(count, 16\)"):
+            purities(make_ghz(3).amplitudes[None], 4, [0b0011])
 
 
 class TestQuadrupleSum:
@@ -186,15 +165,15 @@ class TestQuadrupleSum:
         # 20 states per qubit count, every mask: 100 states total
         for n in range(2, 7):
             for idx, state in enumerate(haar_states(n, 20, 700 + n)):
-                for part in all_masks(n):
-                    assert purity_quadruple_sum(state, part.mask) == pytest.approx(
-                        purity(state, part).purity, abs=1e-10
+                for mask in all_masks(n):
+                    assert purity_quadruple_sum(state, mask) == pytest.approx(
+                        purity(state, mask), abs=1e-10
                     )
 
     def test_ghz_values(self):
         state = make_ghz(3)
-        for part in all_masks(3):
-            assert purity_quadruple_sum(state, part.mask) == pytest.approx(0.5, abs=1e-12)
+        for mask in all_masks(3):
+            assert purity_quadruple_sum(state, mask) == pytest.approx(0.5, abs=1e-12)
 
     def test_bell_product_split_cut(self):
         bell = make_ghz(2)
@@ -205,24 +184,25 @@ class TestQuadrupleSum:
 class TestComplement:
     def test_purity_symmetry(self):
         for state in haar_states(5, 5, 62):
-            for part in all_masks(5):
-                assert purity(state, part).purity == pytest.approx(
-                    purity(state, complement(part)).purity, abs=1e-12
+            for mask in all_masks(5):
+                assert purity(state, mask) == pytest.approx(
+                    purity(state, complement(5, mask)), abs=1e-12
                 )
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_purity_symmetry_is_exact(self, n):
         state = haar_states(n, 1, 960 + n)[0]
-        for part in all_masks(n):
-            assert purity(state, part).purity == purity(state, complement(part)).purity
+        for mask in all_masks(n):
+            assert purity(state, mask) == purity(state, complement(n, mask))
 
 
-def gram_purity_2d(state, part):
+def gram_purity_2d(state, mask):
     """Reference: the cut turned as the kernel turns it, gathered by bit
     scatter, then one 2-D Gram."""
-    if (part.n_a, part.mask) > (part.n_b, complement(part).mask):
-        part = complement(part)
-    z = scatter_coefficient_matrix(state, mask_qubits(part.mask))
+    n, k = state.n, mask.bit_count()
+    if (k, mask) > (n - k, complement(n, mask)):
+        mask = complement(n, mask)
+    z = scatter_coefficient_matrix(state, mask_qubits(mask))
     g = z @ z.conj().T
     return float(np.real(np.vdot(g, g)))
 
@@ -251,7 +231,7 @@ class TestPuritiesKernel:
         values = purities(block, n, masks)
         assert values.shape == (len(states), len(masks))
         for state, row in zip(states, values):
-            assert row.tolist() == [gram_purity_2d(state, Bipartition(n, m)) for m in masks]
+            assert row.tolist() == [gram_purity_2d(state, m) for m in masks]
 
     def test_real_block_takes_real_gram(self):
         state = make_cluster1d(6)
@@ -340,7 +320,7 @@ def test_block_boundaries_match_one_state_at_a_time(kind, count):
     masks = [0x0F, 0x33, 0x01]
     kernel = [v for b in blocks for v in purities(b, STEP_N, masks).tolist()]
     one_at_a_time = [
-        [purity(PureState(STEP_N, row), Bipartition(STEP_N, m)).purity for m in masks]
+        [purity(PureState(STEP_N, row), m) for m in masks]
         for b in blocks for row in b
     ]
     assert kernel == one_at_a_time and len(kernel) == count

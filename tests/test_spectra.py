@@ -8,22 +8,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entspec import (
-    Bipartition,
     BipartitionFamily,
     EntanglementDistribution,
-    compute_distribution,
+    compute_distributions,
     histogram,
     make_basis,
     make_cluster1d,
     make_ghz,
     make_w,
-    purity,
 )
 from entspec.cli import main
 from entspec.states import _qubit_axes
 from entspec.spectra import DISCRETE_VALUE_LIMIT, SELECTORS
 from entspec.states import PureState
 from helpers import haar_states, make_product, permute_amplitudes_bitloop
+from one_state import distribution, purity
 
 
 def bell_product():
@@ -69,7 +68,7 @@ class TestFamilies:
 
 class TestDistribution:
     def test_ghz3_balanced_is_delta_at_two(self):
-        dist = compute_distribution(make_ghz(3), BipartitionFamily(3, "balanced"))
+        dist = distribution(make_ghz(3), BipartitionFamily(3, "balanced"))
         np.testing.assert_allclose(dist.participations(), [2.0, 2.0, 2.0], atol=1e-10)
         assert dist.var_population == pytest.approx(0.0, abs=1e-12)
 
@@ -77,13 +76,13 @@ class TestDistribution:
         # (|000> + |110>)/sqrt(2): one unentangled cut, two maximal ones
         amps = np.zeros(8, dtype=complex)
         amps[0] = amps[6] = 1 / np.sqrt(2)
-        dist = compute_distribution(PureState(3, amps), BipartitionFamily(3, "balanced"))
+        dist = distribution(PureState(3, amps), BipartitionFamily(3, "balanced"))
         np.testing.assert_allclose(
             sorted(dist.participations()), [1.0, 2.0, 2.0], atol=1e-10
         )
 
     def test_cluster5_balanced_mean(self):
-        dist = compute_distribution(make_cluster1d(5), BipartitionFamily(5, "balanced"))
+        dist = distribution(make_cluster1d(5), BipartitionFamily(5, "balanced"))
         assert dist.count == 10
         assert dist.mean_participation == pytest.approx(3.6, abs=1e-10)
 
@@ -95,12 +94,12 @@ class TestDistribution:
             BipartitionFamily(4, "max-unbalanced"),
             BipartitionFamily(4, "fixed-size", 3),
         ):
-            dist = compute_distribution(state, family)
+            dist = distribution(state, family)
             np.testing.assert_allclose(dist.participations(), 1.0, atol=1e-10)
 
     def test_complement_pairs_match_and_dedup_stats_agree(self):
         state = haar_states(4, 1, 99)[0]
-        dist = compute_distribution(state, BipartitionFamily(4, "balanced"))
+        dist = distribution(state, BipartitionFamily(4, "balanced"))
         by_mask = dict(zip(dist.masks.tolist(), dist.participations()))
         for mask, value in by_mask.items():
             assert value == pytest.approx(by_mask[mask ^ 0xF], abs=1e-12)
@@ -114,13 +113,13 @@ class TestDistribution:
         perm = list(rng.permutation(5))
         permuted = PureState(5, permute_amplitudes_bitloop(state, perm))
         family = BipartitionFamily(5, "balanced")
-        before = np.sort(compute_distribution(state, family).participations())
-        after = np.sort(compute_distribution(permuted, family).participations())
+        before = np.sort(distribution(state, family).participations())
+        after = np.sort(distribution(permuted, family).participations())
         np.testing.assert_allclose(before, after, atol=1e-10)
 
     def test_qubit_count_mismatch(self):
-        with pytest.raises(ValueError, match="qubits"):
-            compute_distribution(make_ghz(3), BipartitionFamily(4, "balanced"))
+        with pytest.raises(ValueError, match=r"shape \(1, 8\), expected \(count, 16\)"):
+            compute_distributions(make_ghz(3).amplitudes[None], BipartitionFamily(4, "balanced"))
 
 
 @st.composite
@@ -148,10 +147,10 @@ def family_masks_reference(family):
 @given(state_and_family())
 def test_distribution_arrays_match_per_cut_purities(case):
     state, family = case
-    dist = compute_distribution(state, family)
+    dist = distribution(state, family)
     assert dist.masks.dtype == np.int64 and dist.purity_values.dtype == np.float64
     assert dist.masks.tolist() == family_masks_reference(family)
-    per_cut = [purity(state, Bipartition(family.n, m)).purity for m in dist.masks]
+    per_cut = [purity(state, m) for m in dist.masks]
     assert np.array_equal(dist.purity_values, per_cut)
     values = dist.participations()
     assert np.array_equal(values, 1.0 / np.array(per_cut))
@@ -185,7 +184,7 @@ def test_each_unordered_cut_is_evaluated_once(monkeypatch, n, selector, size, cu
     # the module, not the package's re-exported function of the same name
     monkeypatch.setattr(import_module("entspec.purity"), "_qubit_axes", counted)
     family = BipartitionFamily(n, selector, size)
-    dist = compute_distribution(haar_states(n, 1, 970 + n)[0], family)
+    dist = distribution(haar_states(n, 1, 970 + n)[0], family)
     assert len(masks) == len(set(masks)) == cuts
     assert dist.count == family.masks().size
 
@@ -196,7 +195,7 @@ def test_distribution_retains_two_arrays_per_cut():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        dist = compute_distribution(state, family)
+        dist = distribution(state, family)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -207,7 +206,7 @@ def test_distribution_retains_two_arrays_per_cut():
 
 class TestSummaries:
     def test_bell_product_summary(self):
-        dist = compute_distribution(bell_product(), BipartitionFamily(4, "balanced"))
+        dist = distribution(bell_product(), BipartitionFamily(4, "balanced"))
         assert dist.count == 6
         assert dist.mean_participation == pytest.approx(3.0, abs=1e-12)
         assert math.sqrt(dist.var_sample) == pytest.approx(math.sqrt(12 / 5), abs=1e-12)
@@ -216,19 +215,19 @@ class TestSummaries:
 
     def test_ghz8_and_w6_zero_width(self):
         for state, n in ((make_ghz(8), 8), (make_w(6), 6)):
-            dist = compute_distribution(state, BipartitionFamily(n, "balanced"))
+            dist = distribution(state, BipartitionFamily(n, "balanced"))
             assert dist.mean_participation == pytest.approx(2.0, abs=1e-10)
             assert dist.var_population == pytest.approx(0.0, abs=1e-12)
 
     def test_min_max_consistent(self):
-        dist = compute_distribution(haar_states(5, 1, 103)[0], BipartitionFamily(5, "balanced"))
+        dist = distribution(haar_states(5, 1, 103)[0], BipartitionFamily(5, "balanced"))
         values = dist.participations()
         assert dist.min == values.min() and dist.max == values.max()
 
 
 class TestHistogram:
     def test_single_bar_full_mass(self):
-        dist = compute_distribution(make_ghz(6), BipartitionFamily(6, "balanced"))
+        dist = distribution(make_ghz(6), BipartitionFamily(6, "balanced"))
         hist = histogram(dist)
         assert hist.discrete
         assert len(hist.centers) == 1
@@ -239,7 +238,7 @@ class TestHistogram:
 
     def test_two_bars(self):
         hist = histogram(
-            compute_distribution(bell_product(), BipartitionFamily(4, "balanced"))
+            distribution(bell_product(), BipartitionFamily(4, "balanced"))
         )
         assert hist.discrete
         np.testing.assert_allclose(hist.centers, [1.0, 4.0], atol=1e-10)
@@ -248,7 +247,7 @@ class TestHistogram:
         assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_continuous_mode_mass_and_shape(self):
-        dist = compute_distribution(
+        dist = distribution(
             haar_states(10, 1, 104)[0], BipartitionFamily(10, "balanced")
         )
         hist = histogram(dist, bins=40)
@@ -285,7 +284,7 @@ class TestHistogram:
         assert peak < 4 * dist.purity_values.nbytes
 
     def test_empty_bins_rejected(self):
-        dist = compute_distribution(make_ghz(3), BipartitionFamily(3, "balanced"))
+        dist = distribution(make_ghz(3), BipartitionFamily(3, "balanced"))
         with pytest.raises(ValueError, match="bin count"):
             histogram(dist, bins=0)
 

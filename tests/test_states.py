@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from entspec import (
-    Bipartition,
     BipartitionFamily,
     EnsembleSpec,
     PureState,
-    compute_distribution,
     make_basis,
     make_cluster1d,
     make_ghz,
     make_w,
-    purity,
     state_from_dict,
     state_to_dict,
 )
@@ -21,10 +18,11 @@ from helpers import (
     make_product, partial_trace_reshape, path_cut_rank, permute_amplitudes_bitloop,
     sampled_rows,
 )
+from one_state import distribution, purity
 
 
 def all_masks(n):
-    return [Bipartition(n, m) for m in range(1, (1 << n) - 1)]
+    return range(1, (1 << n) - 1)
 
 
 class TestPureState:
@@ -91,8 +89,8 @@ class TestBasis:
 
     def test_every_mask_unentangled(self):
         state = make_basis(4, 0b1011)
-        for part in all_masks(4):
-            assert purity(state, part).purity == pytest.approx(1.0, abs=1e-12)
+        for mask in all_masks(4):
+            assert purity(state, mask) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGhz:
@@ -109,8 +107,8 @@ class TestGhz:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_purity_half_every_bipartition(self, n):
         state = make_ghz(n)
-        for part in all_masks(n):
-            assert purity(state, part).purity == pytest.approx(0.5, abs=1e-12)
+        for mask in all_masks(n):
+            assert purity(state, mask) == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_single_qubit(self):
         with pytest.raises(ValueError):
@@ -126,13 +124,11 @@ class TestW:
 
     def test_single_qubit_cut(self):
         state = make_w(3)
-        res = purity(state, Bipartition(3, 0b001))
-        assert res.participation == pytest.approx(9 / 5, abs=1e-12)
+        assert 1.0 / purity(state, 0b001) == pytest.approx(9 / 5, abs=1e-12)
 
     def test_balanced_cut_six_qubits(self):
         state = make_w(6)
-        res = purity(state, Bipartition(6, 0b000111))
-        assert res.participation == pytest.approx(2.0, abs=1e-12)
+        assert 1.0 / purity(state, 0b000111) == pytest.approx(2.0, abs=1e-12)
 
     def test_rejects_single_qubit(self):
         with pytest.raises(ValueError):
@@ -154,17 +150,15 @@ class TestCluster:
 
     def test_two_qubit_single_purity(self):
         state = make_cluster1d(2)
-        assert purity(state, Bipartition(2, 1)).purity == pytest.approx(0.5, abs=1e-12)
+        assert purity(state, 1) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_cz_graph_state_purities(self, n):
         """The CZ-circuit graph state is local-Z equivalent: purities must agree."""
         ours = make_cluster1d(n)
         circuit = graph_state_line(n)
-        for part in all_masks(n):
-            assert purity(ours, part).purity == pytest.approx(
-                purity(circuit, part).purity, abs=1e-12
-            )
+        for mask in all_masks(n):
+            assert purity(ours, mask) == pytest.approx(purity(circuit, mask), abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_cut_rank_oracle_matches_reshape_purity(self, n):
@@ -178,11 +172,11 @@ class TestCluster:
             )
 
     def test_balanced_mean_five_qubits(self):
-        dist = compute_distribution(make_cluster1d(5), BipartitionFamily(5, "balanced"))
+        dist = distribution(make_cluster1d(5), BipartitionFamily(5, "balanced"))
         assert dist.mean_participation == pytest.approx(3.6, abs=1e-10)
 
     def test_balanced_mean_twelve_qubits(self):
-        dist = compute_distribution(make_cluster1d(12), BipartitionFamily(12, "balanced"))
+        dist = distribution(make_cluster1d(12), BipartitionFamily(12, "balanced"))
         assert dist.mean_participation == pytest.approx(1783 / 77, abs=1e-9)
 
 
@@ -200,7 +194,7 @@ class TestProduct:
 
     def test_bell_pair_mean(self):
         bell = make_ghz(2)
-        dist = compute_distribution(
+        dist = distribution(
             make_product(bell, bell), BipartitionFamily(4, "balanced")
         )
         assert dist.mean_participation == pytest.approx(3.0, abs=1e-12)
@@ -221,8 +215,8 @@ class TestPermutationAndLocalOps:
         rng = np.random.default_rng(17)
         perm = list(rng.permutation(5))
         permuted = PureState(5, permute_amplitudes_bitloop(state, perm))
-        before = sorted(purity(state, p).purity for p in all_masks(5))
-        after = sorted(purity(permuted, p).purity for p in all_masks(5))
+        before = sorted(purity(state, m) for m in all_masks(5))
+        after = sorted(purity(permuted, m) for m in all_masks(5))
         np.testing.assert_allclose(before, after, atol=1e-12)
 
     def test_apply_single_qubit_identity(self):
@@ -255,8 +249,7 @@ class TestSamplers:
         # 1000-sample mean against the large-N value, 5% headroom covers the
         # finite-N offset (~1.5%) plus Monte-Carlo noise
         states = haar_states(10, 1000, 2024)
-        part = Bipartition(10, 0b11111)
-        mean = np.mean([purity(s, part).purity for s in states])
+        mean = np.mean([purity(s, 0b11111) for s in states])
         assert abs(mean - 63 / 1024) / (63 / 1024) < 0.05
 
     def test_phase_sphere_norms(self):
@@ -325,6 +318,11 @@ class TestStateDict:
     def test_ragged_pairs_name_the_field(self):
         with pytest.raises(ValueError, match=r"list of \[re, im\] pairs"):
             state_from_dict({"n": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [0]]})
+
+    def test_integer_beyond_the_double_range_names_the_components(self):
+        pairs = [[10**400, 0], [0, 0]]
+        with pytest.raises(ValueError, match="^amplitude components must fit in a double$"):
+            state_from_dict({"n": 1, "amplitudes": pairs})
 
     def test_overflowing_norm_says_the_squared_norm_is_not_finite(self):
         pairs = [[1e308, 1e308], [0, 0], [0, 0], [0, 0]]

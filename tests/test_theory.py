@@ -6,7 +6,6 @@ import pytest
 from scipy import integrate, optimize, stats
 
 from entspec import (
-    Bipartition,
     EnsembleSpec,
     GaussianModel,
     asymptotic_model,
@@ -15,7 +14,6 @@ from entspec import (
     make_ghz,
     participation_pdf,
     purities,
-    purity,
     purity_pdf,
     sample_blocks,
     sphere_moment,
@@ -25,6 +23,7 @@ from entspec.theory import _MOMENT_RULES, MOMENT_PATTERNS
 from helpers import (
     haar_states, marginal_amplitude_pdf, sampled_rows, w_participation, xm_split,
 )
+from one_state import purity
 
 # (N_A, N_B) pairs used for the algebraic checks
 DIM_PAIRS = [
@@ -285,11 +284,8 @@ class TestXmSplit:
         for n in range(2, 7):
             for state in haar_states(n, 20, 800 + n):
                 for mask in (1, (1 << (n // 2)) - 1 or 1):
-                    part = Bipartition(n, mask)
                     x, m = xm_split(state, mask)
-                    assert x + m == pytest.approx(
-                        purity(state, part).purity, abs=1e-10
-                    )
+                    assert x + m == pytest.approx(purity(state, mask), abs=1e-10)
 
 
 class TestMarginalAmplitudePdf:
