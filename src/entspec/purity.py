@@ -16,22 +16,34 @@ import numpy as np
 from .states import _qubit_axes
 
 
+SLAB_ROWS = 512  # rows of Z per Gram slab; a cut with at most this many rows is one slab
+
+
 def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     """Purity of every row of `block` across every cut in `masks`.
 
     block holds count x 2**n amplitudes, float64 or complex128 (ValueError
     names a shape or dtype that is not, before anything is allocated), and
     each mask lies in [1, 2**n - 2] (ValueError names the first that does
-    not; this is the package's one check of a cut); the result is a count x len(masks) float64 array.  A mask and its
-    complement are one cut, turned so that A is the smaller side, or of two
-    equal sides the lower mask.  Each cut is gathered once, however many
-    masks name it, and its value is written to the column of every such
-    mask, so a mask, its complement and a repeat of either give bit-identical
-    purities.  When A is a run of qubits at either end, Z is a view of the
-    block; any other cut is copied into one gather buffer, allocated per
-    call by the first cut that needs it.  The Grams Z Z^dagger (Z Z^T for a
-    float64 block) go into one reused Gram buffer, and each row's purity is
-    the vdot of its Gram with itself.
+    not; this is the package's one check of a cut); the result is a count x
+    len(masks) float64 array.  A mask and its complement are one cut, turned
+    so that A is the smaller side, or of two equal sides the lower mask.
+    Each cut is gathered once, however many masks name it, and its value is
+    written to the column of every such mask, so a mask, its complement and
+    a repeat of either give bit-identical purities.  When A is a run of
+    qubits at either end, Z is a view of the block; any other cut is copied
+    into one state-sized gather buffer, allocated per call by the first cut
+    that needs it.
+
+    Z is split into row slabs Z_i of s = min(SLAB_ROWS, N_A) rows, and
+    purity = sum over i <= j of (2 - delta_ij) ||Z_i Z_j^dagger||_F^2, each
+    term the vdot of a slab Gram with itself.  The slab Grams go into one
+    count x s x s buffer; for a complex block, each Z_j is first conjugated
+    into one buffer of one slab, while a float64 diagonal Gram is Z_i Z_i^T
+    on one buffer (a BLAS syrk).  Both buffers are sized by the call's cuts
+    and reused by every cut, so beyond the state and the gather a call holds
+    one slab's Gram and conjugate, however large N_A is.  A cut of at most
+    SLAB_ROWS rows is one slab: one Gram of the whole Z.
     """
     if block.ndim != 2 or block.shape[1] != 1 << n:
         raise ValueError(f"block has shape {block.shape}, expected (count, {1 << n})")
@@ -51,13 +63,16 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
             mask ^= full
         where.append(cuts.setdefault(mask, len(cuts)))
     count = block.shape[0]
-    values = np.empty((count, len(cuts)))
+    values = np.zeros((count, len(cuts)))
     if not cuts:
         return values
+    slab_rows = {k: min(SLAB_ROWS, 1 << k) for k in {mask.bit_count() for mask in cuts}}
     shape = (count,) + (2,) * n
     gather = None
-    conj = None if block.dtype == np.float64 else np.empty(shape, block.dtype)
-    gram = np.empty(count << 2 * max(mask.bit_count() for mask in cuts), block.dtype)
+    gram = np.empty(count * max(slab_rows.values()) ** 2, block.dtype)
+    conj = None
+    if block.dtype == np.complex128:
+        conj = np.empty(count * max(s << (n - k) for k, s in slab_rows.items()), block.dtype)
     for c, mask in enumerate(cuts):
         k = mask.bit_count()
         a, b = [], []
@@ -70,14 +85,18 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
             np.copyto(gather, z)
             z = gather
         z = z.reshape(count, 1 << k, 1 << (n - k))
-        g = gram[: count << 2 * k].reshape(count, 1 << k, 1 << k)
-        if conj is None:
-            np.matmul(z, z.transpose(0, 2, 1), out=g)
-        else:
-            zc = conj.reshape(z.shape)
-            np.conjugate(z, out=zc)
-            np.matmul(z, zc.transpose(0, 2, 1), out=g)
-        for r in range(count):
-            values[r, c] = np.vdot(g[r], g[r]).real
+        s = slab_rows[k]
+        for j in range(0, 1 << k, s):
+            zj = z[:, j : j + s]
+            if conj is not None:
+                zj = np.conjugate(zj, out=conj[: zj.size].reshape(zj.shape))
+            zt = zj.transpose(0, 2, 1)  # float64 and i == j: one buffer, so a syrk
+            for i in range(0, j + 1, s):
+                zi = z[:, i : i + s]
+                g = gram[: count * zi.shape[1] * zt.shape[2]]
+                g = g.reshape(count, zi.shape[1], zt.shape[2])
+                np.matmul(zi, zt, out=g)
+                weight = 1 if i == j else 2
+                for r, gr in enumerate(g):
+                    values[r, c] += weight * np.vdot(gr, gr).real
     return values[:, where]
-

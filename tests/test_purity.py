@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entspec import EnsembleSpec, PureState, make_basis, make_cluster1d, make_ghz, make_w
-from entspec.purity import purities
+from entspec.purity import SLAB_ROWS, purities
 from entspec.states import BLOCK_BYTES, ENSEMBLE_KINDS, _qubit_axes, sample_blocks
 from helpers import (
     apply_single_qubit, haar_row_reference, haar_states, make_product, mask_qubits,
@@ -280,6 +280,76 @@ class TestPuritiesKernel:
             assert peak >= 2 * block.nbytes + gram
         else:
             assert peak < block.nbytes + gram + (16 << 10)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_row_slabs_match_quadruple_sum(self, monkeypatch, n):
+        # slabs of 1, 2 and 4 rows take the multi-slab path at small n: the
+        # off-diagonal slab Grams count twice, and a complex slab is
+        # conjugated into a buffer of one slab
+        full = (1 << n) - 1
+        masks = list(range(1, full))
+        blocks = [
+            np.stack([s.amplitudes for s in haar_states(n, 3, 1500 + n)]),
+            np.stack([real_gaussian_state(n, 1600 + 3 * n + r).amplitudes for r in range(3)]),
+        ]
+        oracles = [
+            [[purity_quadruple_sum(PureState(n, row), m) for m in masks] for row in block]
+            for block in blocks
+        ]
+        for rows in (1, 2, 4):
+            monkeypatch.setattr(import_module("entspec.purity"), "SLAB_ROWS", rows)
+            for block, oracle in zip(blocks, oracles):
+                values = purities(block, n, masks + masks)  # each mask twice
+                assert np.all(np.abs(values[:, : len(masks)] - oracle) <= 1e-12)
+                for c, mask in enumerate(masks):
+                    column = values[:, c].tobytes()
+                    assert values[:, c + len(masks)].tobytes() == column
+                    assert values[:, (mask ^ full) - 1].tobytes() == column
+
+    @pytest.mark.parametrize("mask", [0x1FF, 0x15555, 0x2AAAA])
+    def test_cut_of_slab_rows_bit_identical_to_2d_gram(self, mask):
+        # N_A = SLAB_ROWS is still one slab: one Gram of the whole Z.  The
+        # states are complex because for a real one the reference's
+        # z @ z.conj().T is a gemm and the kernel's Z Z^T a syrk, which need
+        # not agree bit for bit
+        n = 18
+        assert 1 << min(mask.bit_count(), n - mask.bit_count()) == SLAB_ROWS
+        states = haar_states(n, 2, 1700)
+        values = purities(np.stack([s.amplitudes for s in states]), n, [mask])
+        assert values[:, 0].tolist() == [gram_purity_2d(s, mask) for s in states]
+
+    @pytest.mark.parametrize(
+        "kind, mask, bound",
+        [
+            # one Gram slab, where the whole Gram alone is 8 MiB
+            ("real", 0x3FF, lambda state: state + 8 * SLAB_ROWS**2),
+            # one conjugate slab (N_B = 1024 columns) and one Gram slab; Z is
+            # a transposed view here, so np.conjugate also fills numpy's
+            # ufunc buffer, a constant 8192 elements however large the state
+            (
+                "complex",
+                0x3FF,
+                lambda state: state + 16 * (SLAB_ROWS * (1024 + SLAB_ROWS) + np.getbufsize()),
+            ),
+            # a middle cut still gathers one state-sized copy
+            ("real", 0x55555, lambda state: 2 * state + 8 * SLAB_ROWS**2),
+        ],
+        ids=["real-0x3ff", "complex-0x3ff", "real-0x55555"],
+    )
+    def test_large_cut_holds_one_slab(self, kind, mask, bound):
+        n = 20
+        if kind == "real":
+            amps = real_gaussian_state(n, 1800).amplitudes
+        else:
+            amps = haar_states(n, 1, 1800)[0].amplitudes
+        tracemalloc.start()
+        try:
+            block = amps[None].copy()  # traced, so the peak counts the state
+            purities(block, n, [mask])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound(block.nbytes) + (16 << 10)
 
     @pytest.mark.parametrize("mask", [8, 9, -1, 0, 7])
     def test_rejects_masks_that_are_not_cuts(self, mask):
