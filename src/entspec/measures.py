@@ -8,13 +8,14 @@ of participation numbers can be compared against them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .purity import purities
-from .states import PureState, _qubit_axes
+from .purity import _cut_matrices, purities
+from .states import PureState
 
 TAU1_DEFINED_FLOOR = 1e-12
 QR_ROWS = 1024  # rows per block of the stacked QR tree in `concurrences`
@@ -67,8 +68,9 @@ def concurrences(state: PureState, pairs) -> np.ndarray:
     with zeros to four (Wootters, PRL 80, 2245 (1998)), and the concurrence
     is max(0, l1 - l2 - l3 - l4) (as `tangle_report` computes it).
     (i, j) and (j, i) name one pair.  Every pair is checked before anything
-    is allocated; each is then copied, laid out by `_qubit_axes` with the
-    bits of (lo, hi) as the row, into one 4 x N_B buffer reused across pairs,
+    is allocated; each is then read by `purity._cut_matrices` as the cut
+    1 << i | 1 << j, with the bits of (lo, hi) as the row (a view when the
+    pair is (0, 1) or (n-2, n-1), a copy into one reused buffer otherwise),
     and Z^T is reduced to at most four rows by a tree of stacked QRs (the
     tall-skinny QR of Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
     Comput. 34, A206 (2012)): its blocks of QR_ROWS rows are factorized in
@@ -77,21 +79,17 @@ def concurrences(state: PureState, pairs) -> np.ndarray:
     lambdas unchanged and keeps the SVD at most 4 x 4.
     """
     n = state.n
+    masks = []
     for i, j in pairs:
+        i, j = operator.index(i), operator.index(j)
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"qubits {i} and {j} out of range for {n} qubits")
         if i == j:
             raise ValueError(f"qubits must differ, got {i} and {j}")
-    lambdas = np.zeros((len(pairs), 4))
-    if not pairs:
-        return lambdas
-    amps = state.amplitudes
-    pair = np.empty((4, 1 << (n - 2)), amps.dtype)
-    for lam, (i, j) in zip(lambdas, pairs):
-        lo, hi = min(i, j), max(i, j)
-        rest = [q for q in range(n) if q != lo and q != hi]
-        np.copyto(pair.reshape((2,) * n), _qubit_axes(amps, n, (lo, hi), rest))
-        z = pair.T  # Z^T, then its R factor
+        masks.append(1 << i | 1 << j)
+    lambdas = np.zeros((len(masks), 4))
+    for lam, z in zip(lambdas, _cut_matrices(state.amplitudes[None], n, masks)):
+        z = z[0].T  # Z^T, then its R factor
         try:
             while z.shape[0] > 4:
                 rows = min(z.shape[0], QR_ROWS)

@@ -6,17 +6,42 @@ compactions of k's bits at the mask positions and at the complement
 positions: the t-th lowest set bit of the mask supplies bit t of j_A.  The
 amplitude vector rearranged as the N_A x N_B matrix Z[j_A, l_B] then gives
 rho_A = Z Z^dagger and purity = ||Z Z^dagger||_F^2 without ever forming the
-full 2**n x 2**n density matrix.
+full 2**n x 2**n density matrix.  `_cut_matrices` is the one reader of Z:
+`purities` takes every cut through it, and `measures.concurrences` every
+qubit pair.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import operator
 
-from .states import _qubit_axes
+import numpy as np
 
 
 SLAB_ROWS = 512  # rows of Z per Gram slab; a cut with at most this many rows is one slab
+
+
+def _cut_matrices(block: np.ndarray, n: int, masks):
+    """Yield, for each int mask, the count x N_A x N_B matrix Z of `block`.
+
+    Z is a view of the block when A is a run of qubits at either end; any
+    other cut is copied into one block-sized buffer, allocated by the first
+    cut that needs it and overwritten by the next.
+    """
+    count = block.shape[0]
+    full = (1 << n) - 1
+    tensor = block.reshape((count,) + (2,) * n)  # axis n - q holds qubit q
+    gather = None
+    for mask in masks:
+        k = mask.bit_count()
+        order = sorted(reversed(range(n)), key=lambda q: not mask >> q & 1)  # A, then B
+        z = tensor.transpose([0] + [n - q for q in order])
+        if mask not in ((1 << k) - 1, full ^ ((1 << (n - k)) - 1)):
+            if gather is None:
+                gather = np.empty(tensor.shape, block.dtype)
+            np.copyto(gather, z)
+            z = gather
+        yield z.reshape(count, 1 << k, 1 << (n - k))
 
 
 def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
@@ -24,16 +49,14 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
 
     block holds count x 2**n amplitudes, float64 or complex128 (ValueError
     names a shape or dtype that is not, before anything is allocated), and
-    each mask lies in [1, 2**n - 2] (ValueError names the first that does
-    not; this is the package's one check of a cut); the result is a count x
-    len(masks) float64 array.  A mask and its complement are one cut, turned
-    so that A is the smaller side, or of two equal sides the lower mask.
-    Each cut is gathered once, however many masks name it, and its value is
-    written to the column of every such mask, so a mask, its complement and
-    a repeat of either give bit-identical purities.  When A is a run of
-    qubits at either end, Z is a view of the block; any other cut is copied
-    into one state-sized gather buffer, allocated per call by the first cut
-    that needs it.
+    each mask is an integer (any type with __index__, but not bool) in
+    [1, 2**n - 2] (ValueError names the first that is not; this is the
+    package's one check of a cut); the result is a count x len(masks)
+    float64 array.  A mask and its complement are one cut, turned so that A
+    is the smaller side, or of two equal sides the lower mask.  Each cut is
+    gathered once by `_cut_matrices`, however many masks name it, and its
+    value is written to the column of every such mask, so a mask, its
+    complement and a repeat of either give bit-identical purities.
 
     Z is split into row slabs Z_i of s = min(SLAB_ROWS, N_A) rows, and
     purity = sum over i <= j of (2 - delta_ij) ||Z_i Z_j^dagger||_F^2, each
@@ -55,7 +78,9 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     cuts = {}  # turned mask -> its column in `values`
     where = []  # the column in `values` of each requested mask
     for mask in masks:
-        mask = int(mask)
+        if isinstance(mask, bool) or not hasattr(mask, "__index__"):
+            raise ValueError(f"mask {mask!r} is not an integer")
+        mask = operator.index(mask)
         if not 0 < mask < full:
             raise ValueError(f"mask {mask:#x} is not a cut of {n} qubits")
         k = mask.bit_count()
@@ -67,26 +92,13 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     if not cuts:
         return values
     slab_rows = {k: min(SLAB_ROWS, 1 << k) for k in {mask.bit_count() for mask in cuts}}
-    shape = (count,) + (2,) * n
-    gather = None
     gram = np.empty(count * max(slab_rows.values()) ** 2, block.dtype)
     conj = None
     if block.dtype == np.complex128:
         conj = np.empty(count * max(s << (n - k) for k, s in slab_rows.items()), block.dtype)
-    for c, mask in enumerate(cuts):
-        k = mask.bit_count()
-        a, b = [], []
-        for q in range(n):
-            (a if mask >> q & 1 else b).append(q)
-        z = _qubit_axes(block, n, a, b)  # reshapes without a copy when A is an end run
-        if mask not in ((1 << k) - 1, full ^ ((1 << (n - k)) - 1)):
-            if gather is None:
-                gather = np.empty(shape, block.dtype)
-            np.copyto(gather, z)
-            z = gather
-        z = z.reshape(count, 1 << k, 1 << (n - k))
-        s = slab_rows[k]
-        for j in range(0, 1 << k, s):
+    for c, z in enumerate(_cut_matrices(block, n, cuts)):
+        s = min(SLAB_ROWS, z.shape[1])
+        for j in range(0, z.shape[1], s):
             zj = z[:, j : j + s]
             if conj is not None:
                 zj = np.conjugate(zj, out=conj[: zj.size].reshape(zj.shape))

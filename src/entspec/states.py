@@ -126,18 +126,6 @@ def make_cluster1d(n: int) -> PureState:
     return PureState(n, amps)
 
 
-def _qubit_axes(amps: np.ndarray, n: int, *groups: list[int]) -> np.ndarray:
-    """View of the last axis of `amps` as one length-2 axis per qubit, in
-    group order, so that reshaped to one index per group, bit t of index g is
-    qubit groups[g][t].  Axis n-1-q of the (2,)*n tensor holds qubit q, and
-    any leading axes are kept.
-    """
-    lead = amps.ndim - 1
-    axes = [lead + n - 1 - q for group in groups for q in reversed(group)]
-    tensor = amps.reshape(amps.shape[:lead] + (2,) * n)
-    return tensor.transpose(list(range(lead)) + axes)
-
-
 def _sample_rng(seed: int, index: int) -> np.random.Generator:
     # one PCG64 stream per sample, split from (seed, index) via SeedSequence
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))

@@ -162,6 +162,30 @@ class TestConcurrenceQrTree:
             tracemalloc.stop()
         assert peak <= 2 * state.amplitudes.nbytes + (16 << 10)
 
+    def test_end_pairs_are_read_as_views(self):
+        # pairs (0, 1) and (n-2, n-1) are end runs: their Z^T or Z is the
+        # state itself, so only the QR's own copy of its input is allocated
+        n = 16
+        g = np.random.default_rng(909).standard_normal(1 << n)
+        state = PureState(n, g / np.linalg.norm(g))
+        tracemalloc.start()
+        try:
+            concurrences(state, [(0, 1), (n - 2, n - 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < state.amplitudes.nbytes + (16 << 10)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [np.array([[0, 1]]), np.array([[0, 2], [3, 1]]), np.empty((0, 2), int)],
+        ids=["one", "two", "none"],
+    )
+    def test_array_pairs_equal_tuple_pairs(self, pairs):
+        state = haar_states(4, 1, 910)[0]
+        expected = concurrences(state, [tuple(p) for p in pairs.tolist()])
+        assert concurrences(state, pairs).tolist() == expected.tolist()
+
 
 class TestConcurrenceSmallRoots:
     """Spin-flip roots far below 1 must not be rounded away."""

@@ -5,7 +5,7 @@ from pathlib import Path
 
 HELPERS = Path(__file__).with_name("helpers.py")
 KERNEL_NAMES = {
-    "_qubit_axes", "purities", "purity", "concurrence", "concurrences",
+    "_cut_matrices", "purities", "purity", "concurrence", "concurrences",
     "compute_distributions",
 }
 SHORTHANDS = "one_state"  # the tests' one-state calls of those kernels

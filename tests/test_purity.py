@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from importlib import import_module
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entspec import EnsembleSpec, PureState, make_basis, make_cluster1d, make_ghz, make_w
-from entspec.purity import SLAB_ROWS, purities
-from entspec.states import BLOCK_BYTES, ENSEMBLE_KINDS, _qubit_axes, sample_blocks
+from entspec.purity import SLAB_ROWS, _cut_matrices, purities
+from entspec.states import BLOCK_BYTES, ENSEMBLE_KINDS, sample_blocks
 from helpers import (
     apply_single_qubit, haar_row_reference, haar_states, make_product, mask_qubits,
     partial_trace_reshape, permute_amplitudes_bitloop, phase_sphere_row_reference,
@@ -26,10 +27,8 @@ def complement(n, mask):
 
 
 def kernel_gather(state, mask):
-    """Z as the purity kernel gathers it: `_qubit_axes`, reshaped to N_A x N_B."""
-    n, k = state.n, mask.bit_count()
-    a, b = mask_qubits(mask), mask_qubits(complement(n, mask))
-    return _qubit_axes(state.amplitudes, n, a, b).reshape(1 << k, 1 << (n - k))
+    """Z as the purity kernel gathers it, a view or a copy, for one mask."""
+    return next(_cut_matrices(state.amplitudes[None], state.n, [mask]))[0]
 
 
 class TestCoefficientMatrix:
@@ -243,14 +242,14 @@ class TestPuritiesKernel:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_mask_complement_and_repeat_share_one_gather(self, monkeypatch, n):
-        gathers = []
+        gathers = []  # every mask the kernel reads
 
-        def counted(*args):
-            gathers.append(args)
-            return _qubit_axes(*args)
+        def counted(block, n, masks):
+            gathers.extend(masks)
+            return _cut_matrices(block, n, masks)
 
         # the module, not the package's re-exported function of the same name
-        monkeypatch.setattr(import_module("entspec.purity"), "_qubit_axes", counted)
+        monkeypatch.setattr(import_module("entspec.purity"), "_cut_matrices", counted)
         block = np.stack([s.amplitudes for s in haar_states(n, 3, 1400 + n)])
         full = (1 << n) - 1
         for mask in range(1, full):
@@ -370,6 +369,20 @@ class TestPuritiesKernel:
     def test_rejects_malformed_blocks(self, block, what):
         with pytest.raises(ValueError, match=f"^block has {what}, expected "):
             purities(block, 8, [1, 3])
+
+    @pytest.mark.parametrize(
+        "mask", [3.5, np.float64(12.9), True, np.True_], ids=["float", "float64", "bool", "np-bool"]
+    )
+    def test_rejects_masks_that_are_not_integers(self, mask):
+        # a float would be truncated to a neighbouring cut and a bool taken as 0x1
+        block = make_ghz(4).amplitudes[None]
+        with pytest.raises(ValueError, match=f"^mask {re.escape(repr(mask))} is not an integer$"):
+            purities(block, 4, [0b0011, mask])
+
+    @pytest.mark.parametrize("masks", [np.array([3, 5, 12]), np.array([3, 5, 12], np.uint8)])
+    def test_numpy_integer_masks(self, masks):
+        block = make_ghz(4).amplitudes[None]
+        assert purities(block, 4, masks).tolist() == purities(block, 4, [3, 5, 12]).tolist()
 
     def test_no_rows_or_no_masks(self):
         assert purities(np.empty((0, 16), np.complex128), 4, [0x3]).shape == (0, 1)

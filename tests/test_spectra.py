@@ -18,7 +18,7 @@ from entspec import (
     make_w,
 )
 from entspec.cli import main
-from entspec.states import _qubit_axes
+from entspec.purity import _cut_matrices
 from entspec.spectra import DISCRETE_VALUE_LIMIT, SELECTORS
 from entspec.states import PureState
 from helpers import haar_states, make_product, permute_amplitudes_bitloop
@@ -177,12 +177,12 @@ def test_distribution_arrays_match_per_cut_purities(case):
 def test_each_unordered_cut_is_evaluated_once(monkeypatch, n, selector, size, cuts):
     masks = []  # subsystem A of every gather in the kernel
 
-    def counted(amps, n, a, b):
-        masks.append(sum(1 << q for q in a))
-        return _qubit_axes(amps, n, a, b)
+    def counted(block, n, cuts):
+        masks.extend(cuts)
+        return _cut_matrices(block, n, cuts)
 
     # the module, not the package's re-exported function of the same name
-    monkeypatch.setattr(import_module("entspec.purity"), "_qubit_axes", counted)
+    monkeypatch.setattr(import_module("entspec.purity"), "_cut_matrices", counted)
     family = BipartitionFamily(n, selector, size)
     dist = distribution(haar_states(n, 1, 970 + n)[0], family)
     assert len(masks) == len(set(masks)) == cuts
