@@ -14,6 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ._blas import blas_threads
 from .purity import _cut_matrices, purities
 from .states import PureState
 
@@ -76,7 +77,8 @@ def concurrences(state: PureState, pairs) -> np.ndarray:
     Comput. 34, A206 (2012)): its blocks of QR_ROWS rows are factorized in
     one call and their R factors stacked, until at most four rows remain.
     With Z^T = Q R, R^T conj(R) = Z Z^dagger = rho, so Z := R^T leaves the
-    lambdas unchanged and keeps the SVD at most 4 x 4.
+    lambdas unchanged and keeps the SVD at most 4 x 4.  Every block is at
+    most QR_ROWS x 4, so the call runs at one BLAS thread.
     """
     n = state.n
     masks = []
@@ -88,16 +90,17 @@ def concurrences(state: PureState, pairs) -> np.ndarray:
             raise ValueError(f"qubits must differ, got {i} and {j}")
         masks.append(1 << i | 1 << j)
     lambdas = np.zeros((len(masks), 4))
-    for lam, z in zip(lambdas, _cut_matrices(state.amplitudes[None], n, masks)):
-        z = z[0].T  # Z^T, then its R factor
-        try:
-            while z.shape[0] > 4:
-                rows = min(z.shape[0], QR_ROWS)
-                z = np.linalg.qr(z.reshape(-1, rows, 4), mode="r").reshape(-1, 4)
-            sigma = np.linalg.svd(z @ _YY @ z.T, compute_uv=False)  # descending
-        except np.linalg.LinAlgError as exc:
-            raise EigenConvergenceError(f"spin-flip singular values: {exc}") from exc
-        lam[: sigma.size] = sigma
+    with blas_threads(1):
+        for lam, z in zip(lambdas, _cut_matrices(state.amplitudes[None], n, masks)):
+            z = z[0].T  # Z^T, then its R factor
+            try:
+                while z.shape[0] > 4:
+                    rows = min(z.shape[0], QR_ROWS)
+                    z = np.linalg.qr(z.reshape(-1, rows, 4), mode="r").reshape(-1, 4)
+                sigma = np.linalg.svd(z @ _YY @ z.T, compute_uv=False)  # descending
+            except np.linalg.LinAlgError as exc:
+                raise EigenConvergenceError(f"spin-flip singular values: {exc}") from exc
+            lam[: sigma.size] = sigma
     return lambdas
 
 

@@ -17,8 +17,12 @@ import operator
 
 import numpy as np
 
+from ._blas import blas_threads
 
 SLAB_ROWS = 512  # rows of Z per Gram slab; a cut with at most this many rows is one slab
+# real multiply-adds (a complex one counts 4) of one slab Gram, per state, from
+# which the Gram runs at the caller's BLAS threads rather than at one
+THREADED_MADDS = 1 << 22
 
 
 def _cut_matrices(block: np.ndarray, n: int, masks):
@@ -67,6 +71,11 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     and reused by every cut, so beyond the state and the gather a call holds
     one slab's Gram and conjugate, however large N_A is.  A cut of at most
     SLAB_ROWS rows is one slab: one Gram of the whole Z.
+
+    The call runs at one BLAS thread (`_blas.blas_threads`), its vdot row
+    reductions included, so no result depends on the thread count; only a
+    slab Gram of at least THREADED_MADDS real multiply-adds per state runs at
+    the caller's count.
     """
     if block.ndim != 2 or block.shape[1] != 1 << n:
         raise ValueError(f"block has shape {block.shape}, expected (count, {1 << n})")
@@ -96,19 +105,23 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     conj = None
     if block.dtype == np.complex128:
         conj = np.empty(count * max(s << (n - k) for k, s in slab_rows.items()), block.dtype)
-    for c, z in enumerate(_cut_matrices(block, n, cuts)):
-        s = min(SLAB_ROWS, z.shape[1])
-        for j in range(0, z.shape[1], s):
-            zj = z[:, j : j + s]
-            if conj is not None:
-                zj = np.conjugate(zj, out=conj[: zj.size].reshape(zj.shape))
-            zt = zj.transpose(0, 2, 1)  # float64 and i == j: one buffer, so a syrk
-            for i in range(0, j + 1, s):
-                zi = z[:, i : i + s]
-                g = gram[: count * zi.shape[1] * zt.shape[2]]
-                g = g.reshape(count, zi.shape[1], zt.shape[2])
-                np.matmul(zi, zt, out=g)
-                weight = 1 if i == j else 2
-                for r, gr in enumerate(g):
-                    values[r, c] += weight * np.vdot(gr, gr).real
+    scale = 4 if conj is not None else 1  # real multiply-adds per multiply-add
+    with blas_threads(1) as caller:
+        for c, z in enumerate(_cut_matrices(block, n, cuts)):
+            s = min(SLAB_ROWS, z.shape[1])
+            threads = caller if scale * s * s * z.shape[2] >= THREADED_MADDS else None
+            for j in range(0, z.shape[1], s):
+                zj = z[:, j : j + s]
+                if conj is not None:
+                    zj = np.conjugate(zj, out=conj[: zj.size].reshape(zj.shape))
+                zt = zj.transpose(0, 2, 1)  # float64 and i == j: one buffer, so a syrk
+                for i in range(0, j + 1, s):
+                    zi = z[:, i : i + s]
+                    g = gram[: count * zi.shape[1] * zt.shape[2]]
+                    g = g.reshape(count, zi.shape[1], zt.shape[2])
+                    with blas_threads(threads):
+                        np.matmul(zi, zt, out=g)
+                    weight = 1 if i == j else 2
+                    for r, gr in enumerate(g):
+                        values[r, c] += weight * np.vdot(gr, gr).real
     return values[:, where]

@@ -85,8 +85,15 @@ class EntanglementDistribution:
     max: float = field(init=False)
 
     def __post_init__(self):
+        # the arithmetic of v.mean(), v.var() and v.var(ddof=1), bit for bit,
+        # without numpy's Python wrappers
         v = self.participations()
-        stats = (v.mean(), v.var(), v.var(ddof=1), v.min(), v.max())
+        n = v.size
+        mean = np.add.reduce(v) / n
+        d = v - mean
+        d *= d
+        q = np.add.reduce(d)
+        stats = (mean, q / n, q / (n - 1), np.minimum.reduce(v), np.maximum.reduce(v))
         for name, value in zip(STATISTICS, stats):
             object.__setattr__(self, name, float(value))
 

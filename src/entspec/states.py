@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import blas_threads
+
 MAX_QUBITS = 26  # 2**26 complex amplitudes ~ 1 GiB; a real state is half that
 NORM_TOL = 1e-12
 BLOCK_BYTES = 1 << 18  # bytes of amplitudes per sampled block
@@ -52,7 +54,8 @@ class PureState:
                 f"amplitude vector has length {amps.size}, expected {1 << self.n}"
             )
         # a NaN or infinite amplitude, or a sum that overflows, is not finite
-        norm2 = float(np.real(np.vdot(amps, amps)))
+        with blas_threads(1):  # a threaded dot changes its last bits
+            norm2 = float(np.real(np.vdot(amps, amps)))
         if not math.isfinite(norm2):
             raise ValueError(
                 f"squared norm of the amplitudes is not finite: sum |z|^2 = {norm2!r}"
@@ -174,7 +177,8 @@ def sample_blocks(spec: EnsembleSpec, count: int) -> Iterator[np.ndarray]:
                   moduli uniform on the real unit sphere, times phases from
                   the next 2**n uniforms on [0, 2*pi).
 
-    Each block is checked once for finite, normalized rows.
+    Each block is drawn at one BLAS thread, so no row depends on the thread
+    count, and checked once for finite, normalized rows.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -182,7 +186,8 @@ def sample_blocks(spec: EnsembleSpec, count: int) -> Iterator[np.ndarray]:
     draw = _ENSEMBLE_ROWS[spec.kind]
     step = max(1, BLOCK_BYTES // (16 * dim))
     for start in range(0, count, step):
-        block = draw(spec.seed, range(start, min(start + step, count)), dim)
+        with blas_threads(1):  # each row's np.linalg.norm is a BLAS dot
+            block = draw(spec.seed, range(start, min(start + step, count)), dim)
         real = block.view(np.float64)
         norm2 = np.einsum("ij,ij->i", real, real)
         bad = np.flatnonzero(~(np.abs(norm2 - 1.0) <= NORM_TOL))  # NaN counts as bad

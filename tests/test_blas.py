@@ -1,0 +1,160 @@
+"""The BLAS thread policy: kernels run at one OpenBLAS thread, a large slab
+Gram at the caller's count, and the caller's count is back after every call."""
+
+import numpy as np
+import pytest
+
+from entspec import EnsembleSpec, PureState, make_cluster1d, make_w
+from entspec import _blas, measures, purity, states
+from entspec._blas import blas_threads
+from entspec.measures import EigenConvergenceError, concurrences
+from entspec.purity import _cut_matrices, purities
+from entspec.states import sample_blocks
+from helpers import haar_states, purity_quadruple_sum
+
+needs_openblas = pytest.mark.skipif(
+    _blas._setter() is None, reason="numpy's OpenBLAS has no per-call thread setting"
+)
+CALLER = 3  # a caller's count that no kernel sets
+
+
+def threads():
+    """The current OpenBLAS thread count, read by setting one and restoring it."""
+    with blas_threads(1) as count:
+        return count
+
+
+def recorded_cuts(record):
+    """`_cut_matrices`, recording the thread count at every cut it yields."""
+
+    def cut_matrices(block, n, masks):
+        for z in _cut_matrices(block, n, masks):
+            record.append(threads())
+            yield z
+
+    return cut_matrices
+
+
+@needs_openblas
+class TestThreadCount:
+    def test_scope_sets_and_restores(self):
+        with blas_threads(CALLER):
+            with blas_threads(1) as caller:
+                assert caller == CALLER and threads() == 1
+                with blas_threads(caller) as inner:
+                    assert inner == 1 and threads() == CALLER
+                assert threads() == 1
+            assert threads() == CALLER
+
+    def test_kernels_run_at_one_thread_and_restore_the_caller(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(purity, "_cut_matrices", recorded_cuts(seen))
+        monkeypatch.setattr(measures, "_cut_matrices", recorded_cuts(seen))
+        state = haar_states(6, 1, 11)[0]
+        with blas_threads(CALLER):
+            purities(state.amplitudes[None], 6, [0x7, 0x15])
+            assert threads() == CALLER
+            concurrences(state, [(0, 1), (2, 5)])
+            assert threads() == CALLER
+            blocks = sample_blocks(EnsembleSpec("haar", 4, 1), 3)
+            next(blocks)
+            assert threads() == CALLER  # not held while the generator waits
+            list(blocks)
+            assert threads() == CALLER
+            PureState(6, state.amplitudes)
+            assert threads() == CALLER
+        assert seen == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "dtype, mask, threaded",
+        [
+            # real multiply-adds per state of the one slab Gram of a balanced cut
+            ("real", 0x7F, False),  # 128^3 = 2.1e6
+            ("real", 0x1FF, True),  # 512^3 = 1.3e8
+            ("complex", 0x3F, False),  # 4 * 64^3 = 1.0e6
+            ("complex", 0x7F, True),  # 4 * 128^3 = 8.4e6
+        ],
+    )
+    def test_only_a_large_slab_gram_takes_the_caller_count(
+        self, monkeypatch, dtype, mask, threaded
+    ):
+        n = 2 * mask.bit_count()
+        amps = make_cluster1d(n).amplitudes
+        if dtype == "complex":
+            amps = amps * np.exp(1j * np.arange(amps.size))
+        counts = []
+
+        def recorded(count):
+            counts.append(count)
+            return blas_threads(count)
+
+        monkeypatch.setattr(purity, "blas_threads", recorded)
+        with blas_threads(CALLER):
+            purities(amps[None], n, [mask])
+        assert counts == [1, CALLER if threaded else None]
+
+
+@needs_openblas
+class TestRestoredOnRaise:
+    def test_purities(self, monkeypatch):
+        def fail(block, n, masks):
+            assert threads() == 1
+            raise MemoryError("no gather buffer")
+            yield
+
+        monkeypatch.setattr(purity, "_cut_matrices", fail)
+        with blas_threads(CALLER):
+            with pytest.raises(MemoryError):
+                purities(make_w(4).amplitudes[None], 4, [0x3])
+            assert threads() == CALLER
+
+    @pytest.mark.parametrize("solver", ["qr", "svd"])
+    def test_concurrences(self, monkeypatch, solver):
+        def fail(*_args, **_kwargs):
+            assert threads() == 1
+            raise np.linalg.LinAlgError(f"{solver} did not converge")
+
+        monkeypatch.setattr(np.linalg, solver, fail)
+        with blas_threads(CALLER):
+            with pytest.raises(EigenConvergenceError):
+                concurrences(make_w(6), [(0, 3)])
+            assert threads() == CALLER
+
+    def test_sample_blocks(self, monkeypatch):
+        def fail(seed, indices, dim):
+            assert threads() == 1
+            raise ValueError("draw failed")
+
+        monkeypatch.setitem(states._ENSEMBLE_ROWS, "haar", fail)
+        with blas_threads(CALLER):
+            with pytest.raises(ValueError, match="draw failed"):
+                next(sample_blocks(EnsembleSpec("haar", 3, 1), 2))
+            assert threads() == CALLER
+
+
+class TestWithoutTheSymbol:
+    def test_scope_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(_blas, "_setter", lambda: None)
+        with blas_threads(1) as caller:
+            assert caller is None
+
+    def test_kernels_give_the_same_values(self, monkeypatch):
+        # no reduction here is long enough for OpenBLAS to thread it
+        state = haar_states(7, 1, 23)[0]
+        spec = EnsembleSpec("phase-sphere", 4, 1)
+
+        def run():
+            return (
+                purities(state.amplitudes[None], 7, [0x3, 0x55, 0x1F]),
+                concurrences(make_w(5), [(0, 4), (1, 2)]),
+                next(sample_blocks(spec, 2)),
+            )
+
+        expected = run()
+        monkeypatch.setattr(_blas, "_setter", lambda: None)
+        got = run()
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+        assert got[0][0].tolist() == pytest.approx(
+            [purity_quadruple_sum(state, m) for m in (0x3, 0x55, 0x1F)], rel=1e-12
+        )

@@ -25,6 +25,17 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def run_module(args, **env):
+    """`python -m entspec args` in a child that imports the same package as
+    this process, installed or not, with `env` added to its environment."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "entspec", *args.split()],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path, **env},
+    )
+
+
 class TestStateCommand:
     def test_ghz_roundtrip(self, capsys, tmp_path):
         out_file = tmp_path / "ghz.json"
@@ -696,14 +707,21 @@ class TestErrorsAndDeterminism:
         assert code == code2 == 0
         assert out_file.read_text() == out
 
-    def test_module_entry_point(self, tmp_path):
-        # the child imports the same package as this process, installed or not
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        result = subprocess.run(
-            [sys.executable, "-m", "entspec", "purity", "--kind", "ghz", "--n", "2",
-             "--mask", "0x1"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
+    def test_module_entry_point(self):
+        result = run_module("purity --kind ghz --n 2 --mask 0x1")
         assert result.returncode == 0
         assert json.loads(result.stdout)["participation"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # each sample's 128 x 128 Gram is reduced by one zdotc
+            "sample --kind haar --n 14 --count 2 --seed 1 --mask 0x7f",
+            # each drawn row is normalized by np.linalg.norm, a ddot over 2^15
+            "sample --kind phase-sphere --n 15 --count 3 --seed 1 --mask 0x1",
+        ],
+    )
+    def test_output_does_not_depend_on_blas_threads(self, args):
+        one, two = (run_module(args, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
+        assert one.returncode == two.returncode == 0
+        assert one.stdout == two.stdout

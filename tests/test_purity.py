@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entspec import EnsembleSpec, PureState, make_basis, make_cluster1d, make_ghz, make_w
+from entspec._blas import blas_threads
 from entspec.purity import SLAB_ROWS, _cut_matrices, purities
 from entspec.states import BLOCK_BYTES, ENSEMBLE_KINDS, sample_blocks
 from helpers import (
@@ -203,7 +204,8 @@ def gram_purity_2d(state, mask):
         mask = complement(n, mask)
     z = scatter_coefficient_matrix(state, mask_qubits(mask))
     g = z @ z.conj().T
-    return float(np.real(np.vdot(g, g)))
+    with blas_threads(1):  # as the kernel reduces a Gram: a threaded dot moves bits
+        return float(np.real(np.vdot(g, g)))
 
 
 def real_gaussian_state(n, seed):
