@@ -15,10 +15,9 @@ from .measures import (
 from .purity import purities
 from .spectra import (
     BipartitionFamily,
-    EntanglementDistribution,
     Histogram,
-    compute_distributions,
     histogram,
+    participation_statistics,
 )
 from .states import (
     EnsembleSpec,
@@ -44,13 +43,11 @@ __all__ = [
     "BipartitionFamily",
     "EigenConvergenceError",
     "EnsembleSpec",
-    "EntanglementDistribution",
     "GaussianModel",
     "Histogram",
     "PureState",
     "TangleReport",
     "asymptotic_model",
-    "compute_distributions",
     "concurrences",
     "exact_moments",
     "histogram",
@@ -59,6 +56,7 @@ __all__ = [
     "make_ghz",
     "make_w",
     "participation_pdf",
+    "participation_statistics",
     "purities",
     "purity_pdf",
     "sample_blocks",

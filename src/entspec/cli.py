@@ -4,9 +4,10 @@ One subcommand per artifact: `state` writes a state file, `purity` evaluates
 one cut, `spectrum` sweeps a bipartition family, `sample` runs ensemble
 Monte Carlo, `theory` emits model curves, `measures` reports Q/tangles/
 concurrences, and `table1` tabulates balanced-cut means for the named state
-families.  Output is deterministic: identical arguments (and seed) produce
-byte-identical files.  The library returns arrays and dataclasses; every
-output byte is written here, by `_table` (CSV and TSV) and `_record` (JSON).
+families.  Output is deterministic: on one host and BLAS build, identical
+arguments (and seed) produce byte-identical files.  The library returns
+arrays and dataclasses; every output byte is written here, by `_table` (CSV
+and TSV) and `_record` (JSON).
 
 Exit codes: 0 success, 2 argument or input errors, 3 numerical failure.
 """
@@ -26,8 +27,8 @@ import numpy as np
 from .measures import EigenConvergenceError, tangle_report
 from .purity import purities
 from .spectra import (
-    HISTOGRAM_BINS, SELECTORS, STATISTICS, BipartitionFamily, compute_distributions,
-    histogram,
+    HISTOGRAM_BINS, SELECTORS, STATISTICS, BipartitionFamily, histogram,
+    participation_statistics,
 )
 from .states import (
     ENSEMBLE_KINDS, MAX_QUBITS, EnsembleSpec, PureState, make_basis, make_cluster1d,
@@ -125,16 +126,18 @@ def _run_spectrum(args: argparse.Namespace) -> str:
         raise ValueError(f"--bins must be at most {MAX_GRID}, got {args.bins}")
     state = _load_state(args)
     family = BipartitionFamily(state.n, args.family, args.size)
-    (dist,) = compute_distributions(state.amplitudes[None], family)
+    masks = family.masks()
+    purity = purities(state.amplitudes[None], family.n, masks)[0]
+    participation = 1.0 / purity
     if args.format == "json":
-        stats = {name: getattr(dist, name) for name in STATISTICS}
-        return _record({"n": family.n, "family": family.label, "count": dist.count, **stats})
+        stats = participation_statistics(participation[None])[0].tolist()
+        return _record({"n": family.n, "family": family.label, "count": masks.size,
+                        **dict(zip(STATISTICS, stats))})
     if args.format == "tsv":
-        hist = histogram(dist, bins=HISTOGRAM_BINS if args.bins is None else args.bins)
+        hist = histogram(participation, HISTOGRAM_BINS if args.bins is None else args.bins)
         rows = zip(hist.centers.tolist(), hist.densities.tolist(), hist.counts.tolist())
         return _table(("bin_center", "density", "count"), rows, sep="\t")
-    cuts = zip(dist.masks.tolist(), dist.purity_values.tolist(),
-               dist.participations().tolist())
+    cuts = zip(masks.tolist(), purity.tolist(), participation.tolist())
     rows = ((f"{m:#x}", m.bit_count(), p, v) for m, p, v in cuts)
     return _table(("mask_hex", "n_A", "purity", "participation"), rows)
 
@@ -143,7 +146,7 @@ def _run_sample(args: argparse.Namespace) -> str:
     spec = EnsembleSpec(args.kind, args.n, args.seed)
     # the cut or family is checked before any state is drawn
     if args.mask is None:
-        family = BipartitionFamily(args.n, args.family, args.size)
+        masks = BipartitionFamily(args.n, args.family, args.size).masks()
     elif args.size is not None:
         raise ValueError("--size applies only to --family fixed-size, not --mask")
     else:
@@ -158,9 +161,11 @@ def _run_sample(args: argparse.Namespace) -> str:
         )
         rows = ((i, v, 1.0 / v) for i, v in enumerate(values))
         return _table(("sample", "purity", "participation"), rows)
-    dists = (d for block in blocks for d in compute_distributions(block, family))
-    rows = ((i, *(getattr(d, name) for name in STATISTICS)) for i, d in enumerate(dists))
-    return _table(("sample", *STATISTICS), rows)
+    stats = (
+        row for block in blocks
+        for row in participation_statistics(1.0 / purities(block, args.n, masks)).tolist()
+    )
+    return _table(("sample", *STATISTICS), ((i, *row) for i, row in enumerate(stats)))
 
 
 def _run_theory(args: argparse.Namespace) -> str:
@@ -243,17 +248,18 @@ def _run_table1(args: argparse.Namespace) -> str:
     header = ("n", "ghz", "w", "cluster", "random") + (("haar",) if haar is not None else ())
     rows = []
     for n in range(args.nmin, args.nmax + 1):
-        family = BipartitionFamily(n, "balanced")
+        masks = BipartitionFamily(n, "balanced").masks()
+
+        def mean(block):
+            return participation_statistics(1.0 / purities(block, n, masks))[0, 0]
+
         row = [n]
-        for state in (make_ghz(n), make_w(n), make_cluster1d(n)):
-            (dist,) = compute_distributions(state.amplitudes[None], family)
-            row.append(dist.mean_participation)
+        for make in (make_ghz, make_w, make_cluster1d):
+            row.append(mean(make(n).amplitudes[None]))
         n_a = n // 2
         row.append(1.0 / asymptotic_model(1 << n_a, 1 << (n - n_a)).mu)
         if haar is not None:
-            (block,) = sample_blocks(replace(haar, n=n), 1)
-            (dist,) = compute_distributions(block, family)
-            row.append(dist.mean_participation)
+            row.append(mean(*sample_blocks(replace(haar, n=n), 1)))
         rows.append(row)
     return _table(header, rows)
 

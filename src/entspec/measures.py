@@ -8,14 +8,13 @@ of participation numbers can be compared against them.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from ._blas import blas_threads
-from .purity import _cut_matrices, purities
+from .purity import _cut_matrices, _integer, purities
 from .states import PureState
 
 TAU1_DEFINED_FLOOR = 1e-12
@@ -68,14 +67,16 @@ def concurrences(state: PureState, pairs) -> np.ndarray:
     spin-flip roots lambda are the singular values of Z^T (Y x Y) Z, padded
     with zeros to four (Wootters, PRL 80, 2245 (1998)), and the concurrence
     is max(0, l1 - l2 - l3 - l4) (as `tangle_report` computes it).
-    (i, j) and (j, i) name one pair.  Every pair is checked before anything
-    is allocated; each is then read by `purity._cut_matrices` as the cut
-    1 << i | 1 << j, with the bits of (lo, hi) as the row (a view when the
-    pair is (0, 1) or (n-2, n-1), a copy into one reused buffer otherwise),
-    and Z^T is reduced to at most four rows by a tree of stacked QRs (the
-    tall-skinny QR of Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
-    Comput. 34, A206 (2012)): its blocks of QR_ROWS rows are factorized in
-    one call and their R factors stacked, until at most four rows remain.
+    (i, j) and (j, i) name one pair, and each qubit is an integer by the rule
+    of `purities`' masks: any type with __index__, but not bool.  Every pair
+    is checked (ValueError) before anything is allocated; each is then read
+    by `purity._cut_matrices` as the cut 1 << i | 1 << j, with the bits of
+    (lo, hi) as the row (a view when the pair is (0, 1) or (n-2, n-1), a
+    copy into one reused buffer otherwise), and Z^T is reduced to at most
+    four rows by a tree of stacked QRs (the tall-skinny QR of Demmel,
+    Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, A206 (2012)): its
+    blocks of QR_ROWS rows are factorized in one call and their R factors
+    stacked, until at most four rows remain.
     With Z^T = Q R, R^T conj(R) = Z Z^dagger = rho, so Z := R^T leaves the
     lambdas unchanged and keeps the SVD at most 4 x 4.  Every block is at
     most QR_ROWS x 4, so the call runs at one BLAS thread.
@@ -83,7 +84,7 @@ def concurrences(state: PureState, pairs) -> np.ndarray:
     n = state.n
     masks = []
     for i, j in pairs:
-        i, j = operator.index(i), operator.index(j)
+        i, j = _integer(i, "qubit"), _integer(j, "qubit")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"qubits {i} and {j} out of range for {n} qubits")
         if i == j:

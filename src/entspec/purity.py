@@ -25,6 +25,14 @@ SLAB_ROWS = 512  # rows of Z per Gram slab; a cut with at most this many rows is
 THREADED_MADDS = 1 << 22
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int: any type with __index__, but not bool, so a float
+    or a bool is refused (ValueError naming `what`) rather than truncated."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return operator.index(value)
+
+
 def _cut_matrices(block: np.ndarray, n: int, masks):
     """Yield, for each int mask, the count x N_A x N_B matrix Z of `block`.
 
@@ -53,9 +61,9 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
 
     block holds count x 2**n amplitudes, float64 or complex128 (ValueError
     names a shape or dtype that is not, before anything is allocated), and
-    each mask is an integer (any type with __index__, but not bool) in
-    [1, 2**n - 2] (ValueError names the first that is not; this is the
-    package's one check of a cut); the result is a count x len(masks)
+    each mask is an integer (`_integer`: any type with __index__, but not
+    bool) in [1, 2**n - 2] (ValueError names the first that is not; this is
+    the package's one check of a cut); the result is a count x len(masks)
     float64 array.  A mask and its complement are one cut, turned so that A
     is the smaller side, or of two equal sides the lower mask.  Each cut is
     gathered once by `_cut_matrices`, however many masks name it, and its
@@ -87,9 +95,7 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     cuts = {}  # turned mask -> its column in `values`
     where = []  # the column in `values` of each requested mask
     for mask in masks:
-        if isinstance(mask, bool) or not hasattr(mask, "__index__"):
-            raise ValueError(f"mask {mask!r} is not an integer")
-        mask = operator.index(mask)
+        mask = _integer(mask, "mask")
         if not 0 < mask < full:
             raise ValueError(f"mask {mask:#x} is not a cut of {n} qubits")
         k = mask.bit_count()

@@ -2,21 +2,23 @@
 
 The distribution of N_AB over a family of bipartitions is the package's
 central object: its mean measures how much entanglement a state carries and
-its width how evenly that entanglement is spread over the cuts.
+its width how evenly that entanglement is spread over the cuts.  A sweep is
+two arrays, `family.masks()` and `purities(block, family.n, masks)`;
+`participation_statistics` summarizes its rows and `histogram` one row.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .purity import purities
+from .states import _check_qubits
 
 SELECTORS = ("balanced", "all-sizes", "fixed-size", "max-unbalanced")
-# EntanglementDistribution's participation statistics, in output order
+# the columns of `participation_statistics`, in output order
 STATISTICS = ("mean_participation", "var_population", "var_sample", "min", "max")
 
 HISTOGRAM_BINS = 50  # equal-width bins for a spectrum too broad for exact bars
@@ -43,6 +45,7 @@ class BipartitionFamily:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"family needs at least 2 qubits, got {self.n}")
+        _check_qubits(self.n, 2, "family")  # n <= MAX_QUBITS, before masks() allocates
         if self.selector not in SELECTORS:
             raise ValueError(f"unknown family selector {self.selector!r}")
         if self.selector == "fixed-size":
@@ -68,41 +71,28 @@ class BipartitionFamily:
         return np.fromiter(_masks_with_popcount(n, k), np.int64, math.comb(n, k))
 
 
-@dataclass(frozen=True)
-class EntanglementDistribution:
-    """Purities over a bipartition family and statistics of their 1/purity.
+def participation_statistics(values: np.ndarray) -> np.ndarray:
+    """The STATISTICS of each row of a count x cuts array of participation
+    numbers, as a count x len(STATISTICS) float64 array.
 
-    masks[i] is the subsystem-A mask of cut i and purity_values[i] its purity;
-    the statistics are derived from the two arrays on construction.
+    Each row is its own 1-D reduction, with the arithmetic of v.mean(),
+    v.var() and v.var(ddof=1) bit for bit but without numpy's Python
+    wrappers; one 2-D reduction along the rows would not be bit-identical to
+    them.  ValueError if `values` is not 2-D or has fewer than 2 columns.
     """
-
-    masks: np.ndarray
-    purity_values: np.ndarray
-    mean_participation: float = field(init=False)
-    var_population: float = field(init=False)
-    var_sample: float = field(init=False)
-    min: float = field(init=False)
-    max: float = field(init=False)
-
-    def __post_init__(self):
-        # the arithmetic of v.mean(), v.var() and v.var(ddof=1), bit for bit,
-        # without numpy's Python wrappers
-        v = self.participations()
-        n = v.size
+    if values.ndim != 2 or values.shape[1] < 2:
+        raise ValueError(
+            f"participations have shape {values.shape}, expected (count, cuts >= 2)"
+        )
+    n = values.shape[1]
+    stats = np.empty((values.shape[0], len(STATISTICS)))
+    for v, out in zip(values, stats):
         mean = np.add.reduce(v) / n
         d = v - mean
         d *= d
         q = np.add.reduce(d)
-        stats = (mean, q / n, q / (n - 1), np.minimum.reduce(v), np.maximum.reduce(v))
-        for name, value in zip(STATISTICS, stats):
-            object.__setattr__(self, name, float(value))
-
-    @property
-    def count(self) -> int:
-        return self.masks.size
-
-    def participations(self) -> np.ndarray:
-        return 1.0 / self.purity_values
+        out[:] = mean, q / n, q / (n - 1), np.minimum.reduce(v), np.maximum.reduce(v)
+    return stats
 
 
 @dataclass(frozen=True)
@@ -131,28 +121,18 @@ def _masks_with_popcount(n: int, k: int) -> Iterator[int]:
         m = (((r ^ m) >> 2) // c) | r
 
 
-def compute_distributions(
-    block: np.ndarray, family: BipartitionFamily
-) -> list[EntanglementDistribution]:
-    """One distribution per row of a count x 2**n amplitude block, from one
-    `purities` call over the family's masks in ascending order (which
-    evaluates each unordered cut once).  One state is the block
-    `state.amplitudes[None]`."""
-    masks = family.masks()
-    values = purities(block, family.n, masks)
-    return [EntanglementDistribution(masks, row) for row in values]
-
-
-def histogram(dist: EntanglementDistribution, bins: int = HISTOGRAM_BINS) -> Histogram:
-    """Histogram of participation numbers.
+def histogram(values: np.ndarray, bins: int = HISTOGRAM_BINS) -> Histogram:
+    """Histogram of a 1-D array of participation numbers.
 
     Distributions with at most DISCRETE_VALUE_LIMIT distinct values get one
     exact bar per value; anything broader is binned into `bins` equal-width
     bins spanning [min, max].  Densities integrate to 1 in both modes.
+    ValueError if `values` is not 1-D or is empty.
     """
     if bins < 1:
         raise ValueError(f"bin count must be positive, got {bins}")
-    values = dist.participations()
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError(f"participations have shape {values.shape}, expected (cuts >= 1,)")
     # sorted neighbors more than VALUE_MERGE_TOL apart start a new distinct
     # value; the breaks are counted before any group is made
     ordered = np.sort(values)

@@ -1,15 +1,17 @@
 """One-state shorthands over the package's kernels, for the tests.
 
-The package computes every purity in `purities(block, n, masks)`, every
-family sweep in `compute_distributions(block, family)` and every spin-flip
-root in `concurrences(state, pairs)`.  These functions make one such call for
-one state and unpack its single result; they add no rule of their own beyond
-the concurrence C = max(0, l1 - l2 - l3 - l4), which `tangle_report` also
-takes, in the same subtraction order.  `helpers.py` must not import this
+The package computes every purity in `purities(block, n, masks)` (a family
+sweep is that call over `family.masks()`), every participation statistic in
+`participation_statistics(values)` and every spin-flip root in
+`concurrences(state, pairs)`.  These functions make such calls for one state
+and unpack its single row; they add no rule of their own beyond the
+concurrence C = max(0, l1 - l2 - l3 - l4), which `tangle_report` also takes,
+in the same subtraction order.  `helpers.py` must not import this
 module, so that its oracles stay independent of the kernels they check.
 """
 
-from entspec import compute_distributions, concurrences, purities
+from entspec import concurrences, participation_statistics, purities
+from entspec.spectra import STATISTICS
 
 
 def purity(state, mask: int) -> float:
@@ -17,10 +19,15 @@ def purity(state, mask: int) -> float:
     return float(purities(state.amplitudes[None], state.n, [mask])[0, 0])
 
 
-def distribution(state, family):
-    """The family sweep of one state."""
-    (dist,) = compute_distributions(state.amplitudes[None], family)
-    return dist
+def participations(state, family):
+    """N_AB = 1/purity of `state` on each of the family's masks, in order."""
+    return 1.0 / purities(state.amplitudes[None], state.n, family.masks())[0]
+
+
+def statistics(state, family) -> dict:
+    """The participation statistics of one state's family sweep, by name."""
+    row = participation_statistics(participations(state, family)[None])[0]
+    return dict(zip(STATISTICS, row.tolist()))
 
 
 def spin_flip_roots(state, i: int, j: int):

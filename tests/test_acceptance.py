@@ -31,6 +31,7 @@ from entspec import (
     make_ghz,
     make_w,
     participation_pdf,
+    participation_statistics,
     purities,
     purity_pdf,
     sample_blocks,
@@ -50,7 +51,9 @@ from helpers import (
     w_participation,
     xm_split,
 )
-from one_state import concurrence, distribution, participation_bound, purity, spin_flip_roots
+from one_state import (
+    concurrence, participation_bound, participations, purity, spin_flip_roots, statistics,
+)
 
 TABLE_W = {5: 1.923, 6: 2.0, 7: 1.96, 8: 2.0, 9: 1.976, 10: 2.0, 11: 1.984, 12: 2.0}
 TABLE_CLUSTER = {
@@ -90,14 +93,14 @@ def test_criterion_1_reference_table():
         family = BipartitionFamily(n, "balanced")
         n_a = n // 2
 
-        ghz_mean = distribution(make_ghz(n), family).mean_participation
+        ghz_mean = statistics(make_ghz(n), family)["mean_participation"]
         crit.close(1e-9, ghz_mean, 2.0, f"ghz n={n}")
 
-        w_mean = distribution(make_w(n), family).mean_participation
+        w_mean = statistics(make_w(n), family)["mean_participation"]
         crit.close(1e-9, w_mean, w_participation(n, n_a), f"w closed form n={n}")
         crit.close(5e-4, w_mean, TABLE_W[n], f"w reference n={n}")
 
-        cluster_mean = distribution(make_cluster1d(n), family).mean_participation
+        cluster_mean = statistics(make_cluster1d(n), family)["mean_participation"]
         exact = float(path_balanced_mean(n))
         crit.close(1e-9, cluster_mean, exact, f"cluster cut-rank oracle n={n}")
         crit.close(5e-4, TABLE_CLUSTER[n], exact, f"cluster table entry n={n}")
@@ -114,15 +117,15 @@ def test_criterion_2_three_qubit_distributions():
     crit = Criterion(2, "three-qubit exact distributions")
     family = BipartitionFamily(3, "balanced")
 
-    values = distribution(make_basis(3, 5), family).participations()
+    values = participations(make_basis(3, 5), family)
     crit.check(np.allclose(values, 1.0, atol=1e-10), f"factorized: {values}")
 
-    values = distribution(make_ghz(3), family).participations()
+    values = participations(make_ghz(3), family)
     crit.check(np.allclose(values, 2.0, atol=1e-10), f"ghz: {values}")
 
     amps = np.zeros(8, dtype=complex)
     amps[0] = amps[6] = 1 / np.sqrt(2)
-    values = np.sort(distribution(PureState(3, amps), family).participations())
+    values = np.sort(participations(PureState(3, amps), family))
     crit.check(
         np.allclose(values, [1.0, 2.0, 2.0], atol=1e-10), f"pair+spectator: {values}"
     )
@@ -133,10 +136,10 @@ def test_criterion_3_pair_product_example():
     crit = Criterion(3, "two-Bell-pair product vs GHZ")
     bell = make_ghz(2)
     state = make_product(bell, bell)
-    dist = distribution(state, BipartitionFamily(4, "balanced"))
+    stats = statistics(state, BipartitionFamily(4, "balanced"))
     # mathematically exactly 3; float construction leaves ~1e-15 roundoff
-    crit.close(1e-12, dist.mean_participation, 3.0, "mean participation")
-    crit.close(0.01, math.sqrt(dist.var_sample), 1.549, "Bessel-corrected width")
+    crit.close(1e-12, stats["mean_participation"], 3.0, "mean participation")
+    crit.close(0.01, math.sqrt(stats["var_sample"]), 1.549, "Bessel-corrected width")
     q_pairs = tangle_report(state).q
     q_ghz = tangle_report(make_ghz(4)).q
     crit.close(1e-10, q_pairs, 1.0, "Q of the pair product")
@@ -160,14 +163,14 @@ def test_criterion_4_random_state_statistics():
     crit.check(0.5 <= ratio <= 2.0, f"variance ratio {ratio:.3f} outside [0.5, 2]")
 
     single = haar_states(12, 1, 20241)[0]
-    dist = distribution(single, BipartitionFamily(12, "balanced"))
-    crit.check(dist.count == 924, f"mask count {dist.count}")
-    mean_part = dist.mean_participation
+    family = BipartitionFamily(12, "balanced")
+    pur = purities(single.amplitudes[None], 12, family.masks())[0]
+    crit.check(pur.size == 924, f"mask count {pur.size}")
+    mean_part = participation_statistics(1.0 / pur[None])[0, 0]
     crit.check(
         abs(mean_part - 32.252) / 32.252 <= 0.05,
         f"mean participation {mean_part:.4f} vs 32.252",
     )
-    pur = dist.purity_values
     concentration = pur.std() / pur.mean()
     crit.check(concentration <= 0.05, f"purity sigma/mu {concentration:.4f} > 0.05")
     crit.finish()
@@ -291,11 +294,11 @@ def test_criterion_7_property_suites():
     crit.close(1e-6, mass_y, 1.0, "participation pdf mass")
 
     # histogram mass in both modes
-    for dist in (
-        distribution(make_cluster1d(6), BipartitionFamily(6, "balanced")),
-        distribution(haar_states(10, 1, 20248)[0], BipartitionFamily(10, "balanced")),
+    for values in (
+        participations(make_cluster1d(6), BipartitionFamily(6, "balanced")),
+        participations(haar_states(10, 1, 20248)[0], BipartitionFamily(10, "balanced")),
     ):
-        hist = histogram(dist)
+        hist = histogram(values)
         mass = float(np.sum(hist.densities * np.diff(hist.bin_edges)))
         crit.close(1e-9, mass, 1.0, "histogram mass")
 

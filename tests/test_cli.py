@@ -12,6 +12,7 @@ import pytest
 
 from entspec import cli, state_to_dict
 from entspec.cli import main
+from entspec.states import BLOCK_BYTES
 from helpers import haar_states
 
 
@@ -289,6 +290,22 @@ class TestSampleCommand:
             "1.2557136502428798,1.3833052806578987\n"
         )
 
+    def test_family_rows_do_not_depend_on_count(self, capsys):
+        # 8 rows of Haar n = 11 fill a sampled block, so 20 samples span three
+        # blocks; sample i's statistics row reads the same at any count past i
+        def rows(count):
+            code, out, _ = run_cli(
+                capsys, "sample", "--kind", "haar", "--n", "11", "--count", str(count),
+                "--seed", "1", "--family", "balanced",
+            )
+            assert code == 0
+            return out.splitlines()[1:]
+
+        assert BLOCK_BYTES // (16 << 11) == 8
+        full = rows(20)
+        assert [line.split(",")[0] for line in full] == [str(i) for i in range(20)]
+        for i in range(20):
+            assert rows(i + 1)[i] == full[i]
 
     @pytest.mark.parametrize("cut", [("--mask", "0x1f"), ("--family", "max-unbalanced")])
     def test_state_memory_does_not_grow_with_count(self, tmp_path, cut):
@@ -611,7 +628,7 @@ class TestErrorsAndDeterminism:
         def refuse(*_args):
             raise AssertionError("a sweep ran before the seed was checked")
 
-        monkeypatch.setattr(cli, "compute_distributions", refuse)
+        monkeypatch.setattr(cli, "purities", refuse)
         for seed in ("-1", str(2**64)):
             code, out, err = run_cli(
                 capsys, "table1", "--nmin", "13", "--nmax", "13", "--haar-seed", seed

@@ -103,6 +103,17 @@ class TestConcurrence:
         with pytest.raises(ValueError, match=message):
             concurrence(make_ghz(n), i, j)
 
+    @pytest.mark.parametrize(
+        "pair", [(True, 2), (1.0, 2), (1, np.float64(2.0)), (np.True_, 2)],
+        ids=["bool", "float", "float64", "np-bool"],
+    )
+    def test_qubits_that_are_not_integers_rejected(self, pair):
+        # the rule of `purities`' masks: a bool is not taken as qubit 1, nor a
+        # float truncated to a qubit
+        bad = next(q for q in pair if not isinstance(q, int) or isinstance(q, bool))
+        with pytest.raises(ValueError, match=f"^qubit {re.escape(repr(bad))} is not an integer$"):
+            concurrences(make_w(4), [(0, 1), pair])
+
 
 class TestConcurrenceOracle:
     """The package's QR-reduced singular values against the oracle's singular

@@ -4,10 +4,7 @@ import ast
 from pathlib import Path
 
 HELPERS = Path(__file__).with_name("helpers.py")
-KERNEL_NAMES = {
-    "_cut_matrices", "purities", "purity", "concurrence", "concurrences",
-    "compute_distributions",
-}
+KERNEL_NAMES = {"_cut_matrices", "purities", "purity", "concurrence", "concurrences"}
 SHORTHANDS = "one_state"  # the tests' one-state calls of those kernels
 
 

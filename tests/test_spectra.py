@@ -9,20 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 from entspec import (
     BipartitionFamily,
-    EntanglementDistribution,
-    compute_distributions,
     histogram,
     make_basis,
     make_cluster1d,
     make_ghz,
     make_w,
+    participation_statistics,
+    purities,
 )
 from entspec.cli import main
 from entspec.purity import _cut_matrices
-from entspec.spectra import DISCRETE_VALUE_LIMIT, SELECTORS
-from entspec.states import PureState
+from entspec.spectra import DISCRETE_VALUE_LIMIT, SELECTORS, STATISTICS
+from entspec.states import MAX_QUBITS, PureState
 from helpers import haar_states, make_product, permute_amplitudes_bitloop
-from one_state import distribution, purity
+from one_state import participations, purity, statistics
 
 
 def bell_product():
@@ -65,26 +65,36 @@ class TestFamilies:
         with pytest.raises(ValueError, match="size"):
             BipartitionFamily(4, "balanced", 2)
 
+    @pytest.mark.parametrize("selector", SELECTORS)
+    def test_qubit_count_above_the_memory_guard_is_refused(self, selector):
+        # refused before masks() could allocate 2^n masks or C(n, n/2) of them
+        size = 1 if selector == "fixed-size" else None
+        BipartitionFamily(MAX_QUBITS, selector, size)
+        for n in (MAX_QUBITS + 1, 40, 64):
+            with pytest.raises(ValueError, match=f"qubit count {n} exceeds the memory guard"):
+                BipartitionFamily(n, selector, size)
+
 
 class TestDistribution:
     def test_ghz3_balanced_is_delta_at_two(self):
-        dist = distribution(make_ghz(3), BipartitionFamily(3, "balanced"))
-        np.testing.assert_allclose(dist.participations(), [2.0, 2.0, 2.0], atol=1e-10)
-        assert dist.var_population == pytest.approx(0.0, abs=1e-12)
+        family = BipartitionFamily(3, "balanced")
+        np.testing.assert_allclose(participations(make_ghz(3), family), 2.0, atol=1e-10)
+        assert statistics(make_ghz(3), family)["var_population"] == pytest.approx(
+            0.0, abs=1e-12
+        )
 
     def test_partially_entangled_three_qubits(self):
         # (|000> + |110>)/sqrt(2): one unentangled cut, two maximal ones
         amps = np.zeros(8, dtype=complex)
         amps[0] = amps[6] = 1 / np.sqrt(2)
-        dist = distribution(PureState(3, amps), BipartitionFamily(3, "balanced"))
-        np.testing.assert_allclose(
-            sorted(dist.participations()), [1.0, 2.0, 2.0], atol=1e-10
-        )
+        values = participations(PureState(3, amps), BipartitionFamily(3, "balanced"))
+        np.testing.assert_allclose(sorted(values), [1.0, 2.0, 2.0], atol=1e-10)
 
     def test_cluster5_balanced_mean(self):
-        dist = distribution(make_cluster1d(5), BipartitionFamily(5, "balanced"))
-        assert dist.count == 10
-        assert dist.mean_participation == pytest.approx(3.6, abs=1e-10)
+        family = BipartitionFamily(5, "balanced")
+        assert participations(make_cluster1d(5), family).size == 10
+        stats = statistics(make_cluster1d(5), family)
+        assert stats["mean_participation"] == pytest.approx(3.6, abs=1e-10)
 
     def test_factorized_state_all_families(self):
         state = make_basis(4, 0b0110)
@@ -94,18 +104,18 @@ class TestDistribution:
             BipartitionFamily(4, "max-unbalanced"),
             BipartitionFamily(4, "fixed-size", 3),
         ):
-            dist = distribution(state, family)
-            np.testing.assert_allclose(dist.participations(), 1.0, atol=1e-10)
+            np.testing.assert_allclose(participations(state, family), 1.0, atol=1e-10)
 
     def test_complement_pairs_match_and_dedup_stats_agree(self):
         state = haar_states(4, 1, 99)[0]
-        dist = distribution(state, BipartitionFamily(4, "balanced"))
-        by_mask = dict(zip(dist.masks.tolist(), dist.participations()))
+        family = BipartitionFamily(4, "balanced")
+        by_mask = dict(zip(family.masks().tolist(), participations(state, family)))
         for mask, value in by_mask.items():
             assert value == pytest.approx(by_mask[mask ^ 0xF], abs=1e-12)
         deduped = [v for m, v in by_mask.items() if m < (m ^ 0xF)]
-        assert np.mean(deduped) == pytest.approx(dist.mean_participation, abs=1e-12)
-        assert np.var(deduped) == pytest.approx(dist.var_population, abs=1e-12)
+        stats = statistics(state, family)
+        assert np.mean(deduped) == pytest.approx(stats["mean_participation"], abs=1e-12)
+        assert np.var(deduped) == pytest.approx(stats["var_population"], abs=1e-12)
 
     def test_relabeling_preserves_balanced_multiset(self):
         state = haar_states(5, 1, 101)[0]
@@ -113,22 +123,27 @@ class TestDistribution:
         perm = list(rng.permutation(5))
         permuted = PureState(5, permute_amplitudes_bitloop(state, perm))
         family = BipartitionFamily(5, "balanced")
-        before = np.sort(distribution(state, family).participations())
-        after = np.sort(distribution(permuted, family).participations())
+        before = np.sort(participations(state, family))
+        after = np.sort(participations(permuted, family))
         np.testing.assert_allclose(before, after, atol=1e-10)
 
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError, match=r"shape \(1, 8\), expected \(count, 16\)"):
-            compute_distributions(make_ghz(3).amplitudes[None], BipartitionFamily(4, "balanced"))
+            purities(make_ghz(3).amplitudes[None], 4, BipartitionFamily(4, "balanced").masks())
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 1), (3, 0), (2, 3, 4)])
+    def test_statistics_need_a_two_dimensional_array_of_two_or_more_cuts(self, shape):
+        with pytest.raises(ValueError, match="expected \\(count, cuts >= 2\\)"):
+            participation_statistics(np.ones(shape))
 
 
 @st.composite
-def state_and_family(draw):
+def states_and_family(draw):
     n = draw(st.integers(2, 8))
     selector = draw(st.sampled_from(SELECTORS))
     size = draw(st.integers(1, n - 1)) if selector == "fixed-size" else None
-    state = haar_states(n, 1, draw(st.integers(0, 2**32 - 1)))[0]
-    return state, BipartitionFamily(n, selector, size)
+    states = haar_states(n, draw(st.integers(1, 5)), draw(st.integers(0, 2**32 - 1)))
+    return states, BipartitionFamily(n, selector, size)
 
 
 def family_masks_reference(family):
@@ -144,21 +159,23 @@ def family_masks_reference(family):
 
 
 @settings(max_examples=120, deadline=None)
-@given(state_and_family())
+@given(states_and_family())
 def test_distribution_arrays_match_per_cut_purities(case):
-    state, family = case
-    dist = distribution(state, family)
-    assert dist.masks.dtype == np.int64 and dist.purity_values.dtype == np.float64
-    assert dist.masks.tolist() == family_masks_reference(family)
-    per_cut = [purity(state, m) for m in dist.masks]
-    assert np.array_equal(dist.purity_values, per_cut)
-    values = dist.participations()
-    assert np.array_equal(values, 1.0 / np.array(per_cut))
-    assert dist.count == values.size == len(per_cut)
-    assert dist.mean_participation == np.mean(values)
-    assert dist.var_population == np.var(values)
-    assert dist.var_sample == np.var(values, ddof=1)
-    assert (dist.min, dist.max) == (np.min(values), np.max(values))
+    # a sweep of a block of 1 to 5 states: its purities are each cut's own
+    # one-state call, and every row's statistics are numpy's on that row
+    states, family = case
+    masks = family.masks()
+    assert masks.dtype == np.int64
+    assert masks.tolist() == family_masks_reference(family)
+    block = np.stack([s.amplitudes for s in states])
+    values = purities(block, family.n, masks)
+    assert values.dtype == np.float64 and values.shape == (len(states), masks.size)
+    for state, row in zip(states, values):
+        assert np.array_equal(row, [purity(state, m) for m in masks])
+    stats = participation_statistics(1.0 / values)
+    assert stats.dtype == np.float64 and stats.shape == (len(states), len(STATISTICS))
+    for v, row in zip(1.0 / values, stats.tolist()):
+        assert row == [np.mean(v), np.var(v), np.var(v, ddof=1), np.min(v), np.max(v)]
 
 
 @pytest.mark.parametrize(
@@ -184,51 +201,57 @@ def test_each_unordered_cut_is_evaluated_once(monkeypatch, n, selector, size, cu
     # the module, not the package's re-exported function of the same name
     monkeypatch.setattr(import_module("entspec.purity"), "_cut_matrices", counted)
     family = BipartitionFamily(n, selector, size)
-    dist = distribution(haar_states(n, 1, 970 + n)[0], family)
+    values = participations(haar_states(n, 1, 970 + n)[0], family)
     assert len(masks) == len(set(masks)) == cuts
-    assert dist.count == family.masks().size
+    assert values.size == family.masks().size
 
 
 def test_distribution_retains_two_arrays_per_cut():
+    # a sweep keeps its masks and purities, and `purities` keeps nothing else
     state, family = make_ghz(10), BipartitionFamily(10, "all-sizes")
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        dist = distribution(state, family)
+        masks = family.masks()
+        values = purities(state.amplitudes[None], family.n, masks)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert dist.count == 1022
-    assert retained / dist.count < 64
+    assert masks.size == values.size == 1022
+    assert retained / masks.size < 64
 
 
 class TestSummaries:
     def test_bell_product_summary(self):
-        dist = distribution(bell_product(), BipartitionFamily(4, "balanced"))
-        assert dist.count == 6
-        assert dist.mean_participation == pytest.approx(3.0, abs=1e-12)
-        assert math.sqrt(dist.var_sample) == pytest.approx(math.sqrt(12 / 5), abs=1e-12)
-        assert math.sqrt(dist.var_population) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-        assert dist.var_sample == pytest.approx(dist.var_population * 6 / 5, abs=1e-12)
+        family = BipartitionFamily(4, "balanced")
+        assert participations(bell_product(), family).size == 6
+        stats = statistics(bell_product(), family)
+        assert stats["mean_participation"] == pytest.approx(3.0, abs=1e-12)
+        assert math.sqrt(stats["var_sample"]) == pytest.approx(math.sqrt(12 / 5), abs=1e-12)
+        assert math.sqrt(stats["var_population"]) == pytest.approx(
+            math.sqrt(2.0), abs=1e-12
+        )
+        assert stats["var_sample"] == pytest.approx(
+            stats["var_population"] * 6 / 5, abs=1e-12
+        )
 
     def test_ghz8_and_w6_zero_width(self):
         for state, n in ((make_ghz(8), 8), (make_w(6), 6)):
-            dist = distribution(state, BipartitionFamily(n, "balanced"))
-            assert dist.mean_participation == pytest.approx(2.0, abs=1e-10)
-            assert dist.var_population == pytest.approx(0.0, abs=1e-12)
+            stats = statistics(state, BipartitionFamily(n, "balanced"))
+            assert stats["mean_participation"] == pytest.approx(2.0, abs=1e-10)
+            assert stats["var_population"] == pytest.approx(0.0, abs=1e-12)
 
     def test_min_max_consistent(self):
-        dist = distribution(haar_states(5, 1, 103)[0], BipartitionFamily(5, "balanced"))
-        values = dist.participations()
-        assert dist.min == values.min() and dist.max == values.max()
+        state, family = haar_states(5, 1, 103)[0], BipartitionFamily(5, "balanced")
+        values, stats = participations(state, family), statistics(state, family)
+        assert stats["min"] == values.min() and stats["max"] == values.max()
 
 
 class TestHistogram:
     def test_single_bar_full_mass(self):
-        dist = distribution(make_ghz(6), BipartitionFamily(6, "balanced"))
-        hist = histogram(dist)
+        hist = histogram(participations(make_ghz(6), BipartitionFamily(6, "balanced")))
         assert hist.discrete
         assert len(hist.centers) == 1
         assert hist.centers[0] == pytest.approx(2.0, abs=1e-10)
@@ -237,9 +260,7 @@ class TestHistogram:
         assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_two_bars(self):
-        hist = histogram(
-            distribution(bell_product(), BipartitionFamily(4, "balanced"))
-        )
+        hist = histogram(participations(bell_product(), BipartitionFamily(4, "balanced")))
         assert hist.discrete
         np.testing.assert_allclose(hist.centers, [1.0, 4.0], atol=1e-10)
         np.testing.assert_array_equal(hist.counts, [2, 4])
@@ -247,10 +268,8 @@ class TestHistogram:
         assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_continuous_mode_mass_and_shape(self):
-        dist = distribution(
-            haar_states(10, 1, 104)[0], BipartitionFamily(10, "balanced")
-        )
-        hist = histogram(dist, bins=40)
+        values = participations(haar_states(10, 1, 104)[0], BipartitionFamily(10, "balanced"))
+        hist = histogram(values, bins=40)
         assert not hist.discrete
         assert len(hist.counts) == 40
         mass = float(np.sum(hist.densities * np.diff(hist.bin_edges)))
@@ -258,9 +277,8 @@ class TestHistogram:
 
     @pytest.mark.parametrize("distinct", [DISCRETE_VALUE_LIMIT, DISCRETE_VALUE_LIMIT + 1])
     def test_discrete_limit_is_inclusive(self, distinct):
-        values = np.repeat(1.0 / np.arange(1, distinct + 1), 2)
-        dist = EntanglementDistribution(np.arange(values.size), values)
-        hist = histogram(dist)
+        values = np.repeat(np.arange(1.0, distinct + 1), 2)
+        hist = histogram(values)
         assert hist.discrete == (distinct <= DISCRETE_VALUE_LIMIT)
         assert hist.counts.sum() == values.size
 
@@ -270,23 +288,27 @@ class TestHistogram:
         # peak stays near three value-sized arrays (participations, their sort
         # and its differences), not one array per value
         count = 10**6
-        dist = EntanglementDistribution(
-            np.arange(count, dtype=np.int64), np.linspace(0.1, 0.9, count)
-        )
+        purity_values = np.linspace(0.1, 0.9, count)
         gc.collect()
         tracemalloc.start()
         try:
-            hist = histogram(dist)
+            hist = histogram(1.0 / purity_values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert not hist.discrete and hist.counts.sum() == count
-        assert peak < 4 * dist.purity_values.nbytes
+        assert peak < 4 * purity_values.nbytes
 
     def test_empty_bins_rejected(self):
-        dist = distribution(make_ghz(3), BipartitionFamily(3, "balanced"))
+        values = participations(make_ghz(3), BipartitionFamily(3, "balanced"))
         with pytest.raises(ValueError, match="bin count"):
-            histogram(dist, bins=0)
+            histogram(values, bins=0)
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 3)])
+    def test_histogram_needs_one_row_of_cuts(self, shape):
+        # a count x cuts block of rows would otherwise be pooled into one histogram
+        with pytest.raises(ValueError, match="expected \\(cuts >= 1,\\)"):
+            histogram(np.ones(shape))
 
 
 class TestFormats:

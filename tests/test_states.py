@@ -18,7 +18,7 @@ from helpers import (
     make_product, partial_trace_reshape, path_cut_rank, permute_amplitudes_bitloop,
     sampled_rows,
 )
-from one_state import distribution, purity
+from one_state import purity, statistics
 
 
 def all_masks(n):
@@ -172,12 +172,12 @@ class TestCluster:
             )
 
     def test_balanced_mean_five_qubits(self):
-        dist = distribution(make_cluster1d(5), BipartitionFamily(5, "balanced"))
-        assert dist.mean_participation == pytest.approx(3.6, abs=1e-10)
+        stats = statistics(make_cluster1d(5), BipartitionFamily(5, "balanced"))
+        assert stats["mean_participation"] == pytest.approx(3.6, abs=1e-10)
 
     def test_balanced_mean_twelve_qubits(self):
-        dist = distribution(make_cluster1d(12), BipartitionFamily(12, "balanced"))
-        assert dist.mean_participation == pytest.approx(1783 / 77, abs=1e-9)
+        stats = statistics(make_cluster1d(12), BipartitionFamily(12, "balanced"))
+        assert stats["mean_participation"] == pytest.approx(1783 / 77, abs=1e-9)
 
 
 class TestProduct:
@@ -194,10 +194,8 @@ class TestProduct:
 
     def test_bell_pair_mean(self):
         bell = make_ghz(2)
-        dist = distribution(
-            make_product(bell, bell), BipartitionFamily(4, "balanced")
-        )
-        assert dist.mean_participation == pytest.approx(3.0, abs=1e-12)
+        stats = statistics(make_product(bell, bell), BipartitionFamily(4, "balanced"))
+        assert stats["mean_participation"] == pytest.approx(3.0, abs=1e-12)
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="guard"):
