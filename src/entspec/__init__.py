@@ -4,8 +4,15 @@ Characterizes multipartite entanglement of n-qubit pure states through the
 probability density of the participation number N_AB = 1/purity over
 families of bipartitions, alongside closed-form random-state statistics and
 comparison measures (Q, concurrence, tangles).
+
+Importing the package lets idle OpenBLAS workers sleep instead of spin: see
+`_blas`, which sets `OPENBLAS_THREAD_TIMEOUT` only while numpy loads, only
+when the user has not set it, and leaves the environment as found.
 """
 
+# `_blas` first: it sets the OpenBLAS thread timeout before numpy loads, and
+# any other submodule would import numpy before it could.
+from . import _blas
 from .measures import (
     EigenConvergenceError,
     TangleReport,

@@ -7,6 +7,18 @@ in a second thread that mostly spins, and a dot product over more than about
 sets the count for the calls in its body and restores the caller's count on
 exit.  Where numpy's OpenBLAS or its `openblas_set_num_threads_local` is
 absent (another BLAS, an older OpenBLAS), it changes nothing.
+
+OpenBLAS also keeps its idle workers busy-waiting for about 2^28 cycles
+(about 0.1 s) after start-up and after every threaded call, before they
+sleep; with every kernel on one thread that spin is only lost CPU, paid by
+each CLI run.  OpenBLAS reads `OPENBLAS_THREAD_TIMEOUT` (clamped to 4..30,
+the log2 of that wait) once, when numpy loads it, so this module sets it to
+4 before its own `import numpy`: an idle worker then sleeps at once, and a
+threaded call still wakes it and splits the work the same way, so no result
+bit changes.  A value the user set wins.  The variable is removed again once
+numpy has loaded, so the environment that child processes inherit is left as
+found.  It acts only when entspec is what loads numpy: if numpy was imported
+first, the setting does nothing and harms nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +29,15 @@ import glob
 import os
 from contextlib import contextmanager
 
-import numpy as np
+_TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
+_set_timeout = _TIMEOUT not in os.environ
+if _set_timeout:
+    os.environ[_TIMEOUT] = "4"  # the least wait: idle workers sleep at once
+try:
+    import numpy as np
+finally:
+    if _set_timeout:
+        del os.environ[_TIMEOUT]
 
 
 @functools.cache

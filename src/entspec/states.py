@@ -123,9 +123,14 @@ def make_cluster1d(n: int) -> PureState:
     CZ-circuit graph state on the same chain.
     """
     _check_qubits(n, 2, "cluster state")
-    amps = np.full(1 << n, 1.0 / np.sqrt(1 << n))
-    for k in range(n - 1):  # axes (high bits, b_{k+1}, b_k, low bits)
-        amps.reshape(-1, 2, 2, 1 << k)[:, 1, 0, :] *= -1
+    amps = np.empty(1 << n)
+    amps[:2] = 1.0 / np.sqrt(1 << n)
+    # by doubling: when qubit k joins, the half with b_k = 1 copies the first
+    # 2^k amplitudes, its sign flipped where b_{k-1} = 0
+    for k in range(1, n):
+        low, half = 1 << (k - 1), 1 << k
+        np.negative(amps[:low], out=amps[half : half + low])
+        amps[half + low : 2 * half] = amps[low:half]
     return PureState(n, amps)
 
 

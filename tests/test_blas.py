@@ -1,5 +1,13 @@
 """The BLAS thread policy: kernels run at one OpenBLAS thread, a large slab
-Gram at the caller's count, and the caller's count is back after every call."""
+Gram at the caller's count, and the caller's count is back after every call;
+idle OpenBLAS workers sleep instead of spin."""
+
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +24,20 @@ needs_openblas = pytest.mark.skipif(
     _blas._setter() is None, reason="numpy's OpenBLAS has no per-call thread setting"
 )
 CALLER = 3  # a caller's count that no kernel sets
+TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
+
+
+def run_python(*argv, **env):
+    """`python argv` in a child that imports the same package as this process,
+    with `env` added to its environment; a value None removes the variable."""
+    src = os.path.dirname(os.path.dirname(_blas.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    child = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True, text=True, check=True,
+        env={k: v for k, v in child.items() if v is not None},
+    )
 
 
 def threads():
@@ -158,3 +180,45 @@ class TestWithoutTheSymbol:
         assert got[0][0].tolist() == pytest.approx(
             [purity_quadruple_sum(state, m) for m in (0x3, 0x55, 0x1F)], rel=1e-12
         )
+
+
+# records the timeout the first import of numpy sees, then imports entspec
+TIMEOUT_PROBE = """
+import json, os, sys
+assert "numpy" not in sys.modules
+seen = []
+
+class Finder:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+
+sys.meta_path.insert(0, Finder())
+before = dict(os.environ)
+import entspec
+print(json.dumps({"seen": seen, "unchanged": dict(os.environ) == before}))
+"""
+
+
+class TestThreadTimeout:
+    @pytest.mark.parametrize("user, seen", [(None, "4"), ("30", "30")])
+    def test_set_before_numpy_loads_and_environment_left_as_found(self, user, seen):
+        result = json.loads(run_python("-c", TIMEOUT_PROBE, **{TIMEOUT: user}).stdout)
+        assert result == {"seen": [seen], "unchanged": True}
+
+    @needs_openblas
+    @pytest.mark.skipif(os.cpu_count() == 1, reason="one CPU: no worker to spin")
+    def test_cli_run_does_not_spin_idle_workers(self):
+        # long enough to outlast the default ~0.1 s spin; no Gram here is
+        # large enough to be threaded, so CPU beyond wall is idle spin
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        start = time.perf_counter()
+        run_python(
+            "-m", "entspec", "spectrum", "--kind", "cluster", "--n", "14",
+            "--family", "balanced", "--format", "csv", **{TIMEOUT: None},
+        )
+        wall = time.perf_counter() - start
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+        assert cpu - wall < 0.05

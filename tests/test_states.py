@@ -148,6 +148,16 @@ class TestCluster:
         ours = make_cluster1d(n).amplitudes
         assert ours.tobytes() == cluster1d_bit_parity(n).tobytes()
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_sign_rule_amplitude_by_amplitude(self, n):
+        """Amplitude b is 2**(-n/2) * (-1)**c(b), c(b) counted bit by bit."""
+
+        def c(b):
+            return sum(1 for k in range(n - 1) if not b >> k & 1 and b >> (k + 1) & 1)
+
+        expected = np.array([(-1) ** c(b) * 2 ** (-n / 2) for b in range(1 << n)])
+        np.testing.assert_allclose(make_cluster1d(n).amplitudes, expected, rtol=1e-15, atol=0)
+
     def test_two_qubit_single_purity(self):
         state = make_cluster1d(2)
         assert purity(state, 1) == pytest.approx(0.5, abs=1e-12)
