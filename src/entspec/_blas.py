@@ -27,7 +27,7 @@ import ctypes
 import functools
 import glob
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 _TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
 _set_timeout = _TIMEOUT not in os.environ
@@ -60,19 +60,21 @@ def _setter():
 
 
 @contextmanager
-def blas_threads(count: int | None):
-    """Run the body at `count` OpenBLAS threads and yield the caller's count.
-
-    With `count` None, or without the OpenBLAS symbol, yield None and change
-    nothing; so `blas_threads(caller)` inside `blas_threads(1) as caller`
-    restores the caller's count when there is one.
-    """
-    set_threads = None if count is None else _setter()
-    if set_threads is None:
-        yield None
-        return
+def _scope(set_threads, count: int):
     previous = set_threads(count)
     try:
         yield previous
     finally:
         set_threads(previous)
+
+
+def blas_threads(count: int | None):
+    """Run the body at `count` OpenBLAS threads and yield the caller's count.
+
+    With `count` None, or without the OpenBLAS symbol, yield None and change
+    nothing (a `nullcontext`, the cheap scope every small Gram takes); so
+    `blas_threads(caller)` inside `blas_threads(1) as caller` restores the
+    caller's count when there is one.
+    """
+    set_threads = None if count is None else _setter()
+    return nullcontext() if set_threads is None else _scope(set_threads, count)

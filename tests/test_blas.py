@@ -1,23 +1,26 @@
 """The BLAS thread policy: kernels run at one OpenBLAS thread, a large slab
 Gram at the caller's count, and the caller's count is back after every call;
-idle OpenBLAS workers sleep instead of spin."""
+a sweep whose work pays for it deals its cuts to the caller's count of
+workers, with identical results; idle OpenBLAS workers sleep instead of
+spin."""
 
 import json
 import os
 import resource
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from entspec import EnsembleSpec, PureState, make_cluster1d, make_w
+from entspec import BipartitionFamily, EnsembleSpec, PureState, make_cluster1d, make_w
 from entspec import _blas, measures, purity, states
 from entspec._blas import blas_threads
 from entspec.measures import EigenConvergenceError, concurrences
 from entspec.purity import _cut_matrices, purities
-from entspec.states import sample_blocks
+from entspec.states import BLOCK_BYTES, sample_blocks
 from helpers import haar_states, purity_quadruple_sum
 
 needs_openblas = pytest.mark.skipif(
@@ -182,6 +185,144 @@ class TestWithoutTheSymbol:
         )
 
 
+def sweep_block(n, rows, dtype, seed):
+    """`rows` random rows of 2**n amplitudes, float64 or complex128."""
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((rows, 1 << n))
+    if dtype == "complex":
+        block = block + 1j * rng.standard_normal(block.shape)
+    return block / np.linalg.norm(block, axis=1, keepdims=True)
+
+
+def dealt_cuts(record, workers):
+    """`recorded_cuts`, also adding the thread of every worker to `workers`."""
+    recorded = recorded_cuts(record)
+
+    def cut_matrices(block, n, masks):
+        workers.add(threading.get_ident())
+        yield from recorded(block, n, masks)
+
+    return cut_matrices
+
+
+def no_thread_starts(monkeypatch):
+    def start(self):
+        raise AssertionError("purities started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+
+
+@needs_openblas
+class TestDealing:
+    @pytest.mark.parametrize("rows", [1, 8])
+    @pytest.mark.parametrize("dtype", ["real", "complex"])
+    @pytest.mark.parametrize(
+        "n, selector, step",
+        # every 429th balanced mask at n = 14: its complex cuts take threaded
+        # Grams, slow at a CALLER count above the host's cores
+        [(10, "balanced", 1), (11, "balanced", 1), (14, "balanced", 429), (8, "all-sizes", 1)],
+    )
+    def test_any_worker_count_gives_equal_purities(self, n, selector, step, dtype, rows):
+        family = BipartitionFamily(n, selector).masks()[::step].tolist()
+        full = (1 << n) - 1
+        masks = family + [m ^ full for m in family[::3]] + family[::5]  # complements, repeats
+        block = sweep_block(n, rows, dtype, 2000 + n)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the workers trade the interpreter often
+        try:
+            for count in (1, 2, CALLER):
+                with blas_threads(count):
+                    results.append(purities(block, n, masks))
+                    assert threads() == count
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0].shape == (rows, len(masks))
+        assert all(np.array_equal(r, results[0]) for r in results[1:])
+
+    @pytest.mark.parametrize("count", [2, CALLER])
+    def test_dealt_cuts_run_at_one_thread(self, monkeypatch, count):
+        # cluster n = 14, balanced: 1716 cuts of 2^21 real multiply-adds each
+        block = make_cluster1d(14).amplitudes[None]
+        masks = BipartitionFamily(14, "balanced").masks()
+        with blas_threads(1):
+            one_worker = purities(block, 14, masks)
+        seen, workers = [], set()
+        monkeypatch.setattr(purity, "_cut_matrices", dealt_cuts(seen, workers))
+        with blas_threads(count):
+            values = purities(block, 14, masks)
+            assert threads() == count
+        assert seen == [1] * 1716
+        assert len(workers) == count
+        assert np.array_equal(values, one_worker)
+
+    @pytest.mark.parametrize("fails", ["worker", "caller"])
+    def test_an_error_is_raised_once_every_worker_has_joined(self, monkeypatch, fails):
+        caller = threading.get_ident()
+        failed, yielded = [], []
+        lock = threading.Lock()
+
+        def cut_matrices(block, n, masks):
+            ident = threading.get_ident()
+            with lock:
+                fail = (ident == caller) == (fails == "caller") and True not in failed
+                failed.append(fail)
+            if fail:
+                raise MemoryError("no gather buffer")
+            for z in _cut_matrices(block, n, masks):
+                time.sleep(0.1)  # the others outlast the failing worker
+                yielded.append(ident)
+                yield z
+
+        monkeypatch.setattr(purity, "_cut_matrices", cut_matrices)
+        masks = BipartitionFamily(14, "balanced").masks()[:6]  # 2^21 each: dealt, 2 a worker
+        active = threading.active_count()
+        with blas_threads(CALLER):
+            with pytest.raises(MemoryError, match="no gather buffer"):
+                purities(make_cluster1d(14).amplitudes[None], 14, masks)
+            assert threads() == CALLER
+        assert len(failed) == CALLER and failed.count(True) == 1
+        assert len(yielded) == 4  # every cut of the two other workers
+        assert threading.active_count() == active
+
+    def test_no_thread_for_a_threaded_gram(self, monkeypatch):
+        # n = 15 real is BLOCK_BYTES; 0x7F is a threaded Gram (2^22), the
+        # three others 2^21 each
+        block = make_cluster1d(15).amplitudes[None]
+        assert block.nbytes == BLOCK_BYTES
+        no_thread_starts(monkeypatch)
+        with blas_threads(CALLER):
+            purities(block, 15, [0x7F, 0x3F, 0x7E, 0xFC])
+
+    def test_no_thread_for_a_block_above_block_bytes(self, monkeypatch):
+        # 64 rows at n = 12: 2 MiB of 2^24 real multiply-adds per cut
+        block = sweep_block(12, 64, "real", 2100)
+        assert block.nbytes > BLOCK_BYTES
+        no_thread_starts(monkeypatch)
+        with blas_threads(CALLER):
+            purities(block, 12, BipartitionFamily(12, "balanced").masks()[:32])
+
+    @pytest.mark.parametrize("floor, dealt", [(1 << 18, True), ((1 << 18) + 1, False)])
+    def test_no_thread_for_work_below_the_floor(self, monkeypatch, floor, dealt):
+        # cluster n = 12, balanced: 462 cuts of 64^2 x 64 = 2^18 multiply-adds
+        monkeypatch.setattr(purity, "DEAL_MADDS", floor)
+        if not dealt:
+            no_thread_starts(monkeypatch)
+        seen, workers = [], set()
+        monkeypatch.setattr(purity, "_cut_matrices", dealt_cuts(seen, workers))
+        with blas_threads(CALLER):
+            masks = BipartitionFamily(12, "balanced").masks()
+            purities(make_cluster1d(12).amplitudes[None], 12, masks)
+        assert len(workers) == (CALLER if dealt else 1)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_zero_row_block_over_many_masks(self, dtype):
+        masks = BipartitionFamily(11, "balanced").masks()
+        with blas_threads(CALLER):
+            values = purities(np.empty((0, 1 << 11), dtype), 11, masks)
+        assert values.shape == (0, masks.size)
+
+
 # records the timeout the first import of numpy sees, then imports entspec
 TIMEOUT_PROBE = """
 import json, os, sys
@@ -210,13 +351,14 @@ class TestThreadTimeout:
     @needs_openblas
     @pytest.mark.skipif(os.cpu_count() == 1, reason="one CPU: no worker to spin")
     def test_cli_run_does_not_spin_idle_workers(self):
-        # long enough to outlast the default ~0.1 s spin; no Gram here is
-        # large enough to be threaded, so CPU beyond wall is idle spin
+        # long enough to outlast the default ~0.1 s spin; every call is one
+        # cut, so no sweep is dealt to workers, and no Gram here is large
+        # enough to be threaded, so CPU beyond wall is idle spin
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         start = time.perf_counter()
         run_python(
-            "-m", "entspec", "spectrum", "--kind", "cluster", "--n", "14",
-            "--family", "balanced", "--format", "csv", **{TIMEOUT: None},
+            "-m", "entspec", "sample", "--kind", "phase-sphere", "--n", "5",
+            "--count", "20000", "--seed", "1", "--mask", "0x3", **{TIMEOUT: None},
         )
         wall = time.perf_counter() - start
         after = resource.getrusage(resource.RUSAGE_CHILDREN)

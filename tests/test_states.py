@@ -144,7 +144,7 @@ class TestCluster:
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_matches_bit_parity_reference_bytes(self, n):
-        """In-place sign flips on the float64 array give the reference's bytes."""
+        """Building the float64 vector by doubling gives the reference's bytes."""
         ours = make_cluster1d(n).amplitudes
         assert ours.tobytes() == cluster1d_bit_parity(n).tobytes()
 
