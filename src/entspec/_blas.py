@@ -4,9 +4,13 @@ numpy's wheels ship OpenBLAS, which by default splits a call over every core
 once it passes a small size: the many small Grams of a sweep then spend CPU
 in a second thread that mostly spins, and a dot product over more than about
 10000 elements changes its last bits with the thread count.  `blas_threads`
-sets the count for the calls in its body and restores the caller's count on
-exit.  Where numpy's OpenBLAS or its `openblas_set_num_threads_local` is
-absent (another BLAS, an older OpenBLAS), it changes nothing.
+sets the count on entry and restores the caller's count on exit.  OpenBLAS
+keeps one count for the whole process, `openblas_set_num_threads_local`
+included, so the count holds for every thread's calls, not only the body's:
+a program that calls `purities` or `concurrences` from two of its own threads
+at once can have one call change the other's count, and so the last bits of
+a long dot product.  Where numpy's OpenBLAS or that symbol is absent
+(another BLAS, an older OpenBLAS), it changes nothing.
 
 OpenBLAS also keeps its idle workers busy-waiting for about 2^28 cycles
 (about 0.1 s) after start-up and after every threaded call, before they

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import operator
 import threading
-from collections import Counter
 
 import numpy as np
 
@@ -64,23 +63,20 @@ def _cut_matrices(block: np.ndarray, n: int, masks):
         yield z.reshape(count, 1 << k, 1 << (n - k))
 
 
-def _sweep(block: np.ndarray, n: int, cuts: list, share: slice, values, caller) -> None:
-    """One worker's part of `purities`: write the purity of every row across
-    each turned cut in `cuts[share]` to that cut's column of `values`, through
-    a gather, Gram and conjugate buffer of its own.  A slab Gram of at least
-    THREADED_MADDS real multiply-adds per state runs at `caller` BLAS
-    threads, any other at the count the caller set."""
-    cuts, columns = cuts[share], range(len(cuts))[share]
+def _sweep(block: np.ndarray, n: int, plan: list, values) -> None:
+    """Carry out one worker's share of a `purities` plan: for each entry
+    (column, turned mask, slab rows s, Gram threads), write the purity of
+    every row across that cut to its column of `values`, through a gather,
+    Gram and conjugate buffer of its own, each slab Gram at the entry's BLAS
+    thread count (None: the count the caller set)."""
     count = block.shape[0]
-    slab_rows = {k: min(SLAB_ROWS, 1 << k) for k in {mask.bit_count() for mask in cuts}}
-    gram = np.empty(count * max(slab_rows.values()) ** 2, block.dtype)
+    gram = np.empty(count * max(s for _, _, s, _ in plan) ** 2, block.dtype)
     conj = None
     if block.dtype == np.complex128:
-        conj = np.empty(count * max(s << (n - k) for k, s in slab_rows.items()), block.dtype)
-    scale = 4 if conj is not None else 1  # real multiply-adds per multiply-add
-    for c, z in zip(columns, _cut_matrices(block, n, cuts)):
-        s = min(SLAB_ROWS, z.shape[1])
-        threads = caller if scale * s * s * z.shape[2] >= THREADED_MADDS else None
+        slab = max(s << (n - mask.bit_count()) for _, mask, s, _ in plan)  # s x N_B
+        conj = np.empty(count * slab, block.dtype)
+    cuts = _cut_matrices(block, n, [mask for _, mask, _, _ in plan])
+    for (c, _, s, threads), z in zip(plan, cuts):
         for j in range(0, z.shape[1], s):
             zj = z[:, j : j + s]
             if conj is not None:
@@ -124,19 +120,18 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     Z.
 
     The call runs at one BLAS thread (`_blas.blas_threads`), its row
-    reductions included, so no result depends on the thread count; only a
-    slab Gram of at least THREADED_MADDS real multiply-adds per state runs at
-    the caller's count T.  Where dealing pays, the turned cuts are dealt
-    round-robin to min(T, cuts) workers instead: T' - 1 threads and the
-    calling thread, each with its own gather, Gram and conjugate buffers,
-    each making the same one-thread BLAS calls for its cuts as one worker
-    would, so the result does not depend on the worker count either.  It
+    reductions included, so no result depends on the thread count.  The pass
+    that turns the masks plans each new cut: its column, mask, s, and the
+    BLAS threads of its slab Grams, the caller's count T where one Gram takes
+    THREADED_MADDS or more real multiply-adds per state (scale x s^2 x N_B, a
+    complex one counting 4).  Where dealing pays, the plan is dealt
+    round-robin to T' = min(T, cuts) workers: T' - 1 threads and the calling
+    thread, each with its own buffers and making the same one-thread BLAS
+    calls, so the result does not depend on the worker count either.  It
     pays when no cut takes a threaded Gram (so workers and BLAS threads
-    never multiply), the block holds at most BLOCK_BYTES (so the workers'
-    gathers add at most (T - 1) x BLOCK_BYTES) and the mean Gram work per
-    cut, count x s^2 x N_B real multiply-adds (a complex one counts 4),
-    reaches DEAL_MADDS.  An error in a worker is raised once every worker
-    has finished.
+    never multiply), the block holds at most BLOCK_BYTES (so the gathers add
+    at most (T - 1) x BLOCK_BYTES) and count x the mean Gram work per cut
+    reaches DEAL_MADDS.  A worker's error is raised once all have finished.
     """
     if block.ndim != 2 or block.shape[1] != 1 << n:
         raise ValueError(f"block has shape {block.shape}, expected (count, {1 << n})")
@@ -145,7 +140,9 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
             f"block has dtype {block.dtype}, expected float64 or complex128"
         )
     full = (1 << n) - 1
-    cuts = {}  # turned mask -> its column in `values`
+    scale = 4 if block.dtype == np.complex128 else 1  # real multiply-adds per multiply-add
+    columns = {}  # turned mask -> its column in `values`
+    plan = []  # per turned cut: column, mask, slab rows, slab Gram multiply-adds per state
     where = []  # the column in `values` of each requested mask
     for mask in masks:
         mask = _integer(mask, "mask")
@@ -153,33 +150,35 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
             raise ValueError(f"mask {mask:#x} is not a cut of {n} qubits")
         k = mask.bit_count()
         if (k, mask) > (n - k, mask ^ full):
-            mask ^= full
-        where.append(cuts.setdefault(mask, len(cuts)))
+            mask, k = mask ^ full, n - k
+        if mask not in columns:
+            columns[mask] = len(plan)
+            s = min(SLAB_ROWS, 1 << k)
+            plan.append((len(plan), mask, s, scale * s * s << (n - k)))
+        where.append(columns[mask])
     count = block.shape[0]
-    values = np.zeros((count, len(cuts)))
-    if not cuts:
+    values = np.zeros((count, len(plan)))
+    if not plan:
         return values
-    cuts = list(cuts)
-    sizes = Counter(map(int.bit_count, cuts))  # cuts per size of A
-    scale = 4 if block.dtype == np.complex128 else 1  # real multiply-adds per multiply-add
-    madds = {k: scale * min(SLAB_ROWS, 1 << k) ** 2 << (n - k) for k in sizes}  # per state
-    work = count * sum(madds[k] * number for k, number in sizes.items())  # of the whole sweep
+    work = count * sum(madds for *_, madds in plan)  # of the whole sweep
     # OpenBLAS's thread count is process-wide: the workers start once the
     # call is at one thread and have joined before the caller's count is back
     with blas_threads(1) as caller:
+        # each cut's Gram work gives way to the BLAS threads of its slab Grams
+        plan = [(*cut, caller if madds >= THREADED_MADDS else None) for *cut, madds in plan]
         workers = 1
         if (
-            max(madds.values()) < THREADED_MADDS
+            all(threads is None for *_, threads in plan)
             and block.nbytes <= BLOCK_BYTES
-            and work >= DEAL_MADDS * len(cuts)
+            and work >= DEAL_MADDS * len(plan)
         ):
-            workers = min(caller or 1, len(cuts))
+            workers = min(caller or 1, len(plan))
         errors = []
 
         def worker(w):
             try:
                 with blas_threads(1):
-                    _sweep(block, n, cuts, slice(w, None, workers), values, caller)
+                    _sweep(block, n, plan[w::workers], values)
             except BaseException as error:  # raised by the caller once all have joined
                 errors.append(error)
 
@@ -189,7 +188,7 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
                 thread = threading.Thread(target=worker, args=(w,))
                 thread.start()
                 started.append(thread)
-            _sweep(block, n, cuts, slice(0, None, workers), values, caller)
+            _sweep(block, n, plan[::workers], values)
         finally:
             for thread in started:
                 thread.join()

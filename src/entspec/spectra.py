@@ -43,9 +43,7 @@ class BipartitionFamily:
     size: int | None = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"family needs at least 2 qubits, got {self.n}")
-        _check_qubits(self.n, 2, "family")  # n <= MAX_QUBITS, before masks() allocates
+        _check_qubits(self.n, 2, "family")  # 2 <= n <= MAX_QUBITS, before masks() allocates
         if self.selector not in SELECTORS:
             raise ValueError(f"unknown family selector {self.selector!r}")
         if self.selector == "fixed-size":
@@ -99,16 +97,16 @@ def participation_statistics(values: np.ndarray) -> np.ndarray:
 class Histogram:
     """Piecewise-constant density: contiguous bins, counts, and bar centers.
 
-    In discrete mode (few distinct values) the edges are midpoints between
-    consecutive values and `centers` holds the exact values; in binned mode
-    the bins are equal-width over [min, max] and `centers` are midpoints.
+    For exact bars (few distinct values) the edges are midpoints between
+    consecutive values and `centers` holds the exact values; for binned
+    values the bins are equal-width over [min, max] and `centers` are
+    midpoints.  densities x np.diff(bin_edges) is each bar's mass.
     """
 
     bin_edges: np.ndarray
     densities: np.ndarray
     counts: np.ndarray
     centers: np.ndarray
-    discrete: bool
 
 
 def _masks_with_popcount(n: int, k: int) -> Iterator[int]:
@@ -148,20 +146,12 @@ def histogram(values: np.ndarray, bins: int = HISTOGRAM_BINS) -> Histogram:
             edges = np.concatenate(
                 [[2 * centers[0] - mid[0]], mid, [2 * centers[-1] - mid[-1]]]
             )
-        widths = np.diff(edges)
-        return Histogram(
-            bin_edges=edges,
-            densities=counts / (values.size * widths),
-            counts=counts,
-            centers=centers,
-            discrete=True,
-        )
-    counts, edges = np.histogram(values, bins=bins, range=(values.min(), values.max()))
-    widths = np.diff(edges)
+    else:
+        counts, edges = np.histogram(values, bins=bins, range=(values.min(), values.max()))
+        centers = (edges[:-1] + edges[1:]) / 2.0
     return Histogram(
         bin_edges=edges,
-        densities=counts / (values.size * widths),
+        densities=counts / (values.size * np.diff(edges)),
         counts=counts,
-        centers=(edges[:-1] + edges[1:]) / 2.0,
-        discrete=False,
+        centers=centers,
     )

@@ -206,10 +206,8 @@ def sample_blocks(spec: EnsembleSpec, count: int) -> Iterator[np.ndarray]:
 
 def state_to_dict(state: PureState) -> dict:
     """JSON-ready form: {"n": ..., "amplitudes": [[re, im], ...]}."""
-    return {
-        "n": state.n,
-        "amplitudes": [[float(z.real), float(z.imag)] for z in state.amplitudes],
-    }
+    a = state.amplitudes
+    return {"n": state.n, "amplitudes": np.stack((a.real, a.imag), 1).tolist()}
 
 
 def state_from_dict(data: dict) -> PureState:

@@ -287,12 +287,21 @@ class TestDealing:
 
     def test_no_thread_for_a_threaded_gram(self, monkeypatch):
         # n = 15 real is BLOCK_BYTES; 0x7F is a threaded Gram (2^22), the
-        # three others 2^21 each
+        # three others 2^21 each: the one mixed call, where the dealing guard
+        # and the per-Gram counts must agree
         block = make_cluster1d(15).amplitudes[None]
         assert block.nbytes == BLOCK_BYTES
         no_thread_starts(monkeypatch)
+        counts = []
+
+        def recorded(count):
+            counts.append(count)
+            return blas_threads(count)
+
+        monkeypatch.setattr(purity, "blas_threads", recorded)
         with blas_threads(CALLER):
             purities(block, 15, [0x7F, 0x3F, 0x7E, 0xFC])
+        assert counts == [1, CALLER, None, None, None]
 
     def test_no_thread_for_a_block_above_block_bytes(self, monkeypatch):
         # 64 rows at n = 12: 2 MiB of 2^24 real multiply-adds per cut

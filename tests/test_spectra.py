@@ -19,7 +19,9 @@ from entspec import (
 )
 from entspec.cli import main
 from entspec.purity import _cut_matrices
-from entspec.spectra import DISCRETE_VALUE_LIMIT, SELECTORS, STATISTICS
+from entspec.spectra import (
+    DISCRETE_VALUE_LIMIT, HISTOGRAM_BINS, SELECTORS, STATISTICS, VALUE_MERGE_TOL,
+)
 from entspec.states import MAX_QUBITS, PureState
 from helpers import haar_states, make_product, permute_amplitudes_bitloop
 from one_state import participations, purity, statistics
@@ -73,6 +75,13 @@ class TestFamilies:
         for n in (MAX_QUBITS + 1, 40, 64):
             with pytest.raises(ValueError, match=f"qubit count {n} exceeds the memory guard"):
                 BipartitionFamily(n, selector, size)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("selector", SELECTORS)
+    def test_fewer_than_two_qubits_are_refused(self, selector, n):
+        size = 1 if selector == "fixed-size" else None
+        with pytest.raises(ValueError, match=f"^family needs 2 or more qubits, got {n}$"):
+            BipartitionFamily(n, selector, size)
 
 
 class TestDistribution:
@@ -251,8 +260,9 @@ class TestSummaries:
 
 class TestHistogram:
     def test_single_bar_full_mass(self):
-        hist = histogram(participations(make_ghz(6), BipartitionFamily(6, "balanced")))
-        assert hist.discrete
+        values = participations(make_ghz(6), BipartitionFamily(6, "balanced"))
+        hist = histogram(values)
+        assert np.abs(values - hist.centers[0]).max() <= VALUE_MERGE_TOL  # an exact bar
         assert len(hist.centers) == 1
         assert hist.centers[0] == pytest.approx(2.0, abs=1e-10)
         assert hist.counts[0] == 20
@@ -260,8 +270,10 @@ class TestHistogram:
         assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_two_bars(self):
-        hist = histogram(participations(bell_product(), BipartitionFamily(4, "balanced")))
-        assert hist.discrete
+        values = participations(bell_product(), BipartitionFamily(4, "balanced"))
+        hist = histogram(values)
+        # exact bars: every value lies on a center
+        assert np.abs(values[:, None] - hist.centers).min(axis=1).max() <= VALUE_MERGE_TOL
         np.testing.assert_allclose(hist.centers, [1.0, 4.0], atol=1e-10)
         np.testing.assert_array_equal(hist.counts, [2, 4])
         mass = float(np.sum(hist.densities * np.diff(hist.bin_edges)))
@@ -270,7 +282,9 @@ class TestHistogram:
     def test_continuous_mode_mass_and_shape(self):
         values = participations(haar_states(10, 1, 104)[0], BipartitionFamily(10, "balanced"))
         hist = histogram(values, bins=40)
-        assert not hist.discrete
+        # bins: equal-width over [min, max], centered between their edges
+        assert hist.bin_edges[[0, -1]].tolist() == [values.min(), values.max()]
+        assert np.array_equal(hist.centers, (hist.bin_edges[:-1] + hist.bin_edges[1:]) / 2)
         assert len(hist.counts) == 40
         mass = float(np.sum(hist.densities * np.diff(hist.bin_edges)))
         assert mass == pytest.approx(1.0, abs=1e-9)
@@ -279,7 +293,10 @@ class TestHistogram:
     def test_discrete_limit_is_inclusive(self, distinct):
         values = np.repeat(np.arange(1.0, distinct + 1), 2)
         hist = histogram(values)
-        assert hist.discrete == (distinct <= DISCRETE_VALUE_LIMIT)
+        exact = distinct <= DISCRETE_VALUE_LIMIT
+        assert len(hist.counts) == (distinct if exact else HISTOGRAM_BINS)
+        if exact:
+            assert hist.centers.tolist() == np.arange(1.0, distinct + 1).tolist()
         assert hist.counts.sum() == values.size
 
     def test_broad_spectrum_is_not_split_per_value(self):
@@ -296,7 +313,7 @@ class TestHistogram:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not hist.discrete and hist.counts.sum() == count
+        assert len(hist.counts) == HISTOGRAM_BINS and hist.counts.sum() == count
         assert peak < 4 * purity_values.nbytes
 
     def test_empty_bins_rejected(self):
