@@ -2,19 +2,20 @@
 
 numpy's wheels ship OpenBLAS, which by default splits a call over every core
 once it passes a small size: the many small Grams of a sweep then spend CPU
-in a second thread that mostly spins, and a dot product over more than about
-10000 elements changes its last bits with the thread count.  `blas_threads`
-sets the count on entry and restores the caller's count on exit.  OpenBLAS
-keeps one count for the whole process, `openblas_set_num_threads_local`
-included, so the count holds for every thread's calls, not only the body's:
-a program that calls `purities` or `concurrences` from two of its own threads
-at once can have one call change the other's count, and so the last bits of
-a long dot product.  Where numpy's OpenBLAS or that symbol is absent
-(another BLAS, an older OpenBLAS), it changes nothing.
+in a second thread that mostly spins, and a reduction changes its last bits
+with the thread count (under some kernels a complex Gram too).  So every
+BLAS call of the package runs at one thread, through `blas_threads`, which
+sets the count on entry and restores the caller's count on exit; the caller's
+count only sizes the workers of `purity._deal`.  OpenBLAS keeps one count for
+the whole process, `openblas_set_num_threads_local` included, so the count
+holds for every thread's calls, not only the body's: a program that calls
+`purities` or `concurrences` from two of its own threads at once can have
+one call restore its count while the other runs.  Where numpy's OpenBLAS or
+that symbol is absent (another BLAS, an older OpenBLAS), it changes nothing.
 
 OpenBLAS also keeps its idle workers busy-waiting for about 2^28 cycles
 (about 0.1 s) after start-up and after every threaded call, before they
-sleep; with every kernel on one thread that spin is only lost CPU, paid by
+sleep; with every call on one thread that spin is only lost CPU, paid by
 each CLI run.  OpenBLAS reads `OPENBLAS_THREAD_TIMEOUT` (clamped to 4..30,
 the log2 of that wait) once, when numpy loads it, so this module sets it to
 4 before its own `import numpy`: an idle worker then sleeps at once, and a
@@ -31,7 +32,7 @@ import ctypes
 import functools
 import glob
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 _TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
 _set_timeout = _TIMEOUT not in os.environ
@@ -64,21 +65,13 @@ def _setter():
 
 
 @contextmanager
-def _scope(set_threads, count: int):
-    previous = set_threads(count)
+def blas_threads(count: int):
+    """Run the body at `count` OpenBLAS threads and yield the caller's count;
+    without the OpenBLAS symbol, yield None and change nothing."""
+    set_threads = _setter()
+    previous = None if set_threads is None else set_threads(count)
     try:
         yield previous
     finally:
-        set_threads(previous)
-
-
-def blas_threads(count: int | None):
-    """Run the body at `count` OpenBLAS threads and yield the caller's count.
-
-    With `count` None, or without the OpenBLAS symbol, yield None and change
-    nothing (a `nullcontext`, the cheap scope every small Gram takes); so
-    `blas_threads(caller)` inside `blas_threads(1) as caller` restores the
-    caller's count when there is one.
-    """
-    set_threads = None if count is None else _setter()
-    return nullcontext() if set_threads is None else _scope(set_threads, count)
+        if set_threads is not None:
+            set_threads(previous)

@@ -13,8 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._blas import blas_threads
-from .purity import _cut_matrices, _integer, purities
+from .purity import _cut_matrices, _deal, _integer, purities
 from .states import PureState
 
 TAU1_DEFINED_FLOOR = 1e-12
@@ -72,14 +71,15 @@ def concurrences(state: PureState, pairs) -> np.ndarray:
     is checked (ValueError) before anything is allocated; each is then read
     by `purity._cut_matrices` as the cut 1 << i | 1 << j, with the bits of
     (lo, hi) as the row (a view when the pair is (0, 1) or (n-2, n-1), a
-    copy into one reused buffer otherwise), and Z^T is reduced to at most
+    copy into a worker's one buffer otherwise), and Z^T is reduced to at most
     four rows by a tree of stacked QRs (the tall-skinny QR of Demmel,
     Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, A206 (2012)): its
     blocks of QR_ROWS rows are factorized in one call and their R factors
     stacked, until at most four rows remain.
     With Z^T = Q R, R^T conj(R) = Z Z^dagger = rho, so Z := R^T leaves the
-    lambdas unchanged and keeps the SVD at most 4 x 4.  Every block is at
-    most QR_ROWS x 4, so the call runs at one BLAS thread.
+    lambdas unchanged and keeps the SVD at most 4 x 4.  `purity._deal` runs
+    the pairs at one BLAS thread and deals them, each 16 N_B real
+    multiply-adds (about its QR tree's), so no row depends on the worker count.
     """
     n = state.n
     masks = []
@@ -90,9 +90,12 @@ def concurrences(state: PureState, pairs) -> np.ndarray:
         if i == j:
             raise ValueError(f"qubits must differ, got {i} and {j}")
         masks.append(1 << i | 1 << j)
+    block = state.amplitudes[None]
+    scale = 4 if block.dtype == np.complex128 else 1  # real multiply-adds per multiply-add
     lambdas = np.zeros((len(masks), 4))
-    with blas_threads(1):
-        for lam, z in zip(lambdas, _cut_matrices(state.amplitudes[None], n, masks)):
+
+    def run(share):  # one worker's pairs, through a gather of its own
+        for (u, _), z in zip(share, _cut_matrices(block, n, [m for _, m in share])):
             z = z[0].T  # Z^T, then its R factor
             try:
                 while z.shape[0] > 4:
@@ -101,7 +104,9 @@ def concurrences(state: PureState, pairs) -> np.ndarray:
                 sigma = np.linalg.svd(z @ _YY @ z.T, compute_uv=False)  # descending
             except np.linalg.LinAlgError as exc:
                 raise EigenConvergenceError(f"spin-flip singular values: {exc}") from exc
-            lam[: sigma.size] = sigma
+            lambdas[u, : sigma.size] = sigma
+
+    _deal(list(enumerate(masks)), len(masks) * scale << (n + 2), run, block.nbytes)
     return lambdas
 
 

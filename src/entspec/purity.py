@@ -8,9 +8,9 @@ amplitude vector rearranged as the N_A x N_B matrix Z[j_A, l_B] then gives
 rho_A = Z Z^dagger and purity = ||Z Z^dagger||_F^2 without ever forming the
 full 2**n x 2**n density matrix.  `_cut_matrices` is the one reader of Z:
 `purities` takes every cut through it, and `measures.concurrences` every
-qubit pair.  A sweep whose Gram work pays for it deals its cuts to the
-caller's count of BLAS threads, each worker making the same one-thread BLAS
-calls, so the result is the same at any count.
+qubit pair.  Every BLAS call runs at one thread; `_deal` deals a sweep's
+cuts, one large cut's slab pairs or `concurrences`' pairs to the caller's
+count of BLAS threads, so the result is the same at any count.
 """
 
 from __future__ import annotations
@@ -21,15 +21,10 @@ import threading
 import numpy as np
 
 from ._blas import blas_threads
-from .states import BLOCK_BYTES
+from .states import MAX_QUBITS
 
 SLAB_ROWS = 512  # rows of Z per Gram slab; a cut with at most this many rows is one slab
-# real multiply-adds (a complex one counts 4) of one slab Gram, per state, from
-# which the Gram runs at the caller's BLAS threads rather than at one
-THREADED_MADDS = 1 << 22
-# mean real multiply-adds of Gram work per cut, over the block, from which a
-# sweep deals its cuts to the caller's BLAS threads (`purities`)
-DEAL_MADDS = 1 << 19
+DEAL_MADDS = 1 << 19  # mean real multiply-adds of a unit from which `_deal` deals
 
 
 def _integer(value, what: str) -> int:
@@ -63,34 +58,70 @@ def _cut_matrices(block: np.ndarray, n: int, masks):
         yield z.reshape(count, 1 << k, 1 << (n - k))
 
 
-def _sweep(block: np.ndarray, n: int, plan: list, values) -> None:
-    """Carry out one worker's share of a `purities` plan: for each entry
-    (column, turned mask, slab rows s, Gram threads), write the purity of
-    every row across that cut to its column of `values`, through a gather,
-    Gram and conjugate buffer of its own, each slab Gram at the entry's BLAS
-    thread count (None: the count the caller set)."""
+def _deal(units: list, madds: int, run, gather: int = 0) -> None:
+    """Call `run` on `units` at one BLAS thread, dealt round-robin where the
+    mean work of a unit, `madds / len(units)` real multiply-adds (a complex
+    one counts 4), reaches DEAL_MADDS: then worker w of T' = min(T, units)
+    runs `run(units[w::T'])`, where T is the caller's count of BLAS threads
+    and worker 0 the calling thread.  Units that each gather `gather` bytes
+    of their own go to at most (16 << MAX_QUBITS) // gather workers (at
+    least one): no more gather memory than one complex state of MAX_QUBITS.
+    OpenBLAS keeps one count for the whole process, so T is read and one
+    thread set before any worker starts, and restored once all have joined;
+    a worker's error is raised only then.  No units: nothing is read or run."""
+    if not units:
+        return
+    with blas_threads(1) as caller:
+        dealt = madds >= DEAL_MADDS * len(units)
+        cap = max(1, (16 << MAX_QUBITS) // max(gather, 1))  # units that gather their own
+        workers = min(caller or 1, len(units), cap) if dealt else 1
+        errors = []
+
+        def worker(w):
+            try:
+                run(units[w::workers])
+            except BaseException as error:  # raised by the caller once all have joined
+                errors.append(error)
+
+        started = []
+        try:
+            for w in range(1, workers):
+                thread = threading.Thread(target=worker, args=(w,))
+                thread.start()
+                started.append(thread)
+            run(units[::workers])
+        finally:
+            for thread in started:
+                thread.join()
+        if errors:
+            raise errors[0]
+
+
+def _sweep(block: np.ndarray, n: int, plan: list, out, z=None) -> None:
+    """One worker's share of a `purities` plan: for each entry (column, mask,
+    slab rows s, slab pairs), add each pair's term to out[:, column] in turn,
+    through a Gram and a complex block's conjugate buffer of one slab, both
+    its own; Z is `z` (one cut's, shared) or gathered into its own buffer."""
     count = block.shape[0]
     gram = np.empty(count * max(s for _, _, s, _ in plan) ** 2, block.dtype)
     conj = None
     if block.dtype == np.complex128:
         slab = max(s << (n - mask.bit_count()) for _, mask, s, _ in plan)  # s x N_B
         conj = np.empty(count * slab, block.dtype)
-    cuts = _cut_matrices(block, n, [mask for _, mask, _, _ in plan])
-    for (c, _, s, threads), z in zip(plan, cuts):
-        for j in range(0, z.shape[1], s):
-            zj = z[:, j : j + s]
+    masks = [mask for _, mask, _, _ in plan]
+    cuts = _cut_matrices(block, n, masks) if z is None else [z] * len(plan)
+    for (c, _, s, pairs), z in zip(plan, cuts):
+        for i, j in pairs:
+            zi, zj = z[:, i : i + s], z[:, j : j + s]
             if conj is not None:
                 zj = np.conjugate(zj, out=conj[: zj.size].reshape(zj.shape))
             zt = zj.transpose(0, 2, 1)  # float64 and i == j: one buffer, so a syrk
-            for i in range(0, j + 1, s):
-                zi = z[:, i : i + s]
-                size = zi.shape[1] * zt.shape[2]
-                g = gram[: count * size].reshape(count, zi.shape[1], zt.shape[2])
-                with blas_threads(threads):
-                    np.matmul(zi, zt, out=g)
-                g = g.reshape(count, size)  # the row length is explicit for count 0
-                square = np.vecdot(g, g).real  # ||Z_i Z_j^dagger||^2 of each row
-                values[:, c] += square if i == j else 2 * square
+            size = zi.shape[1] * zt.shape[2]
+            g = gram[: count * size].reshape(count, zi.shape[1], zt.shape[2])
+            np.matmul(zi, zt, out=g)
+            g = g.reshape(count, size)  # the row length is explicit for count 0
+            square = np.vecdot(g, g).real  # ||Z_i Z_j^dagger||^2 of each row
+            out[:, c] += square if i == j else 2 * square
 
 
 def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
@@ -108,30 +139,22 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     complement and a repeat of either give bit-identical purities.
 
     Z is split into row slabs Z_i of s = min(SLAB_ROWS, N_A) rows, and
-    purity = sum over i <= j of (2 - delta_ij) ||Z_i Z_j^dagger||_F^2, each
-    term one `np.vecdot` of the count slab Grams with themselves (numpy's
-    loop calls BLAS's dot once per row, as `np.vdot` would).  The slab Grams
-    go into one count x s x s buffer; for a complex block, each Z_j is first
-    conjugated into one buffer of one slab, while a float64 diagonal Gram is
-    Z_i Z_i^T on one buffer (a BLAS syrk).  Both buffers are sized by the
-    cuts they serve and reused by every cut, so beyond the state and the
-    gather a sweep holds one slab's Gram and conjugate, however large N_A
-    is.  A cut of at most SLAB_ROWS rows is one slab: one Gram of the whole
-    Z.
+    purity = sum over j, then i <= j, of (2 - delta_ij) ||Z_i Z_j^dagger||_F^2,
+    each term one `np.vecdot` of the count slab Grams with themselves
+    (numpy's loop calls BLAS's dot once per row, as `np.vdot` would).  A
+    worker's slab Grams go into one count x s x s buffer; a complex Z_j is
+    first conjugated into one buffer of one slab, while a float64 diagonal
+    Gram is Z_i Z_i^T on one buffer (a BLAS syrk).  So beyond the state and
+    the gather a worker holds one slab's Gram and conjugate, however large
+    N_A is; a cut of at most SLAB_ROWS rows is one slab, one Gram of Z.
 
-    The call runs at one BLAS thread (`_blas.blas_threads`), its row
-    reductions included, so no result depends on the thread count.  The pass
-    that turns the masks plans each new cut: its column, mask, s, and the
-    BLAS threads of its slab Grams, the caller's count T where one Gram takes
-    THREADED_MADDS or more real multiply-adds per state (scale x s^2 x N_B, a
-    complex one counting 4).  Where dealing pays, the plan is dealt
-    round-robin to T' = min(T, cuts) workers: T' - 1 threads and the calling
-    thread, each with its own buffers and making the same one-thread BLAS
-    calls, so the result does not depend on the worker count either.  It
-    pays when no cut takes a threaded Gram (so workers and BLAS threads
-    never multiply), the block holds at most BLOCK_BYTES (so the gathers add
-    at most (T - 1) x BLOCK_BYTES) and count x the mean Gram work per cut
-    reaches DEAL_MADDS.  A worker's error is raised once all have finished.
+    The pass that turns the masks plans each new cut (column, mask, s, slab
+    pairs) and sums its Grams' real multiply-adds, scale x s^2 x N_B a pair.
+    `_deal` runs the plan at one BLAS thread and deals, where it pays, the
+    cuts (each worker gathering its own), or for a call of one cut of
+    several slabs its slab pairs, each term to a column of its own, summed
+    in order once all have joined.  Each worker makes the same one-thread
+    BLAS calls, so no result depends on the thread or the worker count.
     """
     if block.ndim != 2 or block.shape[1] != 1 << n:
         raise ValueError(f"block has shape {block.shape}, expected (count, {1 << n})")
@@ -142,8 +165,10 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     full = (1 << n) - 1
     scale = 4 if block.dtype == np.complex128 else 1  # real multiply-adds per multiply-add
     columns = {}  # turned mask -> its column in `values`
-    plan = []  # per turned cut: column, mask, slab rows, slab Gram multiply-adds per state
+    plan = []  # per turned cut: column, mask, slab rows, slab pairs
+    slabs = {}  # N_A -> its slab rows and slab pairs
     where = []  # the column in `values` of each requested mask
+    madds = 0  # of one row's Grams over every cut
     for mask in masks:
         mask = _integer(mask, "mask")
         if not 0 < mask < full:
@@ -153,45 +178,22 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
             mask, k = mask ^ full, n - k
         if mask not in columns:
             columns[mask] = len(plan)
-            s = min(SLAB_ROWS, 1 << k)
-            plan.append((len(plan), mask, s, scale * s * s << (n - k)))
+            if k not in slabs:
+                s = min(SLAB_ROWS, 1 << k)
+                slabs[k] = s, [(i, j) for j in range(0, 1 << k, s) for i in range(0, j + 1, s)]
+            s, pairs = slabs[k]
+            plan.append((len(plan), mask, s, pairs))
+            madds += len(pairs) * scale * s * s << (n - k)
         where.append(columns[mask])
     count = block.shape[0]
     values = np.zeros((count, len(plan)))
-    if not plan:
-        return values
-    work = count * sum(madds for *_, madds in plan)  # of the whole sweep
-    # OpenBLAS's thread count is process-wide: the workers start once the
-    # call is at one thread and have joined before the caller's count is back
-    with blas_threads(1) as caller:
-        # each cut's Gram work gives way to the BLAS threads of its slab Grams
-        plan = [(*cut, caller if madds >= THREADED_MADDS else None) for *cut, madds in plan]
-        workers = 1
-        if (
-            all(threads is None for *_, threads in plan)
-            and block.nbytes <= BLOCK_BYTES
-            and work >= DEAL_MADDS * len(plan)
-        ):
-            workers = min(caller or 1, len(plan))
-        errors = []
-
-        def worker(w):
-            try:
-                with blas_threads(1):
-                    _sweep(block, n, plan[w::workers], values)
-            except BaseException as error:  # raised by the caller once all have joined
-                errors.append(error)
-
-        started = []
-        try:
-            for w in range(1, workers):
-                thread = threading.Thread(target=worker, args=(w,))
-                thread.start()
-                started.append(thread)
-            _sweep(block, n, plan[::workers], values)
-        finally:
-            for thread in started:
-                thread.join()
-        if errors:
-            raise errors[0]
+    if len(plan) == 1 and len(plan[0][3]) > 1:  # one cut of several slabs
+        _, mask, s, pairs = plan[0]
+        z = next(_cut_matrices(block, n, [mask]))
+        terms = np.zeros((count, len(pairs)))
+        units = [(u, mask, s, [pair]) for u, pair in enumerate(pairs)]
+        _deal(units, count * madds, lambda share: _sweep(block, n, share, terms, z))
+        values[:, 0] = sum(terms.T)  # 0 + t_0 + t_1 ..., the kernel's order
+    else:
+        _deal(plan, count * madds, lambda share: _sweep(block, n, share, values), block.nbytes)
     return values[:, where]

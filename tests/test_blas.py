@@ -1,8 +1,9 @@
-"""The BLAS thread policy: kernels run at one OpenBLAS thread, a large slab
-Gram at the caller's count, and the caller's count is back after every call;
-a sweep whose work pays for it deals its cuts to the caller's count of
-workers, with identical results; idle OpenBLAS workers sleep instead of
-spin."""
+"""The BLAS thread policy: every BLAS call runs at one OpenBLAS thread and
+the caller's count is back after every call; a sweep's cuts, the slab pairs
+of one large cut and `concurrences`' pairs are dealt to the caller's count
+of workers where the work pays for it, with identical results, on the
+default OpenBLAS kernels and on the Haswell ones; idle OpenBLAS workers
+sleep instead of spin."""
 
 import json
 import os
@@ -11,6 +12,8 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,8 +22,8 @@ from entspec import BipartitionFamily, EnsembleSpec, PureState, make_cluster1d, 
 from entspec import _blas, measures, purity, states
 from entspec._blas import blas_threads
 from entspec.measures import EigenConvergenceError, concurrences
-from entspec.purity import _cut_matrices, purities
-from entspec.states import BLOCK_BYTES, sample_blocks
+from entspec.purity import SLAB_ROWS, _cut_matrices, purities
+from entspec.states import sample_blocks
 from helpers import haar_states, purity_quadruple_sum
 
 needs_openblas = pytest.mark.skipif(
@@ -30,7 +33,7 @@ CALLER = 3  # a caller's count that no kernel sets
 TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
 
 
-def run_python(*argv, **env):
+def run_python(*argv, check=True, **env):
     """`python argv` in a child that imports the same package as this process,
     with `env` added to its environment; a value None removes the variable."""
     src = os.path.dirname(os.path.dirname(_blas.__file__))
@@ -38,7 +41,7 @@ def run_python(*argv, **env):
     child = {**os.environ, "PYTHONPATH": path, **env}
     return subprocess.run(
         [sys.executable, *argv],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=check,
         env={k: v for k, v in child.items() if v is not None},
     )
 
@@ -58,6 +61,20 @@ def recorded_cuts(record):
             yield z
 
     return cut_matrices
+
+
+def recorded_grams(monkeypatch):
+    """A list to which every `np.matmul` call adds its thread (the object: an
+    ident can be reused once a thread ends) and its BLAS thread count."""
+    matmul = np.matmul
+    grams = []
+
+    def recorded(*args, **kwargs):
+        grams.append((threading.current_thread(), threads()))
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    return grams
 
 
 @needs_openblas
@@ -91,32 +108,24 @@ class TestThreadCount:
         assert seen == [1, 1, 1, 1]
 
     @pytest.mark.parametrize(
-        "dtype, mask, threaded",
+        "dtype, mask",
         [
             # real multiply-adds per state of the one slab Gram of a balanced cut
-            ("real", 0x7F, False),  # 128^3 = 2.1e6
-            ("real", 0x1FF, True),  # 512^3 = 1.3e8
-            ("complex", 0x3F, False),  # 4 * 64^3 = 1.0e6
-            ("complex", 0x7F, True),  # 4 * 128^3 = 8.4e6
+            ("real", 0x7F),  # 128^3 = 2.1e6
+            ("real", 0x1FF),  # 512^3 = 1.3e8
+            ("complex", 0x3F),  # 4 * 64^3 = 1.0e6
+            ("complex", 0x7F),  # 4 * 128^3 = 8.4e6
         ],
     )
-    def test_only_a_large_slab_gram_takes_the_caller_count(
-        self, monkeypatch, dtype, mask, threaded
-    ):
+    def test_every_slab_gram_runs_at_one_thread(self, monkeypatch, dtype, mask):
         n = 2 * mask.bit_count()
         amps = make_cluster1d(n).amplitudes
         if dtype == "complex":
             amps = amps * np.exp(1j * np.arange(amps.size))
-        counts = []
-
-        def recorded(count):
-            counts.append(count)
-            return blas_threads(count)
-
-        monkeypatch.setattr(purity, "blas_threads", recorded)
+        grams = recorded_grams(monkeypatch)
         with blas_threads(CALLER):
             purities(amps[None], n, [mask])
-        assert counts == [1, CALLER if threaded else None]
+        assert [count for _, count in grams] == [1]
 
 
 @needs_openblas
@@ -199,7 +208,7 @@ def dealt_cuts(record, workers):
     recorded = recorded_cuts(record)
 
     def cut_matrices(block, n, masks):
-        workers.add(threading.get_ident())
+        workers.add(threading.current_thread())
         yield from recorded(block, n, masks)
 
     return cut_matrices
@@ -218,8 +227,9 @@ class TestDealing:
     @pytest.mark.parametrize("dtype", ["real", "complex"])
     @pytest.mark.parametrize(
         "n, selector, step",
-        # every 429th balanced mask at n = 14: its complex cuts take threaded
-        # Grams, slow at a CALLER count above the host's cores
+        # every 429th balanced mask at n = 14: complex cuts of 2^23 real
+        # multiply-adds, whose bits differ between one and more BLAS threads
+        # under the Haswell kernels (TestOtherKernels)
         [(10, "balanced", 1), (11, "balanced", 1), (14, "balanced", 429), (8, "all-sizes", 1)],
     )
     def test_any_worker_count_gives_equal_purities(self, n, selector, step, dtype, rows):
@@ -285,31 +295,29 @@ class TestDealing:
         assert len(yielded) == 4  # every cut of the two other workers
         assert threading.active_count() == active
 
-    def test_no_thread_for_a_threaded_gram(self, monkeypatch):
-        # n = 15 real is BLOCK_BYTES; 0x7F is a threaded Gram (2^22), the
-        # three others 2^21 each: the one mixed call, where the dealing guard
-        # and the per-Gram counts must agree
-        block = make_cluster1d(15).amplitudes[None]
-        assert block.nbytes == BLOCK_BYTES
-        no_thread_starts(monkeypatch)
-        counts = []
-
-        def recorded(count):
-            counts.append(count)
-            return blas_threads(count)
-
-        monkeypatch.setattr(purity, "blas_threads", recorded)
+    def test_the_mixed_call_gives_every_gram_one_thread(self, monkeypatch):
+        # cluster n = 15: 0x7F's Gram takes 2^22 real multiply-adds, the three
+        # others 2^21 each; the call is dealt, each Gram at one thread
+        grams = recorded_grams(monkeypatch)
         with blas_threads(CALLER):
-            purities(block, 15, [0x7F, 0x3F, 0x7E, 0xFC])
-        assert counts == [1, CALLER, None, None, None]
+            purities(make_cluster1d(15).amplitudes[None], 15, [0x7F, 0x3F, 0x7E, 0xFC])
+            assert threads() == CALLER
+        assert [count for _, count in grams] == [1] * 4
+        assert len({thread for thread, _ in grams}) == CALLER
 
-    def test_no_thread_for_a_block_above_block_bytes(self, monkeypatch):
-        # 64 rows at n = 12: 2 MiB of 2^24 real multiply-adds per cut
+    @pytest.mark.parametrize("max_qubits, dealt", [(17, 1), (18, 2), (26, CALLER)])
+    def test_gathers_are_capped(self, monkeypatch, max_qubits, dealt):
+        # 64 rows at n = 12: 2 MiB, so (16 << max_qubits) // 2 MiB workers
         block = sweep_block(12, 64, "real", 2100)
-        assert block.nbytes > BLOCK_BYTES
-        no_thread_starts(monkeypatch)
+        assert block.nbytes == 1 << 21
+        monkeypatch.setattr(purity, "MAX_QUBITS", max_qubits)
+        if dealt == 1:
+            no_thread_starts(monkeypatch)
+        seen, workers = [], set()
+        monkeypatch.setattr(purity, "_cut_matrices", dealt_cuts(seen, workers))
         with blas_threads(CALLER):
             purities(block, 12, BipartitionFamily(12, "balanced").masks()[:32])
+        assert len(workers) == dealt
 
     @pytest.mark.parametrize("floor, dealt", [(1 << 18, True), ((1 << 18) + 1, False)])
     def test_no_thread_for_work_below_the_floor(self, monkeypatch, floor, dealt):
@@ -330,6 +338,144 @@ class TestDealing:
         with blas_threads(CALLER):
             values = purities(np.empty((0, 1 << 11), dtype), 11, masks)
         assert values.shape == (0, masks.size)
+
+    def test_no_masks_and_no_pairs(self):
+        with blas_threads(CALLER):
+            assert purities(make_w(4).amplitudes[None], 4, []).shape == (1, 0)
+            assert concurrences(make_w(4), []).shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "dtype, mask",
+        # 2 x 2 slabs of 512 rows: 3 slab pairs, an end run and a middle cut
+        [("real", 0x3FF), ("complex", 0x55555)],
+        ids=["real-0x3ff", "complex-0x55555"],
+    )
+    def test_any_worker_count_gives_equal_slab_pair_sums(self, monkeypatch, dtype, mask):
+        block = sweep_block(20, 1, dtype, 2200)
+        with blas_threads(1):
+            expected = sum_of_slab_pairs(block, 20, mask)
+        grams = recorded_grams(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the workers trade the interpreter often
+        try:
+            for count in (1, 2, CALLER):
+                grams.clear()
+                with blas_threads(count):
+                    values = purities(block, 20, [mask, mask ^ ((1 << 20) - 1)])
+                    assert threads() == count
+                assert values.tobytes() == np.repeat(expected, 2).tobytes()
+                assert [c for _, c in grams] == [1] * 3
+                assert len({thread for thread, _ in grams}) == count
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("state, floor", [("w18", None), ("cluster13", 1)])
+    def test_any_worker_count_gives_equal_concurrences(self, monkeypatch, state, floor):
+        # W18's pairs are dealt by the rule; cluster n = 13's only under a
+        # floor of 1: odd n, the two end pairs as views and a two-level QR tree
+        state = make_w(18) if state == "w18" else make_cluster1d(13)
+        pairs = list(combinations(range(state.n), 2))
+        with blas_threads(1):
+            expected = concurrences(state, pairs)
+        if floor is not None:
+            monkeypatch.setattr(purity, "DEAL_MADDS", floor)
+        for count in (1, 2, CALLER):
+            seen, workers = [], set()
+            monkeypatch.setattr(measures, "_cut_matrices", dealt_cuts(seen, workers))
+            with blas_threads(count):
+                lambdas = concurrences(state, pairs)
+                assert threads() == count
+            assert lambdas.tobytes() == expected.tobytes()
+            assert seen == [1] * len(pairs)
+            assert len(workers) == count
+
+    @pytest.mark.parametrize("count", [1, 2, CALLER])
+    @pytest.mark.parametrize(
+        "kind, mask, extra",
+        [
+            # per worker: one Gram slab; a middle cut adds one shared gather
+            ("real", 0x3FF, lambda state: 0),
+            ("real", 0x55555, lambda state: state),
+            # per worker: a Gram slab, a conjugate slab and numpy's ufunc buffer
+            ("complex", 0x3FF, lambda state: 0),
+        ],
+        ids=["real-0x3ff", "real-0x55555", "complex-0x3ff"],
+    )
+    def test_dealt_cut_holds_one_gram_per_worker(self, count, kind, mask, extra):
+        n = 20
+        amps = sweep_block(n, 1, kind, 2300)[0]
+        slab = 8 * SLAB_ROWS**2
+        if kind == "complex":
+            slab = 16 * (SLAB_ROWS * (1024 + SLAB_ROWS) + np.getbufsize())
+        tracemalloc.start()
+        try:
+            block = amps[None].copy()  # traced, so the peak counts the state
+            with blas_threads(count):
+                purities(block, n, [mask])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block.nbytes + extra(block.nbytes) + count * (slab + (16 << 10))
+
+    @pytest.mark.skipif(os.cpu_count() > 64, reason="one worker a core would be too many")
+    def test_a_count_above_the_cores_is_not_slow(self):
+        # 8 complex rows at n = 14 over 119 balanced cuts of 2^23 real
+        # multiply-adds each; OpenBLAS runs such a Gram at more threads than
+        # cores tens of times slower than at one, so no Gram may take the
+        # caller's count
+        block = sweep_block(14, 8, "complex", 2400)
+        masks = BipartitionFamily(14, "balanced").masks()[::29]
+        assert masks.size == 119
+        times = {}
+        for count in (1, os.cpu_count() + 1, 1, os.cpu_count() + 1):
+            with blas_threads(count):
+                start = time.perf_counter()
+                purities(block, 14, masks)
+                took = time.perf_counter() - start
+            times[count] = min(times.get(count, took), took)
+        assert times[os.cpu_count() + 1] < 5 * times[1]
+
+
+def sum_of_slab_pairs(block, n, mask):
+    """The purity of each row of `block` across `mask` as one thread sums it:
+    over j, then i <= j, of (2 - delta_ij) ||Z_i Z_j^dagger||^2, through the
+    same BLAS calls as the kernel (a real diagonal Gram on one buffer)."""
+    z = next(_cut_matrices(block, n, [mask]))
+    total = np.zeros(block.shape[0])
+    for j in range(0, z.shape[1], SLAB_ROWS):
+        zj = z[:, j : j + SLAB_ROWS]
+        if np.iscomplexobj(zj):
+            zj = np.ascontiguousarray(np.conjugate(zj))
+        for i in range(0, j + 1, SLAB_ROWS):
+            g = np.matmul(z[:, i : i + SLAB_ROWS], zj.transpose(0, 2, 1))
+            g = g.reshape(block.shape[0], -1)
+            square = np.vecdot(g, g).real
+            total += square if i == j else 2 * square
+    return total
+
+
+def cpu_flags():
+    """The CPU flags Linux lists in /proc/cpuinfo; none elsewhere."""
+    try:
+        with open("/proc/cpuinfo") as cpuinfo:
+            return set(cpuinfo.read().split())
+    except OSError:
+        return set()
+
+
+@needs_openblas
+@pytest.mark.skipif(
+    not {"avx2", "fma"} <= cpu_flags(), reason="the Haswell kernels need AVX2 and FMA"
+)
+class TestOtherKernels:
+    def test_dealing_under_the_haswell_kernels(self):
+        # under Haswell a complex Gram at two threads differs from one in the
+        # last bit, so dealing is identical there only with every Gram at one
+        result = run_python(
+            "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            f"{__file__}::TestDealing", OPENBLAS_CORETYPE="Haswell", check=False,
+        )
+        assert result.returncode == 0, result.stdout[-4000:]
 
 
 # records the timeout the first import of numpy sees, then imports entspec

@@ -736,6 +736,11 @@ class TestErrorsAndDeterminism:
             "sample --kind haar --n 14 --count 2 --seed 1 --mask 0x7f",
             # each drawn row is normalized by np.linalg.norm, a ddot over 2^15
             "sample --kind phase-sphere --n 15 --count 3 --seed 1 --mask 0x1",
+            # one 256 x 256 complex Gram of 2^24 real multiply-adds, whose
+            # bits move with the BLAS threads under the Haswell kernels
+            "sample --kind haar --n 14 --count 2 --seed 1 --mask 0xff0",
+            # W18's qubit pairs and single-qubit cuts are dealt to the workers
+            "measures --kind w --n 18",
         ],
     )
     def test_output_does_not_depend_on_blas_threads(self, args):

@@ -346,7 +346,9 @@ class TestPuritiesKernel:
         tracemalloc.start()
         try:
             block = amps[None].copy()  # traced, so the peak counts the state
-            purities(block, n, [mask])
+            # one worker; tests/test_blas.py bounds a dealt cut per worker
+            with blas_threads(1):
+                purities(block, n, [mask])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
