@@ -24,6 +24,7 @@ from .spectra import (
     BipartitionFamily,
     Histogram,
     histogram,
+    named_purities,
     participation_statistics,
 )
 from .states import (
@@ -62,6 +63,7 @@ __all__ = [
     "make_cluster1d",
     "make_ghz",
     "make_w",
+    "named_purities",
     "participation_pdf",
     "participation_statistics",
     "purities",

@@ -5,7 +5,11 @@ one cut, `spectrum` sweeps a bipartition family, `sample` runs ensemble
 Monte Carlo, `theory` emits model curves, `measures` reports Q/tangles/
 concurrences, and `table1` tabulates balanced-cut means for the named state
 families.  Output is deterministic: on one host and BLAS build, identical
-arguments (and seed) produce byte-identical files.  The library returns
+arguments (and seed) produce byte-identical files.  `purity`, `spectrum` and
+`table1`'s named columns take a --kind source by rule (`named_purities`),
+exact and without building the state, so those bytes hold on any host and
+BLAS; state files, ensembles and `measures` go through the amplitudes and
+`purities`.  The library returns
 arrays and dataclasses; every output byte is written here, by `_table` (CSV
 and TSV) and `_record` (JSON).
 
@@ -25,14 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from .measures import EigenConvergenceError, tangle_report
-from .purity import purities
+from .purity import _cut, purities
 from .spectra import (
-    HISTOGRAM_BINS, SELECTORS, STATISTICS, BipartitionFamily, histogram,
+    HISTOGRAM_BINS, SELECTORS, STATISTICS, BipartitionFamily, histogram, named_purities,
     participation_statistics,
 )
 from .states import (
-    ENSEMBLE_KINDS, MAX_QUBITS, EnsembleSpec, PureState, make_basis, make_cluster1d,
-    make_ghz, make_w, sample_blocks, state_from_dict, state_to_dict,
+    ENSEMBLE_KINDS, MAX_QUBITS, EnsembleSpec, PureState, _check_named, make_basis,
+    make_cluster1d, make_ghz, make_w, sample_blocks, state_from_dict, state_to_dict,
 )
 from .theory import (
     MODEL_MAX_QUBITS, PROVIDER_KINDS, asymptotic_model, exact_moments, participation_pdf,
@@ -81,16 +85,40 @@ def _record(d: dict) -> str:
     return json.dumps(d, allow_nan=False) + "\n"
 
 
-def _load_state(args: argparse.Namespace) -> PureState:
+def _named(args: argparse.Namespace) -> bool:
+    """Whether the source is --kind rather than --state-file, once the source
+    options are checked: a --kind source as its constructor would check it,
+    with the same messages, but without building the state."""
     if args.index is not None and args.kind != "basis":
         raise ValueError("--index applies only to --kind basis")
-    if args.state_file is None:
-        if args.n is None:
-            raise ValueError("--n is required with --kind")
+    if args.state_file is not None:
+        if args.n is not None:
+            raise ValueError("--n applies only to --kind; a state file gives its own n")
+        return False
+    if args.n is None:
+        raise ValueError("--n is required with --kind")
+    _check_named(args.kind, args.n, args.index or 0)
+    return True
+
+
+def _load_state(args: argparse.Namespace) -> PureState:
+    if _named(args):
         return NAMED_STATES[args.kind](args.n, args.index)
-    if args.n is not None:
-        raise ValueError("--n applies only to --kind; a state file gives its own n")
-    path = Path(args.state_file)
+    return _read_state(args.state_file)
+
+
+def _source_purities(args: argparse.Namespace):
+    """The source's qubit count, and a function from a mask array to the
+    source's purity across each mask: `named_purities` for --kind, so no
+    state is built, and `purities` of a state file's amplitudes."""
+    if _named(args):
+        return args.n, lambda masks: named_purities(args.kind, args.n, masks)
+    state = _read_state(args.state_file)
+    return state.n, lambda masks: purities(state.amplitudes[None], state.n, masks)[0]
+
+
+def _read_state(state_file: str) -> PureState:
+    path = Path(state_file)
     try:
         data = json.loads(path.read_text())
     except OSError as exc:
@@ -107,11 +135,11 @@ def _run_state(args: argparse.Namespace) -> str:
 
 def _run_purity(args: argparse.Namespace) -> str:
     mask = _parse_mask(args.mask)
-    state = _load_state(args)
-    p = float(purities(state.amplitudes[None], state.n, [mask])[0, 0])
+    n, purity_of = _source_purities(args)
+    p = float(purity_of([mask])[0])
     n_a = mask.bit_count()
     return _record({
-        "n": state.n, "mask": f"{mask:#x}", "n_A": n_a, "n_B": state.n - n_a,
+        "n": n, "mask": f"{mask:#x}", "n_A": n_a, "n_B": n - n_a,
         "purity": p, "participation": 1.0 / p,
         "effective_spins": 0.0 - math.log2(p),  # avoids -0.0 at purity 1
     })
@@ -124,10 +152,10 @@ def _run_spectrum(args: argparse.Namespace) -> str:
         raise ValueError(f"--bins must be 1 or more, got {args.bins}")
     if args.bins is not None and args.bins > MAX_GRID:
         raise ValueError(f"--bins must be at most {MAX_GRID}, got {args.bins}")
-    state = _load_state(args)
-    family = BipartitionFamily(state.n, args.family, args.size)
+    n, purity_of = _source_purities(args)
+    family = BipartitionFamily(n, args.family, args.size)
     masks = family.masks()
-    purity = purities(state.amplitudes[None], family.n, masks)[0]
+    purity = purity_of(masks)
     participation = 1.0 / purity
     if args.format == "json":
         stats = participation_statistics(participation[None])[0].tolist()
@@ -151,7 +179,7 @@ def _run_sample(args: argparse.Namespace) -> str:
         raise ValueError("--size applies only to --family fixed-size, not --mask")
     else:
         mask = _parse_mask(args.mask)
-        purities(np.empty((0, 1 << args.n)), args.n, [mask])  # no rows: checks the mask
+        _cut(mask, args.n)
     # the states are drawn, evaluated and formatted one block at a time
     blocks = sample_blocks(spec, args.count)
     if args.mask is not None:
@@ -250,16 +278,16 @@ def _run_table1(args: argparse.Namespace) -> str:
     for n in range(args.nmin, args.nmax + 1):
         masks = BipartitionFamily(n, "balanced").masks()
 
-        def mean(block):
-            return participation_statistics(1.0 / purities(block, n, masks))[0, 0]
+        def mean(purity):
+            return participation_statistics(1.0 / purity[None])[0, 0]
 
         row = [n]
-        for make in (make_ghz, make_w, make_cluster1d):
-            row.append(mean(make(n).amplitudes[None]))
+        for kind in ("ghz", "w", "cluster"):
+            row.append(mean(named_purities(kind, n, masks)))
         n_a = n // 2
         row.append(1.0 / asymptotic_model(1 << n_a, 1 << (n - n_a)).mu)
         if haar is not None:
-            row.append(mean(*sample_blocks(replace(haar, n=n), 1)))
+            row.append(mean(purities(*sample_blocks(replace(haar, n=n), 1), n, masks)[0]))
         rows.append(row)
     return _table(header, rows)
 

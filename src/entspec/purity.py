@@ -35,6 +35,21 @@ def _integer(value, what: str) -> int:
     return operator.index(value)
 
 
+def _cut(mask, n: int) -> tuple[int, int]:
+    """`mask` as a cut of n qubits, turned so that A is the smaller side, or of
+    two equal sides the lower mask: the turned mask and its popcount.  The
+    package's one check of a cut: ValueError if `mask` is not an integer
+    (`_integer`) or not in [1, 2**n - 2]."""
+    mask = _integer(mask, "mask")
+    full = (1 << n) - 1
+    if not 0 < mask < full:
+        raise ValueError(f"mask {mask:#x} is not a cut of {n} qubits")
+    k = mask.bit_count()
+    if (k, mask) > (n - k, mask ^ full):
+        return mask ^ full, n - k
+    return mask, k
+
+
 def _cut_matrices(block: np.ndarray, n: int, masks):
     """Yield, for each int mask, the count x N_A x N_B matrix Z of `block`.
 
@@ -129,11 +144,9 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
 
     block holds count x 2**n amplitudes, float64 or complex128 (ValueError
     names a shape or dtype that is not, before anything is allocated), and
-    each mask is an integer (`_integer`: any type with __index__, but not
-    bool) in [1, 2**n - 2] (ValueError names the first that is not; this is
-    the package's one check of a cut); the result is a count x len(masks)
-    float64 array.  A mask and its complement are one cut, turned so that A
-    is the smaller side, or of two equal sides the lower mask.  Each cut is
+    each mask a cut of n qubits (`_cut`: ValueError names the first that is
+    not); the result is a count x len(masks) float64 array.  A mask and its
+    complement are one cut, turned by `_cut`.  Each cut is
     gathered once by `_cut_matrices`, however many masks name it, and its
     value is written to the column of every such mask, so a mask, its
     complement and a repeat of either give bit-identical purities.
@@ -162,7 +175,6 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
         raise ValueError(
             f"block has dtype {block.dtype}, expected float64 or complex128"
         )
-    full = (1 << n) - 1
     scale = 4 if block.dtype == np.complex128 else 1  # real multiply-adds per multiply-add
     columns = {}  # turned mask -> its column in `values`
     plan = []  # per turned cut: column, mask, slab rows, slab pairs
@@ -170,12 +182,7 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     where = []  # the column in `values` of each requested mask
     madds = 0  # of one row's Grams over every cut
     for mask in masks:
-        mask = _integer(mask, "mask")
-        if not 0 < mask < full:
-            raise ValueError(f"mask {mask:#x} is not a cut of {n} qubits")
-        k = mask.bit_count()
-        if (k, mask) > (n - k, mask ^ full):
-            mask, k = mask ^ full, n - k
+        mask, k = _cut(mask, n)
         if mask not in columns:
             columns[mask] = len(plan)
             if k not in slabs:

@@ -28,6 +28,26 @@ def _check_qubits(n: int, minimum: int, what: str) -> None:
         raise ValueError(f"qubit count {n} exceeds the memory guard of {MAX_QUBITS}")
 
 
+# each named state's fewest qubits, and the name its refusals give it
+_NAMED_QUBITS = {
+    "basis": (1, "basis state"),
+    "ghz": (2, "GHZ state"),
+    "w": (2, "W state"),
+    "cluster": (2, "cluster state"),
+}
+
+
+def _check_named(kind: str, n: int, index: int = 0) -> None:
+    """The checks the constructor of named state `kind` makes before it
+    allocates, run without building the state: n against the kind's fewest
+    qubits and MAX_QUBITS, then the basis index (0 for the other kinds) in
+    [0, 2**n).  ValueError names the first that fails."""
+    minimum, what = _NAMED_QUBITS[kind]
+    _check_qubits(n, minimum, what)
+    if not (0 <= index < (1 << n)):
+        raise ValueError(f"basis index {index} out of range for {n} qubits")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector over the 2**n computational basis.
@@ -89,9 +109,7 @@ class EnsembleSpec:
 
 def make_basis(n: int, k: int) -> PureState:
     """Computational basis state |k> on n qubits."""
-    _check_qubits(n, 1, "basis state")
-    if not (0 <= k < (1 << n)):
-        raise ValueError(f"basis index {k} out of range for {n} qubits")
+    _check_named("basis", n, k)
     amps = np.zeros(1 << n)
     amps[k] = 1.0
     return PureState(n, amps)
@@ -99,7 +117,7 @@ def make_basis(n: int, k: int) -> PureState:
 
 def make_ghz(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2); every bipartition has participation 2."""
-    _check_qubits(n, 2, "GHZ state")
+    _check_named("ghz", n)
     amps = np.zeros(1 << n)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return PureState(n, amps)
@@ -107,7 +125,7 @@ def make_ghz(n: int) -> PureState:
 
 def make_w(n: int) -> PureState:
     """Equal superposition of the n single-excitation basis states, all phases +1."""
-    _check_qubits(n, 2, "W state")
+    _check_named("w", n)
     amps = np.zeros(1 << n)
     amps[[1 << j for j in range(n)]] = 1.0 / np.sqrt(n)
     return PureState(n, amps)
@@ -122,7 +140,7 @@ def make_cluster1d(n: int) -> PureState:
     with the Z on the last factor dropped; it is local-Z equivalent to the
     CZ-circuit graph state on the same chain.
     """
-    _check_qubits(n, 2, "cluster state")
+    _check_named("cluster", n)
     amps = np.empty(1 << n)
     amps[:2] = 1.0 / np.sqrt(1 << n)
     # by doubling: when qubit k joins, the half with b_k = 1 copies the first

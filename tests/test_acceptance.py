@@ -10,7 +10,9 @@ block; Hein, Eisert & Briegel, PRA 69, 062311 (2004)), and each table entry
 against the same rational, so a slip in the table reads as a table error and
 not as a program error.  The 11-qubit entry once read 17.176; the oracle gives
 3968/231 = 17.17749... over all 462 balanced cuts, and the entry is the
-correctly rounded 17.177, like the other seven cluster entries.
+correctly rounded 17.177, like the other seven cluster entries.  It then checks
+the exact path, `named_purities`: the GHZ, W and cluster balanced means up to
+n = 16 against the same rationals.
 """
 
 import math
@@ -30,6 +32,7 @@ from entspec import (
     make_cluster1d,
     make_ghz,
     make_w,
+    named_purities,
     participation_pdf,
     participation_statistics,
     purities,
@@ -108,6 +111,24 @@ def test_criterion_1_reference_table():
 
         random_mean = 1.0 / asymptotic_model(1 << n_a, 1 << (n - n_a)).mu
         crit.close(5e-4, random_mean, TABLE_RANDOM[n], f"random reference n={n}")
+
+    # the exact path: GHZ and cluster participations are powers of two, so
+    # their means are the exact rationals rounded once; a W cut's purity is
+    # rounded once and its participation again, so its mean is held to 4 ulp
+    for n in range(2, 17):
+        masks = BipartitionFamily(n, "balanced").masks()
+
+        def rule_mean(kind):
+            return participation_statistics(1.0 / named_purities(kind, n, masks)[None])[0, 0]
+
+        crit.check(rule_mean("ghz") == 2.0, f"ghz rule n={n}: {rule_mean('ghz')!r}")
+        w_exact = w_participation(n, n // 2)
+        crit.close(4 * math.ulp(w_exact), rule_mean("w"), w_exact, f"w rule n={n}")
+        cluster_exact = float(path_balanced_mean(n))
+        crit.check(
+            rule_mean("cluster") == cluster_exact,
+            f"cluster rule n={n}: {rule_mean('cluster')!r} vs {cluster_exact!r}",
+        )
     elapsed = time.monotonic() - start
     crit.check(elapsed < 60.0, f"runtime {elapsed:.1f}s exceeds 60s")
     crit.finish()

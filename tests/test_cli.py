@@ -6,14 +6,15 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from entspec import cli, state_to_dict
 from entspec.cli import main
-from entspec.states import BLOCK_BYTES
-from helpers import haar_states
+from entspec.states import BLOCK_BYTES, MAX_QUBITS
+from helpers import haar_states, path_balanced_mean, path_cut_rank
 
 
 # stands for a GHZ(3) state file written to the test's tmp_path
@@ -92,9 +93,10 @@ class TestJsonBytes:
         assert code == 0
         assert out == (
             '{"n": 5, "mask": "0x3", "n_A": 2, "n_B": 3, '
-            '"purity": 0.4999999999999999, "participation": 2.0000000000000004, '
-            '"effective_spins": 1.0000000000000002}\n'
+            '"purity": 0.5, "participation": 2.0, "effective_spins": 1.0}\n'
         )
+        # one chain edge crosses the cut: rank 1, purity exactly 1/2
+        assert json.loads(out)["purity"] == float(Fraction(1, 2 ** path_cut_rank(5, 0x3)))
 
     def test_state_file_round_trip(self, capsys, tmp_path):
         path = tmp_path / "basis.json"
@@ -204,13 +206,18 @@ class TestSpectrumCommand:
         assert code == 0
         assert out == (
             "mask_hex,n_A,purity,participation\n"
-            "0x1,1,0.55555555555555591,1.7999999999999989\n"
-            "0x2,1,0.55555555555555591,1.7999999999999989\n"
-            "0x3,2,0.55555555555555591,1.7999999999999989\n"
-            "0x4,1,0.55555555555555591,1.7999999999999989\n"
-            "0x5,2,0.55555555555555591,1.7999999999999989\n"
-            "0x6,2,0.55555555555555591,1.7999999999999989\n"
+            "0x1,1,0.55555555555555558,1.7999999999999998\n"
+            "0x2,1,0.55555555555555558,1.7999999999999998\n"
+            "0x3,2,0.55555555555555558,1.7999999999999998\n"
+            "0x4,1,0.55555555555555558,1.7999999999999998\n"
+            "0x5,2,0.55555555555555558,1.7999999999999998\n"
+            "0x6,2,0.55555555555555558,1.7999999999999998\n"
         )
+        # each purity is W's (k^2 + (n - k)^2) / n^2, rounded once
+        for row in out.split("\n")[1:-1]:
+            _, k, purity, _ = row.split(",")
+            k = int(k)
+            assert float(purity) == float(Fraction(k * k + (3 - k) ** 2, 9))
         code, out, _ = run_cli(
             capsys, "spectrum", "--kind", "cluster", "--n", "4", "--format", "json"
         )
@@ -232,9 +239,12 @@ class TestSpectrumCommand:
             "2\t1.0714285714285712\t6\n"
         )
 
-    def test_cluster13_within_runtime_budget(self, capsys):
+    def test_cluster13_within_runtime_budget(self, capsys, tmp_path):
+        # from a state file, so the sweep runs the purity kernel, not the rule
+        path = str(tmp_path / "cluster13.json")
+        assert run_cli(capsys, "state", "--kind", "cluster", "--n", "13", "--out", path)[0] == 0
         start = time.monotonic()
-        code, out, _ = run_cli(capsys, "spectrum", "--kind", "cluster", "--n", "13")
+        code, out, _ = run_cli(capsys, "spectrum", "--state-file", path)
         elapsed = time.monotonic() - start
         assert code == 0
         assert len(out.strip().split("\n")) == 1717  # C(13,6) masks + header
@@ -456,20 +466,28 @@ class TestTable1Command:
         assert code == 0
         assert out == (
             "n,ghz,w,cluster,random\n"
-            "4,2.0000000000000004,2,3.3333333333333335,2.2857142857142856\n"
-            "5,2.0000000000000009,1.9230769230769234,3.6000000000000005,"
-            "2.9090909090909092\n"
+            "4,2,2,3.3333333333333335,2.2857142857142856\n"
+            "5,2,1.9230769230769229,3.6000000000000001,2.9090909090909092\n"
         )
+        # GHZ and cluster participations are powers of two, so their means are
+        # the exact means rounded once; each W cut's purity is rounded once,
+        # and the mean of its equal participations is their reciprocal
+        for row in out.split("\n")[1:-1]:
+            n, ghz, w, cluster, _ = row.split(",")
+            n = int(n)
+            assert float(ghz) == 2.0
+            assert float(cluster) == float(path_balanced_mean(n))
+            k = n // 2
+            assert float(w) == 1.0 / float(Fraction(k * k + (n - k) ** 2, n * n))
         code, out, _ = run_cli(
             capsys, "table1", "--nmin", "4", "--nmax", "5", "--haar-seed", "3"
         )
         assert code == 0
         assert out == (
             "n,ghz,w,cluster,random,haar\n"
-            "4,2.0000000000000004,2,3.3333333333333335,2.2857142857142856,"
-            "2.3661362544369786\n"
-            "5,2.0000000000000009,1.9230769230769234,3.6000000000000005,"
-            "2.9090909090909092,2.944529329091103\n"
+            "4,2,2,3.3333333333333335,2.2857142857142856,2.3661362544369786\n"
+            "5,2,1.9230769230769229,3.6000000000000001,2.9090909090909092,"
+            "2.944529329091103\n"
         )
 
     def test_haar_column_deterministic(self, capsys):
@@ -599,6 +617,27 @@ class TestErrorsAndDeterminism:
         code, out, err = run_cli(capsys, *args)
         assert code == 2 and out == ""
         assert named in err
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ("--kind", "ghz", "--n", "1"),
+            ("--kind", "cluster", "--n", "0"),
+            ("--kind", "basis", "--n", "0"),
+            ("--kind", "w", "--n", str(MAX_QUBITS + 1)),
+            ("--kind", "basis", "--n", "2", "--index", "4"),
+            ("--kind", "basis", "--n", "2", "--index", "-1"),
+            ("--kind", "w", "--n", "3", "--index", "0"),
+            ("--kind", "cluster"),
+        ],
+    )
+    def test_named_source_refused_as_its_constructor_refuses_it(self, capsys, source):
+        # `measures` builds the state; `purity` and `spectrum` take the rule
+        # path, which checks the source without building it
+        code, out, built = run_cli(capsys, "measures", *source)
+        assert code == 2 and out == "" and built
+        for command in (("purity", "--mask", "0x1"), ("spectrum",)):
+            assert run_cli(capsys, command[0], *source, *command[1:]) == (2, "", built)
 
     # svd runs on every pair; qr only once the pair's partner side exceeds 4
     # columns, first at n = 5

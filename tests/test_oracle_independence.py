@@ -4,7 +4,9 @@ import ast
 from pathlib import Path
 
 HELPERS = Path(__file__).with_name("helpers.py")
-KERNEL_NAMES = {"_cut_matrices", "purities", "purity", "concurrence", "concurrences"}
+KERNEL_NAMES = {
+    "_cut_matrices", "purities", "purity", "concurrence", "concurrences", "named_purities",
+}
 SHORTHANDS = "one_state"  # the tests' one-state calls of those kernels
 
 

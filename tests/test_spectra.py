@@ -1,6 +1,8 @@
 import gc
+import json
 import math
 import tracemalloc
+from fractions import Fraction
 from importlib import import_module
 
 import numpy as np
@@ -17,13 +19,14 @@ from entspec import (
     participation_statistics,
     purities,
 )
-from entspec.cli import main
+from entspec.cli import NAMED_STATES, main
 from entspec.purity import _cut_matrices
 from entspec.spectra import (
-    DISCRETE_VALUE_LIMIT, HISTOGRAM_BINS, SELECTORS, STATISTICS, VALUE_MERGE_TOL,
+    _NAMED_RULES, DISCRETE_VALUE_LIMIT, HISTOGRAM_BINS, SELECTORS, STATISTICS,
+    VALUE_MERGE_TOL, named_purities,
 )
-from entspec.states import MAX_QUBITS, PureState
-from helpers import haar_states, make_product, permute_amplitudes_bitloop
+from entspec.states import _NAMED_QUBITS, MAX_QUBITS, PureState
+from helpers import haar_states, make_product, path_cut_rank, permute_amplitudes_bitloop
 from one_state import participations, purity, statistics
 
 
@@ -230,6 +233,99 @@ def test_distribution_retains_two_arrays_per_cut():
         tracemalloc.stop()
     assert masks.size == values.size == 1022
     assert retained / masks.size < 64
+
+
+class TestNamedPurities:
+    """The rules of `named_purities` against exact oracles and the kernel."""
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_cluster_rule_every_mask_matches_cut_rank_oracle(self, n):
+        masks = np.arange(1, (1 << n) - 1)
+        want = [2.0 ** -path_cut_rank(n, m) for m in masks.tolist()]
+        assert named_purities("cluster", n, masks).tolist() == want
+
+    @pytest.mark.parametrize("n", [20, 24, 26])
+    def test_cluster_rule_random_masks_match_cut_rank_oracle(self, n):
+        masks = np.random.default_rng(n).integers(1, (1 << n) - 1, 300)
+        want = [2.0 ** -path_cut_rank(n, m) for m in masks.tolist()]
+        assert named_purities("cluster", n, masks).tolist() == want
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_w_ghz_basis_rules_are_exact_rationals_rounded_once(self, n):
+        masks = np.arange(1, (1 << n) - 1)
+        w = [
+            float(Fraction(k * k + (n - k) ** 2, n * n))
+            for k in (m.bit_count() for m in masks.tolist())
+        ]
+        assert named_purities("w", n, masks).tolist() == w
+        assert named_purities("ghz", n, masks).tolist() == [float(Fraction(1, 2))] * masks.size
+        assert named_purities("basis", n, masks).tolist() == [1.0] * masks.size
+
+    @pytest.mark.parametrize("kind", NAMED_STATES)
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_rules_match_the_kernel_on_the_built_state(self, kind, n):
+        # the kernel's sums leave a few ulp; even-n cluster amplitudes are
+        # powers of two, so there it is exact
+        masks = BipartitionFamily(n, "all-sizes").masks()
+        state = NAMED_STATES[kind](n, (1 << n) // 3)
+        kernel = purities(state.amplitudes[None], n, masks)[0]
+        rule = named_purities(kind, n, masks)
+        if kind == "cluster" and n % 2 == 0:
+            assert rule.tolist() == kernel.tolist()
+        ulps = np.abs(rule.view(np.int64) - kernel.view(np.int64))
+        assert ulps.max() <= 8
+
+    def test_one_rule_per_named_state(self):
+        assert _NAMED_RULES.keys() == NAMED_STATES.keys() == _NAMED_QUBITS.keys()
+
+    @pytest.mark.parametrize(
+        "kind, n, masks, message",
+        [
+            ("ghz", 3, [1, 0], "^mask 0x0 is not a cut of 3 qubits$"),
+            ("w", 3, np.array([1, 7]), "^mask 0x7 is not a cut of 3 qubits$"),
+            ("cluster", 3, np.array([3, 8], np.uint8), "^mask 0x8 is not a cut of 3 qubits$"),
+            ("cluster", 3, [1, 2**70], f"^mask {2**70:#x} is not a cut of 3 qubits$"),
+            ("basis", 3, [1, -1], "^mask -0x1 is not a cut of 3 qubits$"),
+            ("ghz", 4, [3, 2.0], "^mask 2.0 is not an integer$"),
+            ("ghz", 4, np.array([True]), r"^mask np.True_ is not an integer$"),
+            ("w", 4, np.array([[3]]), r"^masks have shape \(1, 1\), expected \(cuts,\)$"),
+            ("ghz", 1, [1], "^GHZ state needs 2 or more qubits, got 1$"),
+            ("basis", 0, [1], "^basis state needs 1 or more qubits, got 0$"),
+            ("cluster", MAX_QUBITS + 1, [1], "exceeds the memory guard"),
+            ("haar", 4, [1], "^unknown named state 'haar'$"),
+        ],
+    )
+    def test_refusals(self, kind, n, masks, message):
+        with pytest.raises(ValueError, match=message):
+            named_purities(kind, n, masks)
+
+    def test_no_masks(self):
+        assert named_purities("cluster", 4, []).shape == (0,)
+
+    def test_cluster_rule_memory_is_bounded_by_the_mask_array(self):
+        masks = BipartitionFamily(20, "all-sizes").masks()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            values = named_purities("cluster", 20, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.size == masks.size
+        assert peak <= 4 * masks.nbytes
+
+    def test_named_cut_builds_no_state(self, capsys):
+        # the n = 22 cluster state alone is 32 MiB
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = main(["purity", "--kind", "cluster", "--n", "22", "--mask", "0x7ff"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["purity"] == 2.0 ** -path_cut_rank(22, 0x7FF)
+        assert peak < 1 << 20
 
 
 class TestSummaries:
