@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .measures import EigenConvergenceError, tangle_report
-from .purity import _cut, purities
+from .purity import _masks, purities
 from .spectra import (
     HISTOGRAM_BINS, SELECTORS, STATISTICS, BipartitionFamily, histogram, named_purities,
     participation_statistics,
@@ -178,14 +178,13 @@ def _run_sample(args: argparse.Namespace) -> str:
     elif args.size is not None:
         raise ValueError("--size applies only to --family fixed-size, not --mask")
     else:
-        mask = _parse_mask(args.mask)
-        _cut(mask, args.n)
+        masks = _masks([_parse_mask(args.mask)], args.n)
     # the states are drawn, evaluated and formatted one block at a time
     blocks = sample_blocks(spec, args.count)
     if args.mask is not None:
         values = (
             v for block in blocks
-            for v in purities(block, args.n, [mask])[:, 0].tolist()
+            for v in purities(block, args.n, masks)[:, 0].tolist()
         )
         rows = ((i, v, 1.0 / v) for i, v in enumerate(values))
         return _table(("sample", "purity", "participation"), rows)

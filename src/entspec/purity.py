@@ -35,19 +35,23 @@ def _integer(value, what: str) -> int:
     return operator.index(value)
 
 
-def _cut(mask, n: int) -> tuple[int, int]:
-    """`mask` as a cut of n qubits, turned so that A is the smaller side, or of
-    two equal sides the lower mask: the turned mask and its popcount.  The
-    package's one check of a cut: ValueError if `mask` is not an integer
-    (`_integer`) or not in [1, 2**n - 2]."""
-    mask = _integer(mask, "mask")
+def _masks(masks, n: int) -> np.ndarray:
+    """`masks`, a sequence or 1-D array, as a 1-D int64 array of cuts of n
+    qubits: the package's one check of a cut.  ValueError if it is not 1-D,
+    or naming the first mask that is not an integer (`_integer`) or not in
+    [1, 2**n - 2]; an int or uint array is checked in one vectorized pass."""
+    array = np.asarray(masks)
+    if array.ndim != 1:
+        raise ValueError(f"masks have shape {array.shape}, expected (cuts,)")
     full = (1 << n) - 1
-    if not 0 < mask < full:
-        raise ValueError(f"mask {mask:#x} is not a cut of {n} qubits")
-    k = mask.bit_count()
-    if (k, mask) > (n - k, mask ^ full):
-        return mask ^ full, n - k
-    return mask, k
+    if isinstance(masks, np.ndarray) and array.dtype.kind in "iu":
+        cut = (array > 0) & (array < full)
+        masks = [] if cut.all() else [array[cut.argmin()]]  # to name the first failure
+    for mask in masks:
+        mask = _integer(mask, "mask")
+        if not 0 < mask < full:
+            raise ValueError(f"mask {mask:#x} is not a cut of {n} qubits")
+    return array.astype(np.int64, copy=False)  # each in [1, 2**n - 2]: exact in any dtype
 
 
 def _cut_matrices(block: np.ndarray, n: int, masks):
@@ -144,12 +148,12 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
 
     block holds count x 2**n amplitudes, float64 or complex128 (ValueError
     names a shape or dtype that is not, before anything is allocated), and
-    each mask a cut of n qubits (`_cut`: ValueError names the first that is
+    each mask a cut of n qubits (`_masks`: ValueError names the first that is
     not); the result is a count x len(masks) float64 array.  A mask and its
-    complement are one cut, turned by `_cut`.  Each cut is
-    gathered once by `_cut_matrices`, however many masks name it, and its
-    value is written to the column of every such mask, so a mask, its
-    complement and a repeat of either give bit-identical purities.
+    complement are one cut, turned so that A is the smaller side (of equal
+    sides, the lower mask), and gathered once by `_cut_matrices` however many
+    masks name it; its value goes to the column of every such mask, so a
+    mask, its complement and a repeat of either give bit-identical purities.
 
     Z is split into row slabs Z_i of s = min(SLAB_ROWS, N_A) rows, and
     purity = sum over j, then i <= j, of (2 - delta_ij) ||Z_i Z_j^dagger||_F^2,
@@ -161,8 +165,10 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     the gather a worker holds one slab's Gram and conjugate, however large
     N_A is; a cut of at most SLAB_ROWS rows is one slab, one Gram of Z.
 
-    The pass that turns the masks plans each new cut (column, mask, s, slab
-    pairs) and sums its Grams' real multiply-adds, scale x s^2 x N_B a pair.
+    The plan is made from the mask array, turned and deduplicated by
+    `np.unique` (columns follow the ascending turned mask); each popcount's
+    slab rows, slab pairs and work, a Python int of scale x s^2 x N_B real
+    multiply-adds a pair, are taken once.  No rows: it returns after the check.
     `_deal` runs the plan at one BLAS thread and deals, where it pays, the
     cuts (each worker gathering its own), or for a call of one cut of
     several slabs its slab pairs, each term to a column of its own, summed
@@ -175,24 +181,24 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
         raise ValueError(
             f"block has dtype {block.dtype}, expected float64 or complex128"
         )
-    scale = 4 if block.dtype == np.complex128 else 1  # real multiply-adds per multiply-add
-    columns = {}  # turned mask -> its column in `values`
-    plan = []  # per turned cut: column, mask, slab rows, slab pairs
-    slabs = {}  # N_A -> its slab rows and slab pairs
-    where = []  # the column in `values` of each requested mask
-    madds = 0  # of one row's Grams over every cut
-    for mask in masks:
-        mask, k = _cut(mask, n)
-        if mask not in columns:
-            columns[mask] = len(plan)
-            if k not in slabs:
-                s = min(SLAB_ROWS, 1 << k)
-                slabs[k] = s, [(i, j) for j in range(0, 1 << k, s) for i in range(0, j + 1, s)]
-            s, pairs = slabs[k]
-            plan.append((len(plan), mask, s, pairs))
-            madds += len(pairs) * scale * s * s << (n - k)
-        where.append(columns[mask])
+    masks = _masks(masks, n)
     count = block.shape[0]
+    if not count or not masks.size:
+        return np.zeros((count, masks.size))
+    complement = masks ^ ((1 << n) - 1)
+    # A the smaller side; of two equal sides the lower mask, the one without qubit n - 1
+    turn = 2 * np.bitwise_count(masks) + (masks >> (n - 1)) > n
+    cuts, where = np.unique(np.where(turn, complement, masks), return_inverse=True)
+    sizes = np.bitwise_count(cuts)
+    scale = 4 if block.dtype == np.complex128 else 1  # real multiply-adds per multiply-add
+    slabs = {}  # N_A -> its slab rows and slab pairs
+    madds = 0  # of one row's Grams over every cut, a Python int
+    for k, cut_count in enumerate(np.bincount(sizes).tolist()):
+        if cut_count:
+            s = min(SLAB_ROWS, 1 << k)
+            slabs[k] = s, [(i, j) for j in range(0, 1 << k, s) for i in range(0, j + 1, s)]
+            madds += cut_count * len(slabs[k][1]) * scale * s * s << (n - k)
+    plan = [(c, m, *slabs[k]) for c, (m, k) in enumerate(zip(cuts.tolist(), sizes.tolist()))]
     values = np.zeros((count, len(plan)))
     if len(plan) == 1 and len(plan[0][3]) > 1:  # one cut of several slabs
         _, mask, s, pairs = plan[0]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .purity import _cut
+from .purity import _masks
 from .states import _check_named, _check_qubits
 
 SELECTORS = ("balanced", "all-sizes", "fixed-size", "max-unbalanced")
@@ -147,18 +147,12 @@ def named_purities(kind: str, n: int, masks) -> np.ndarray:
 
     ValueError for an unknown kind, for n outside the kind's constructor's
     range (`_check_named`, whose messages it keeps), for masks that are not
-    1-D, and naming the first mask that is not a cut (`_cut`).
+    1-D, and naming the first mask that is not a cut (`_masks`).
     """
     if kind not in _NAMED_RULES:
         raise ValueError(f"unknown named state {kind!r}")
     _check_named(kind, n)
-    array = np.asarray(masks)
-    if array.ndim != 1:
-        raise ValueError(f"masks have shape {array.shape}, expected (cuts,)")
-    if array.dtype.kind not in "iu" or not ((array > 0) & (array < (1 << n) - 1)).all():
-        for mask in masks:
-            _cut(mask, n)  # raises for the first that is not a cut
-    return _NAMED_RULES[kind](n, array.astype(np.int64, copy=False))
+    return _NAMED_RULES[kind](n, _masks(masks, n))
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,15 @@ sweep is that call over `family.masks()`), every participation statistic in
 `concurrences(state, pairs)`.  These functions make such calls for one state
 and unpack its single row; they add no rule of their own beyond the
 concurrence C = max(0, l1 - l2 - l3 - l4), which `tangle_report` also takes,
-in the same subtraction order.  `helpers.py` must not import this
+in the same subtraction order.  `assert_masks_refused` holds the kernel and
+`named_purities` to one check of a cut.  `helpers.py` must not import this
 module, so that its oracles stay independent of the kernels they check.
 """
 
-from entspec import concurrences, participation_statistics, purities
+import numpy as np
+import pytest
+
+from entspec import concurrences, named_purities, participation_statistics, purities
 from entspec.spectra import STATISTICS
 
 
@@ -44,3 +48,12 @@ def participation_bound(n: int, mask: int) -> int:
     """min(N_A, N_B), the largest participation number the cut allows."""
     k = mask.bit_count()
     return 1 << min(k, n - k)
+
+
+def assert_masks_refused(kind: str, n: int, masks, message: str) -> None:
+    """`purities` (on a block of one row) and `named_purities` (of `kind`)
+    both refuse `masks` of n qubits with a ValueError matching `message`."""
+    with pytest.raises(ValueError, match=message):
+        purities(np.zeros((1, 1 << n)), n, masks)
+    with pytest.raises(ValueError, match=message):
+        named_purities(kind, n, masks)

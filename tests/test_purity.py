@@ -1,5 +1,6 @@
 import math
 import re
+import time
 import tracemalloc
 from importlib import import_module
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entspec import EnsembleSpec, PureState, make_basis, make_cluster1d, make_ghz, make_w
+from entspec import (
+    BipartitionFamily, EnsembleSpec, PureState, make_basis, make_cluster1d, make_ghz, make_w,
+)
 from entspec._blas import blas_threads
 from entspec.purity import SLAB_ROWS, _cut_matrices, purities
 from entspec.states import BLOCK_BYTES, ENSEMBLE_KINDS, sample_blocks
@@ -16,7 +19,7 @@ from helpers import (
     partial_trace_reshape, permute_amplitudes_bitloop, phase_sphere_row_reference,
     purity_quadruple_sum, random_unitary2, scatter_coefficient_matrix,
 )
-from one_state import participation_bound, purity
+from one_state import assert_masks_refused, participation_bound, purity
 
 
 def all_masks(n):
@@ -356,9 +359,9 @@ class TestPuritiesKernel:
 
     @pytest.mark.parametrize("mask", [8, 9, -1, 0, 7])
     def test_rejects_masks_that_are_not_cuts(self, mask):
-        block = make_ghz(3).amplitudes[None]
-        with pytest.raises(ValueError, match=f"^mask {mask:#x} is not a cut of 3 qubits$"):
-            purities(block, 3, [0b001, mask, 0b1010])
+        # the first mask that is not a cut is named, by the kernel and the rules
+        message = f"^mask {mask:#x} is not a cut of 3 qubits$"
+        assert_masks_refused("ghz", 3, [0b001, mask, 0b1010], message)
 
     @pytest.mark.parametrize(
         "block, what",
@@ -379,9 +382,8 @@ class TestPuritiesKernel:
     )
     def test_rejects_masks_that_are_not_integers(self, mask):
         # a float would be truncated to a neighbouring cut and a bool taken as 0x1
-        block = make_ghz(4).amplitudes[None]
-        with pytest.raises(ValueError, match=f"^mask {re.escape(repr(mask))} is not an integer$"):
-            purities(block, 4, [0b0011, mask])
+        message = f"^mask {re.escape(repr(mask))} is not an integer$"
+        assert_masks_refused("ghz", 4, [0b0011, mask], message)
 
     @pytest.mark.parametrize("masks", [np.array([3, 5, 12]), np.array([3, 5, 12], np.uint8)])
     def test_numpy_integer_masks(self, masks):
@@ -391,6 +393,42 @@ class TestPuritiesKernel:
     def test_no_rows_or_no_masks(self):
         assert purities(np.empty((0, 16), np.complex128), 4, [0x3]).shape == (0, 1)
         assert purities(make_ghz(4).amplitudes[None], 4, []).shape == (1, 0)
+
+    def test_no_rows_return_once_the_masks_are_checked(self):
+        # n = 20 all-sizes: 1048574 masks, checked in one vectorized pass,
+        # with no cut planned or walked
+        n = 20
+        masks = BipartitionFamily(n, "all-sizes").masks()
+        block = np.empty((0, 1 << n))
+        start = time.perf_counter()
+        assert purities(block, n, masks).shape == (0, masks.size)
+        assert time.perf_counter() - start < 0.5
+        tracemalloc.start()
+        try:
+            purities(block, n, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < masks.nbytes / 2
+
+    @pytest.mark.parametrize("dtype, scale", [(np.float64, 1), (np.complex128, 4)])
+    def test_work_sum_is_the_closed_form(self, monkeypatch, dtype, scale):
+        # the plan's real multiply-adds over the n = 20 all-sizes cuts, a
+        # Python int: sum over k <= n/2 of cuts(k) pairs(k) s(k)^2 N_B(k) scale
+        n = 20
+        work = []
+        monkeypatch.setattr(
+            import_module("entspec.purity"), "_deal",
+            lambda units, madds, run, gather=0: work.append(madds),
+        )
+        purities(np.zeros((1, 1 << n), dtype), n, BipartitionFamily(n, "all-sizes").masks())
+        want = 0
+        for k in range(1, n // 2 + 1):  # A the smaller side; two equal sides once
+            cuts = math.comb(n, k) // (2 if 2 * k == n else 1)
+            s = min(SLAB_ROWS, 1 << k)
+            slabs = (1 << k) // s
+            want += cuts * (slabs * (slabs + 1) // 2) * s * s * (1 << (n - k)) * scale
+        assert work == [want]
 
 
 STEP_N = 8  # qubits per sampled row in the block-boundary tests

@@ -27,7 +27,7 @@ from entspec.spectra import (
 )
 from entspec.states import _NAMED_QUBITS, MAX_QUBITS, PureState
 from helpers import haar_states, make_product, path_cut_rank, permute_amplitudes_bitloop
-from one_state import participations, purity, statistics
+from one_state import assert_masks_refused, participations, purity, statistics
 
 
 def bell_product():
@@ -293,11 +293,20 @@ class TestNamedPurities:
             ("basis", 0, [1], "^basis state needs 1 or more qubits, got 0$"),
             ("cluster", MAX_QUBITS + 1, [1], "exceeds the memory guard"),
             ("haar", 4, [1], "^unknown named state 'haar'$"),
+            ("ghz", 4, [3, True], "^mask True is not an integer$"),
+            ("ghz", 4, [3, np.True_], r"^mask np.True_ is not an integer$"),
+            (
+                "w", 4, np.array([3, 2**64 - 1], np.uint64),
+                "^mask 0xffffffffffffffff is not a cut of 4 qubits$",
+            ),
         ],
     )
     def test_refusals(self, kind, n, masks, message):
-        with pytest.raises(ValueError, match=message):
-            named_purities(kind, n, masks)
+        if message.startswith("^mask"):  # the one check of a cut: the kernel's too
+            assert_masks_refused(kind, n, masks, message)
+        else:
+            with pytest.raises(ValueError, match=message):
+                named_purities(kind, n, masks)
 
     def test_no_masks(self):
         assert named_purities("cluster", 4, []).shape == (0,)
