@@ -17,6 +17,7 @@ from .measures import (
     EigenConvergenceError,
     TangleReport,
     concurrences,
+    named_tangle_report,
     tangle_report,
 )
 from .purity import purities
@@ -64,6 +65,7 @@ __all__ = [
     "make_ghz",
     "make_w",
     "named_purities",
+    "named_tangle_report",
     "participation_pdf",
     "participation_statistics",
     "purities",

@@ -5,15 +5,16 @@ one cut, `spectrum` sweeps a bipartition family, `sample` runs ensemble
 Monte Carlo, `theory` emits model curves, `measures` reports Q/tangles/
 concurrences, and `table1` tabulates balanced-cut means for the named state
 families.  Output is deterministic: on one host and BLAS build, identical
-arguments (and seed) produce byte-identical files.  `purity`, `spectrum` and
-`table1`'s named columns take a --kind source by rule (`named_purities`),
-exact and without building the state, so those bytes hold on any host and
-BLAS; state files, ensembles and `measures` go through the amplitudes and
-`purities`.  The library returns
+arguments (and seed) produce byte-identical files.  `purity`, `spectrum`,
+`measures` and `table1`'s named columns take a --kind source by rule
+(`named_purities`, `named_tangle_report`), exact and without building the
+state, so those bytes hold on any host and BLAS; state files and ensembles
+go through the amplitudes, `purities` and `concurrences`.  The library returns
 arrays and dataclasses; every output byte is written here, by `_table` (CSV
 and TSV) and `_record` (JSON).
 
-Exit codes: 0 success, 2 argument or input errors, 3 numerical failure.
+Exit codes: 0 success, 2 argument or input errors, 3 numerical failure
+(LAPACK, reached by `measures --state-file` only).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .measures import EigenConvergenceError, tangle_report
+from .measures import EigenConvergenceError, named_tangle_report, tangle_report
 from .purity import _masks, purities
 from .spectra import (
     HISTOGRAM_BINS, SELECTORS, STATISTICS, BipartitionFamily, histogram, named_purities,
@@ -101,12 +102,6 @@ def _named(args: argparse.Namespace) -> bool:
     return True
 
 
-def _load_state(args: argparse.Namespace) -> PureState:
-    if _named(args):
-        return NAMED_STATES[args.kind](args.n, args.index)
-    return _read_state(args.state_file)
-
-
 def _source_purities(args: argparse.Namespace):
     """The source's qubit count, and a function from a mask array to the
     source's purity across each mask: `named_purities` for --kind, so no
@@ -130,7 +125,8 @@ def _read_state(state_file: str) -> PureState:
 
 
 def _run_state(args: argparse.Namespace) -> str:
-    return _record(state_to_dict(_load_state(args)))
+    _named(args)  # the source options, checked as every --kind source is
+    return _record(state_to_dict(NAMED_STATES[args.kind](args.n, args.index)))
 
 
 def _run_purity(args: argparse.Namespace) -> str:
@@ -256,10 +252,13 @@ def _run_theory(args: argparse.Namespace) -> str:
 
 
 def _run_measures(args: argparse.Namespace) -> str:
-    state = _load_state(args)
-    report = tangle_report(state)
+    if _named(args):  # by rule, as `_source_purities`: no state is built
+        n, report = args.n, named_tangle_report(args.kind, args.n)
+    else:
+        state = _read_state(args.state_file)
+        n, report = state.n, tangle_report(state)
     return _record({
-        "n": state.n, "Q": report.q, "tau1": report.tau1, "tau2": report.tau2,
+        "n": n, "Q": report.q, "tau1": report.tau1, "tau2": report.tau2,
         "R": report.ratio, "concurrence": report.concurrences,
     })
 

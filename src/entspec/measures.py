@@ -3,7 +3,9 @@
 Q averages the linear entropy of the single-qubit reductions and is blind
 to everything beyond maximally unbalanced cuts; the concurrence/tangle pair
 probes exactly that pairwise structure.  Both are provided so distributions
-of participation numbers can be compared against them.
+of participation numbers can be compared against them.  `tangle_report`
+takes them from a state's amplitudes; `named_tangle_report` takes them for
+a named state by rule, without building it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from itertools import combinations
 import numpy as np
 
 from .purity import _cut_matrices, _deal, _integer, purities
-from .states import PureState
+from .spectra import named_purities
+from .states import PureState, _check_named
 
 TAU1_DEFINED_FLOOR = 1e-12
 QR_ROWS = 1024  # rows per block of the stacked QR tree in `concurrences`
@@ -78,8 +81,9 @@ def concurrences(state: PureState, pairs) -> np.ndarray:
     stacked, until at most four rows remain.
     With Z^T = Q R, R^T conj(R) = Z Z^dagger = rho, so Z := R^T leaves the
     lambdas unchanged and keeps the SVD at most 4 x 4.  `purity._deal` runs
-    the pairs at one BLAS thread and deals them, each 16 N_B real
-    multiply-adds (about its QR tree's), so no row depends on the worker count.
+    the pairs at one BLAS thread and deals them, each counted at 32 N_B real
+    multiply-adds (its QR tree's 16 N_B and as much again for the gather), so
+    no row depends on the worker count.
     """
     n = state.n
     masks = []
@@ -106,28 +110,32 @@ def concurrences(state: PureState, pairs) -> np.ndarray:
                 raise EigenConvergenceError(f"spin-flip singular values: {exc}") from exc
             lambdas[u, : sigma.size] = sigma
 
-    _deal(list(enumerate(masks)), len(masks) * scale << (n + 2), run, block.nbytes)
+    _deal(list(enumerate(masks)), len(masks) * scale << (n + 3), run, block.nbytes)
     return lambdas
 
 
-def tangle_report(state: PureState) -> TangleReport:
-    """Per-qubit tangles from one `purities` call over the single-qubit cuts
-    and one `concurrences` call over every pair.
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Every qubit pair (i, j) of n qubits, i < j, in row-major order: the
+    report's pair order.  ValueError below 2 qubits."""
+    if n < 2:
+        raise ValueError(f"tangle report needs at least 2 qubits, got {n}")
+    return tuple(combinations(range(n), 2))
+
+
+def _report(pairs, values, single: np.ndarray) -> TangleReport:
+    """The one rule from a source's measures to its report, for both paths:
+    `values` holds the concurrence of each of `_pairs`' pairs, and `single`
+    the purity across each single-qubit cut 1 << i.
 
     tau1 = 4 det(rho_i) = 2 (1 - purity of qubit i); tau2 is the sum of the
     squared concurrences of qubit i with every other qubit; the ratio is
     tau2/tau1, or None when tau1 is numerically zero (a factorized qubit).
     """
-    n = state.n
-    if n < 2:
-        raise ValueError(f"tangle report needs at least 2 qubits, got {n}")
-    pairs = tuple(combinations(range(n), 2))
-    lambdas = concurrences(state, pairs)
+    n = single.size
     table = np.zeros((n, n))
-    for (i, j), lam in zip(pairs, lambdas):
-        table[i, j] = table[j, i] = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    for (i, j), c in zip(pairs, values):
+        table[i, j] = table[j, i] = c
     rows = table.tolist()
-    single = purities(state.amplitudes[None], n, [1 << i for i in range(n)])[0]
     tau1 = tuple(2.0 * (1.0 - p) for p in single.tolist())
     tau2 = tuple(sum(c**2 for c in row) for row in rows)
     return TangleReport(
@@ -138,3 +146,47 @@ def tangle_report(state: PureState) -> TangleReport:
         ),
         concurrences=tuple((i, j, rows[i][j]) for i, j in pairs),
     )
+
+
+def tangle_report(state: PureState) -> TangleReport:
+    """Per-qubit tangles of a state's amplitudes, from one `concurrences`
+    call over every pair, C = max(0, l1 - l2 - l3 - l4), and one `purities`
+    call over the single-qubit cuts; `_report` combines them.  ValueError
+    below 2 qubits, before either call."""
+    n = state.n
+    pairs = _pairs(n)
+    values = [max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+              for lam in concurrences(state, pairs)]
+    single = purities(state.amplitudes[None], n, [1 << i for i in range(n)])[0]
+    return _report(pairs, values, single)
+
+
+# the concurrence of every qubit pair of each named state of n qubits.  W's
+# pair reduction is an X state with coherence 1/n between |01> and |10> and
+# no |11> weight, so C = 2/n; a GHZ pair is an even mixture of |00> and |11>,
+# and a cluster pair, as any connected graph state's past 2 qubits, is
+# (I + S)/4 for at most one stabilizer element S on it: both separable,
+# except the Bell pair at n = 2
+_NAMED_CONCURRENCES = {
+    "basis": lambda n: 0.0,
+    "ghz": lambda n: 1.0 if n == 2 else 0.0,
+    "w": lambda n: 2 / n,
+    "cluster": lambda n: 1.0 if n == 2 else 0.0,
+}
+
+
+def named_tangle_report(kind: str, n: int) -> TangleReport:
+    """The `tangle_report` of the named state `kind` ("basis", "ghz", "w" or
+    "cluster") of n qubits, by rule: no state, QR, BLAS or threads.  The
+    single-qubit purities come from `named_purities` and every pair's
+    concurrence from the kind's closed form, each rounded once, so the
+    report does not depend on the host or the BLAS build (and a basis
+    state's index does not change it).  ValueError for an unknown kind, for
+    n outside the kind's constructor's range (with its messages), and below
+    2 qubits as `tangle_report`."""
+    if kind not in _NAMED_CONCURRENCES:
+        raise ValueError(f"unknown named state {kind!r}")
+    _check_named(kind, n)
+    pairs = _pairs(n)
+    single = named_purities(kind, n, [1 << i for i in range(n)])
+    return _report(pairs, [_NAMED_CONCURRENCES[kind](n)] * len(pairs), single)

@@ -332,6 +332,22 @@ class TestDealing:
             purities(make_cluster1d(12).amplitudes[None], 12, masks)
         assert len(workers) == (CALLER if dealt else 1)
 
+    @pytest.mark.parametrize("n, phase, scale", [(15, 1, 1), (16, 1, 1), (6, 1j, 4)])
+    def test_concurrences_count_32_n_b_a_pair(self, monkeypatch, n, phase, scale):
+        # a pair's QR tree takes about 16 N_B real multiply-adds and its gather
+        # as much again, so real pairs are dealt from n = 16 (W16's 120), not at 15
+        work = []
+        monkeypatch.setattr(
+            measures, "_deal", lambda units, madds, run, gather=0: work.append((units, madds))
+        )
+        pairs = list(combinations(range(n), 2))
+        concurrences(PureState(n, np.full(1 << n, phase * 2.0 ** (-n / 2))), pairs)
+        ((units, madds),) = work
+        assert len(units) == len(pairs)
+        assert madds == len(pairs) * scale * 32 << (n - 2)
+        if scale == 1:
+            assert (madds >= purity.DEAL_MADDS * len(units)) == (n >= 16)
+
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_zero_row_block_over_many_masks(self, dtype):
         masks = BipartitionFamily(11, "balanced").masks()
@@ -369,11 +385,12 @@ class TestDealing:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("state, floor", [("w18", None), ("cluster13", 1)])
+    @pytest.mark.parametrize("state, floor", [("w18", None), ("w16", None), ("cluster13", 1)])
     def test_any_worker_count_gives_equal_concurrences(self, monkeypatch, state, floor):
-        # W18's pairs are dealt by the rule; cluster n = 13's only under a
-        # floor of 1: odd n, the two end pairs as views and a two-level QR tree
-        state = make_w(18) if state == "w18" else make_cluster1d(13)
+        # W18's and W16's pairs are dealt by the rule (16 is the fewest qubits
+        # that are); cluster n = 13's only under a floor of 1: odd n, the two
+        # end pairs as views and a two-level QR tree
+        state = make_cluster1d(13) if state == "cluster13" else make_w(int(state[1:]))
         pairs = list(combinations(range(state.n), 2))
         with blas_threads(1):
             expected = concurrences(state, pairs)

@@ -17,8 +17,9 @@ from entspec.states import BLOCK_BYTES, MAX_QUBITS
 from helpers import haar_states, path_balanced_mean, path_cut_rank
 
 
-# stands for a GHZ(3) state file written to the test's tmp_path
+# stand for a GHZ(3) and a W(18) state file written to the test's tmp_path
 GHZ3_FILE = "<ghz3.json>"
+W18_FILE = "<w18.json>"
 
 
 def run_cli(capsys, *args):
@@ -70,11 +71,14 @@ class TestJsonBytes:
         code, out, _ = run_cli(capsys, "measures", "--kind", "ghz", "--n", "3")
         assert code == 0
         assert out == (
-            '{"n": 3, "Q": 1.0000000000000004, "tau1": [1.0000000000000004, '
-            '1.0000000000000004, 1.0000000000000004], "tau2": [0.0, 0.0, 0.0], '
+            '{"n": 3, "Q": 1.0, "tau1": [1.0, 1.0, 1.0], "tau2": [0.0, 0.0, 0.0], '
             '"R": [0.0, 0.0, 0.0], "concurrence": [[0, 1, 0.0], [0, 2, 0.0], '
             '[1, 2, 0.0]]}\n'
         )
+        # each qubit's purity is 1/2, so tau1 = 2 (1 - 1/2) = 1; a GHZ pair is
+        # an even mixture of |00> and |11>, separable
+        data, tau1 = json.loads(out), float(2 * (1 - Fraction(1, 2)))
+        assert data["tau1"] == [tau1] * 3 and data["Q"] == tau1
 
     def test_measures_w4(self, capsys):
         code, out, _ = run_cli(capsys, "measures", "--kind", "w", "--n", "4")
@@ -632,22 +636,29 @@ class TestErrorsAndDeterminism:
         ],
     )
     def test_named_source_refused_as_its_constructor_refuses_it(self, capsys, source):
-        # `measures` builds the state; `purity` and `spectrum` take the rule
-        # path, which checks the source without building it
-        code, out, built = run_cli(capsys, "measures", *source)
+        # `purity`, `spectrum` and `measures` take the rule path, which checks
+        # the source without building it; `state` builds it (its parser
+        # requires --n)
+        commands = (("purity", "--mask", "0x1"), ("spectrum",), ("measures",))
+        (refused,) = {run_cli(capsys, c[0], *source, *c[1:]) for c in commands}
+        code, out, built = refused
         assert code == 2 and out == "" and built
-        for command in (("purity", "--mask", "0x1"), ("spectrum",)):
-            assert run_cli(capsys, command[0], *source, *command[1:]) == (2, "", built)
+        if "--n" in source:
+            assert run_cli(capsys, "state", *source) == refused
 
     # svd runs on every pair; qr only once the pair's partner side exceeds 4
-    # columns, first at n = 5
+    # columns, first at n = 5.  A --kind source takes its measures by rule,
+    # so LAPACK is reached through a state file
     @pytest.mark.parametrize("solver, n", [("svd", "3"), ("qr", "5")])
-    def test_eigensolver_failure_exits_3(self, capsys, monkeypatch, solver, n):
+    def test_eigensolver_failure_exits_3(self, capsys, monkeypatch, tmp_path, solver, n):
+        path = str(tmp_path / f"w{n}.json")
+        assert run_cli(capsys, "state", "--kind", "w", "--n", n, "--out", path)[0] == 0
+
         def fail(*_args, **_kwargs):
             raise np.linalg.LinAlgError(f"{solver} did not converge")
 
         monkeypatch.setattr(np.linalg, solver, fail)
-        code, out, err = run_cli(capsys, "measures", "--kind", "w", "--n", n)
+        code, out, err = run_cli(capsys, "measures", "--state-file", path)
         assert code == 3 and out == ""
         assert "numerical failure" in err
 
@@ -779,10 +790,15 @@ class TestErrorsAndDeterminism:
             # bits move with the BLAS threads under the Haswell kernels
             "sample --kind haar --n 14 --count 2 --seed 1 --mask 0xff0",
             # W18's qubit pairs and single-qubit cuts are dealt to the workers
-            "measures --kind w --n 18",
+            # (a --kind source would take its measures by rule)
+            f"measures --state-file {W18_FILE}",
         ],
     )
-    def test_output_does_not_depend_on_blas_threads(self, args):
+    def test_output_does_not_depend_on_blas_threads(self, capsys, tmp_path, args):
+        if W18_FILE in args:
+            path = str(tmp_path / "w18.json")
+            assert run_cli(capsys, "state", "--kind", "w", "--n", "18", "--out", path)[0] == 0
+            args = args.replace(W18_FILE, path)
         one, two = (run_module(args, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
         assert one.returncode == two.returncode == 0
         assert one.stdout == two.stdout

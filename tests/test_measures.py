@@ -1,6 +1,8 @@
 import json
 import re
+import time
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -9,14 +11,21 @@ from hypothesis import given, settings, strategies as st
 
 from entspec import (
     PureState,
+    cli,
     make_basis,
+    make_cluster1d,
     make_ghz,
     make_w,
+    measures,
+    named_tangle_report,
     state_to_dict,
+    states,
     tangle_report,
 )
-from entspec.cli import main
-from entspec.measures import QR_ROWS, TangleReport, concurrences
+from entspec._blas import blas_threads
+from entspec.cli import NAMED_STATES, main
+from entspec.measures import _NAMED_CONCURRENCES, QR_ROWS, TangleReport, concurrences
+from entspec.states import MAX_QUBITS
 from helpers import (
     apply_single_qubit, concurrence_qr, concurrence_svd, haar_states, make_product,
     random_unitary2,
@@ -175,17 +184,20 @@ class TestConcurrenceQrTree:
 
     def test_end_pairs_are_read_as_views(self):
         # pairs (0, 1) and (n-2, n-1) are end runs: their Z^T or Z is the
-        # state itself, so only the QR's own copy of its input is allocated
+        # state itself, so only the QR's own copy of its input is allocated,
+        # one per worker where the pairs are dealt (at n = 16 they are)
         n = 16
         g = np.random.default_rng(909).standard_normal(1 << n)
         state = PureState(n, g / np.linalg.norm(g))
-        tracemalloc.start()
-        try:
-            concurrences(state, [(0, 1), (n - 2, n - 1)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < state.amplitudes.nbytes + (16 << 10)
+        for workers in (1, 2):
+            tracemalloc.start()
+            try:
+                with blas_threads(workers):
+                    concurrences(state, [(0, 1), (n - 2, n - 1)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < workers * (state.amplitudes.nbytes + (16 << 10))
 
     @pytest.mark.parametrize(
         "pairs",
@@ -282,6 +294,93 @@ class TestTangles:
     def test_report_rejects_nan_two_tangle(self):
         with pytest.raises(ValueError, match="two-tangle"):
             TangleReport(tau1=(0.5,), tau2=(float("nan"),), ratio=(None,))
+
+
+# the named states' constructors by kind; a basis state's index changes no measure
+NAMED = {
+    "basis": lambda n: make_basis(n, 1), "ghz": make_ghz, "w": make_w, "cluster": make_cluster1d,
+}
+
+
+class TestNamedTangleReport:
+    """The rule path of `measures --kind` against `tangle_report` of the
+    built state, and against exact rationals."""
+
+    def test_rule_keys_are_the_named_states(self):
+        assert list(_NAMED_CONCURRENCES) == list(NAMED_STATES) == list(NAMED)
+
+    @pytest.mark.parametrize("kind", list(NAMED))
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_the_report_of_the_built_state(self, kind, n):
+        rule, built = named_tangle_report(kind, n), tangle_report(NAMED[kind](n))
+        for field in ("tau1", "tau2"):
+            assert np.abs(np.subtract(getattr(rule, field), getattr(built, field))).max() <= 4e-15
+        assert [r is None for r in rule.ratio] == [r is None for r in built.ratio]
+        assert [pair for *pair, _ in rule.concurrences] == [pair for *pair, _ in built.concurrences]
+        for (*_, c), (*_, c_built) in zip(rule.concurrences, built.concurrences):
+            assert abs(c - c_built) <= 4e-15
+
+    @pytest.mark.parametrize("n", range(2, MAX_QUBITS + 1))
+    def test_w_against_fractions(self, n):
+        report = named_tangle_report("w", n)
+        assert {c for *_, c in report.concurrences} == {float(Fraction(2, n))}
+        tangle = Fraction(4 * (n - 1), n * n)
+        for tau1 in report.tau1:
+            assert abs(Fraction(tau1) - tangle) <= Fraction(1, 2**53)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_ghz_and_cluster_pairs_are_bell_only_at_two_qubits(self, n):
+        for kind in ("ghz", "cluster"):
+            report = named_tangle_report(kind, n)
+            assert report.tau1 == (1.0,) * n
+            assert {c for *_, c in report.concurrences} == {1.0 if n == 2 else 0.0}
+
+    @pytest.mark.parametrize(
+        "kind, n, message",
+        [
+            ("basis", 1, "tangle report needs at least 2 qubits, got 1"),
+            ("ghz", 1, "GHZ state needs 2 or more qubits, got 1"),
+            ("w", MAX_QUBITS + 1, f"exceeds the memory guard of {MAX_QUBITS}"),
+            ("haar", 4, "unknown named state 'haar'"),
+        ],
+    )
+    def test_refusals(self, kind, n, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            named_tangle_report(kind, n)
+        if kind in NAMED:  # as the built state's report refuses it
+            with pytest.raises(ValueError, match=re.escape(message)):
+                tangle_report(NAMED[kind](n))
+
+    def test_cli_builds_no_state_and_calls_no_lapack(self, capsys, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the rule path reached a state or a kernel")
+
+        for module, names in (
+            (cli, ("make_basis", "make_ghz", "make_w", "make_cluster1d", "tangle_report")),
+            (states, ("make_basis", "make_ghz", "make_w", "make_cluster1d")),
+            (measures, ("concurrences", "purities", "_cut_matrices", "_deal")),
+            (np.linalg, ("qr", "svd", "eigh", "eigvals", "eigvalsh", "norm")),
+        ):
+            for name in names:
+                monkeypatch.setattr(module, name, refuse)
+        for kind in NAMED:
+            for n in (2, 5, 18):
+                data = measures_json(capsys, "--kind", kind, "--n", str(n))
+                assert data["n"] == n and len(data["concurrence"]) == n * (n - 1) // 2
+
+    def test_w_at_max_qubits_in_bounded_time_and_memory(self, capsys):
+        argv = ["measures", "--kind", "w", "--n", str(MAX_QUBITS)]
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert main(argv) == 0
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 1 << 20
+        data = json.loads(capsys.readouterr().out)
+        assert data["concurrence"][-1] == [MAX_QUBITS - 2, MAX_QUBITS - 1, 2 / MAX_QUBITS]
 
 
 def measures_json(capsys, *source):
