@@ -8,10 +8,11 @@ BLAS call of the package runs at one thread, through `blas_threads`, which
 sets the count on entry and restores the caller's count on exit; the caller's
 count only sizes the workers of `purity._deal`.  OpenBLAS keeps one count for
 the whole process, `openblas_set_num_threads_local` included, so the count
-holds for every thread's calls, not only the body's: a program that calls
-`purities` or `concurrences` from two of its own threads at once can have
-one call restore its count while the other runs.  Where numpy's OpenBLAS or
-that symbol is absent (another BLAS, an older OpenBLAS), it changes nothing.
+holds for every thread's calls, not only the body's; `blas_threads` holds one
+module lock from the set to the restore, so two threads' scopes run one
+after the other and neither restores a count under the other's body.  Where
+numpy's OpenBLAS or that symbol is absent (another BLAS, an older OpenBLAS),
+it changes nothing.
 
 OpenBLAS also keeps its idle workers busy-waiting for about 2^28 cycles
 (about 0.1 s) after start-up and after every threaded call, before they
@@ -32,6 +33,7 @@ import ctypes
 import functools
 import glob
 import os
+import threading
 from contextlib import contextmanager
 
 _TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
@@ -64,14 +66,21 @@ def _setter():
     return None
 
 
+_LOCK = threading.RLock()  # held by one scope of `blas_threads` at a time
+
+
 @contextmanager
 def blas_threads(count: int):
     """Run the body at `count` OpenBLAS threads and yield the caller's count;
-    without the OpenBLAS symbol, yield None and change nothing."""
+    without the OpenBLAS symbol, yield None and change nothing.  The body
+    holds `_LOCK`: a scope of another thread waits for it, a nested scope of
+    the same thread does not, so a thread that the body waits on must not
+    enter one."""
     set_threads = _setter()
-    previous = None if set_threads is None else set_threads(count)
-    try:
-        yield previous
-    finally:
-        if set_threads is not None:
-            set_threads(previous)
+    with _LOCK:
+        previous = None if set_threads is None else set_threads(count)
+        try:
+            yield previous
+        finally:
+            if set_threads is not None:
+                set_threads(previous)

@@ -5,11 +5,13 @@ one cut, `spectrum` sweeps a bipartition family, `sample` runs ensemble
 Monte Carlo, `theory` emits model curves, `measures` reports Q/tangles/
 concurrences, and `table1` tabulates balanced-cut means for the named state
 families.  Output is deterministic: on one host and BLAS build, identical
-arguments (and seed) produce byte-identical files.  `purity`, `spectrum`,
-`measures` and `table1`'s named columns take a --kind source by rule
-(`named_purities`, `named_tangle_report`), exact and without building the
-state, so those bytes hold on any host and BLAS; state files and ensembles
-go through the amplitudes, `purities` and `concurrences`.  The library returns
+arguments (and seed) produce byte-identical files.  The --kind choices are
+the keys of `states.KINDS`, and `state` builds through each entry's
+constructor.  `purity`, `spectrum`, `measures` and `table1`'s named columns
+take a --kind source by its entry's rules (`named_purities`,
+`named_tangle_report`), exact and without building the state, so those
+bytes hold on any host and BLAS; state files and ensembles go through the
+amplitudes, `purities` and `concurrences`.  The library returns
 arrays and dataclasses; every output byte is written here, by `_table` (CSV
 and TSV) and `_record` (JSON).
 
@@ -36,8 +38,8 @@ from .spectra import (
     participation_statistics,
 )
 from .states import (
-    ENSEMBLE_KINDS, MAX_QUBITS, EnsembleSpec, PureState, _check_named, make_basis,
-    make_cluster1d, make_ghz, make_w, sample_blocks, state_from_dict, state_to_dict,
+    ENSEMBLE_KINDS, KINDS, MAX_QUBITS, EnsembleSpec, PureState, named, sample_blocks,
+    state_from_dict, state_to_dict,
 )
 from .theory import (
     MODEL_MAX_QUBITS, PROVIDER_KINDS, asymptotic_model, exact_moments, participation_pdf,
@@ -49,16 +51,6 @@ RANGE_SIGMAS = 8.0  # default curve range: mu +/- 8 sigma, mapped for participat
 # histogram arrays are allocated
 MAX_GRID = 1_000_000
 MASK_TEXT = re.compile(r"(0[xX])?[0-9a-fA-F]+")  # ASCII hex digits only
-
-# Named states by --kind.  The lambdas look the constructors up when called,
-# so wrappers installed on this module's names (benchmarks/tracer.py) see them.
-NAMED_STATES = {
-    "basis": lambda n, index: make_basis(n, index if index is not None else 0),
-    "ghz": lambda n, index: make_ghz(n),
-    "w": lambda n, index: make_w(n),
-    "cluster": lambda n, index: make_cluster1d(n),
-}
-
 
 def _parse_mask(text: str) -> int:
     if MASK_TEXT.fullmatch(text) is None:
@@ -98,7 +90,7 @@ def _named(args: argparse.Namespace) -> bool:
         return False
     if args.n is None:
         raise ValueError("--n is required with --kind")
-    _check_named(args.kind, args.n, args.index or 0)
+    named(args.kind, args.n, args.index or 0)
     return True
 
 
@@ -126,7 +118,7 @@ def _read_state(state_file: str) -> PureState:
 
 def _run_state(args: argparse.Namespace) -> str:
     _named(args)  # the source options, checked as every --kind source is
-    return _record(state_to_dict(NAMED_STATES[args.kind](args.n, args.index)))
+    return _record(state_to_dict(KINDS[args.kind].make(args.n, args.index or 0)))
 
 
 def _run_purity(args: argparse.Namespace) -> str:
@@ -292,7 +284,7 @@ def _run_table1(args: argparse.Namespace) -> str:
 
 def _add_source_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--kind", choices=tuple(NAMED_STATES), help="named state family")
+    group.add_argument("--kind", choices=tuple(KINDS), help="named state family")
     group.add_argument("--state-file", help="JSON state file to read instead")
     parser.add_argument("--n", type=int, help="qubit count (with --kind)")
     parser.add_argument("--index", type=int, help="basis index (kind=basis only)")
@@ -307,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("state", help="construct a named state and write it as JSON")
     p.set_defaults(run=_run_state, state_file=None)
-    p.add_argument("--kind", choices=tuple(NAMED_STATES), required=True)
+    p.add_argument("--kind", choices=tuple(KINDS), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--index", type=int)
 

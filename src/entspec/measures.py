@@ -5,7 +5,7 @@ to everything beyond maximally unbalanced cuts; the concurrence/tangle pair
 probes exactly that pairwise structure.  Both are provided so distributions
 of participation numbers can be compared against them.  `tangle_report`
 takes them from a state's amplitudes; `named_tangle_report` takes them for
-a named state by rule, without building it.
+a named state by the rules of its `states.KINDS` entry, without building it.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .purity import _cut_matrices, _deal, _integer, purities
-from .spectra import named_purities
-from .states import PureState, _check_named
+from .purity import _cut_matrices, _deal, purities
+from .states import PureState, _integer, named
 
 TAU1_DEFINED_FLOOR = 1e-12
 QR_ROWS = 1024  # rows per block of the stacked QR tree in `concurrences`
@@ -161,32 +160,16 @@ def tangle_report(state: PureState) -> TangleReport:
     return _report(pairs, values, single)
 
 
-# the concurrence of every qubit pair of each named state of n qubits.  W's
-# pair reduction is an X state with coherence 1/n between |01> and |10> and
-# no |11> weight, so C = 2/n; a GHZ pair is an even mixture of |00> and |11>,
-# and a cluster pair, as any connected graph state's past 2 qubits, is
-# (I + S)/4 for at most one stabilizer element S on it: both separable,
-# except the Bell pair at n = 2
-_NAMED_CONCURRENCES = {
-    "basis": lambda n: 0.0,
-    "ghz": lambda n: 1.0 if n == 2 else 0.0,
-    "w": lambda n: 2 / n,
-    "cluster": lambda n: 1.0 if n == 2 else 0.0,
-}
-
-
 def named_tangle_report(kind: str, n: int) -> TangleReport:
-    """The `tangle_report` of the named state `kind` ("basis", "ghz", "w" or
-    "cluster") of n qubits, by rule: no state, QR, BLAS or threads.  The
-    single-qubit purities come from `named_purities` and every pair's
-    concurrence from the kind's closed form, each rounded once, so the
+    """The `tangle_report` of the named state `kind` (a key of
+    `states.KINDS`) of n qubits, by the kind's rules: no state, QR, BLAS or
+    threads.  The single-qubit purities come from the kind's purity rule and
+    every pair's concurrence from its closed form, each rounded once, so the
     report does not depend on the host or the BLAS build (and a basis
     state's index does not change it).  ValueError for an unknown kind, for
-    n outside the kind's constructor's range (with its messages), and below
-    2 qubits as `tangle_report`."""
-    if kind not in _NAMED_CONCURRENCES:
-        raise ValueError(f"unknown named state {kind!r}")
-    _check_named(kind, n)
+    n outside the kind's constructor's range (`states.named`, with its
+    messages), and below 2 qubits as `tangle_report`."""
+    entry = named(kind, n)
     pairs = _pairs(n)
-    single = named_purities(kind, n, [1 << i for i in range(n)])
-    return _report(pairs, [_NAMED_CONCURRENCES[kind](n)] * len(pairs), single)
+    single = entry.purities(n, 1 << np.arange(n, dtype=np.int64))
+    return _report(pairs, [entry.concurrence(n)] * len(pairs), single)

@@ -15,24 +15,15 @@ count of BLAS threads, so the result is the same at any count.
 
 from __future__ import annotations
 
-import operator
 import threading
 
 import numpy as np
 
 from ._blas import blas_threads
-from .states import MAX_QUBITS
+from .states import MAX_QUBITS, _integer
 
 SLAB_ROWS = 512  # rows of Z per Gram slab; a cut with at most this many rows is one slab
 DEAL_MADDS = 1 << 19  # mean real multiply-adds of a unit from which `_deal` deals
-
-
-def _integer(value, what: str) -> int:
-    """`value` as an int: any type with __index__, but not bool, so a float
-    or a bool is refused (ValueError naming `what`) rather than truncated."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValueError(f"{what} {value!r} is not an integer")
-    return operator.index(value)
 
 
 def _masks(masks, n: int) -> np.ndarray:
@@ -87,7 +78,10 @@ def _deal(units: list, madds: int, run, gather: int = 0) -> None:
     least one): no more gather memory than one complex state of MAX_QUBITS.
     OpenBLAS keeps one count for the whole process, so T is read and one
     thread set before any worker starts, and restored once all have joined;
-    a worker's error is raised only then.  No units: nothing is read or run."""
+    a worker's error is raised only then.  The caller holds `blas_threads`'
+    lock meanwhile, so `run` must not enter `blas_threads` from a worker: it
+    would wait on the caller, which waits on it.  No units: nothing is read
+    or run."""
     if not units:
         return
     with blas_threads(1) as caller:

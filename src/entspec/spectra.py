@@ -6,7 +6,8 @@ its width how evenly that entanglement is spread over the cuts.  A sweep is
 two arrays, `family.masks()` and `purities(block, family.n, masks)`;
 `participation_statistics` summarizes its rows and `histogram` one row.
 The named states have closed-form cut spectra, so `named_purities` sweeps
-them by rule, exactly, from the mask array alone.
+them by rule, exactly, from the mask array alone; each kind's rule is its
+entry in `states.KINDS`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .purity import _masks
-from .states import _check_named, _check_qubits
+from .states import _check_qubits, _integer, named
 
 SELECTORS = ("balanced", "all-sizes", "fixed-size", "max-unbalanced")
 # the columns of `participation_statistics`, in output order
@@ -50,7 +51,7 @@ class BipartitionFamily:
         if self.selector not in SELECTORS:
             raise ValueError(f"unknown family selector {self.selector!r}")
         if self.selector == "fixed-size":
-            if self.size is None or not (0 < self.size < self.n):
+            if self.size is None or not 0 < _integer(self.size, "size") < self.n:
                 raise ValueError(
                     f"fixed-size family needs 0 < size < {self.n}, got {self.size}"
                 )
@@ -96,63 +97,18 @@ def participation_statistics(values: np.ndarray) -> np.ndarray:
     return stats
 
 
-def _cluster_purities(n: int, masks: np.ndarray) -> np.ndarray:
-    """2**-r for the 1-D cluster state, r the GF(2) rank of the cut's block of
-    the open chain's adjacency (N_AB = 2**r for a graph state; Hein, Eisert &
-    Briegel, PRA 69, 062311 (2004)).  The chain edges that cross the cut fall
-    into runs of consecutive edges; a run of E edges is a path, of rank
-    ceil(E/2), so each step counts every run's lowest edge and clears it and
-    the edge above it.  It holds two int64 arrays, the second reused for the
-    result, and an int8 one."""
-    edges = masks >> 1
-    edges ^= masks
-    edges &= (1 << (n - 1)) - 1  # bit q: edge (q, q + 1) crosses the cut
-    lowest = np.empty_like(edges)
-    rank = np.zeros(masks.shape, np.int8)  # negated
-    for _ in range(n // 2):  # a run has at most n - 1 edges
-        np.left_shift(edges, 1, out=lowest)
-        np.invert(lowest, out=lowest)
-        lowest &= edges  # each run's lowest edge
-        rank -= np.bitwise_count(lowest)
-        edges ^= lowest
-        lowest <<= 1  # the edge above it, if the run has one
-        np.invert(lowest, out=lowest)
-        edges &= lowest
-    return np.ldexp(1.0, rank, out=lowest.view(np.float64))
-
-
-def _w_purities(n: int, masks: np.ndarray) -> np.ndarray:
-    """(k^2 + (n - k)^2) / n^2 for W, k = popcount: rho_A has the eigenvalues
-    k/n and (n - k)/n.  Both integers are exact doubles, so this is one
-    correctly rounded division."""
-    k = np.bitwise_count(masks).astype(np.int64)
-    return (k * k + (n - k) ** 2) / (n * n)
-
-
-# the purity of each named state across every mask of an int64 array
-_NAMED_RULES = {
-    "basis": lambda n, masks: np.ones(masks.shape),
-    "ghz": lambda n, masks: np.full(masks.shape, 0.5),  # LC-equivalent to a star: rank 1
-    "w": _w_purities,
-    "cluster": _cluster_purities,
-}
-
-
 def named_purities(kind: str, n: int, masks) -> np.ndarray:
-    """Purity of the named state `kind` ("basis", "ghz", "w" or "cluster") of
-    n qubits across each mask of a 1-D array, as a float64 array, by rule:
-    no amplitudes, no BLAS and no threads.  Each value is the exact purity
-    rounded once, so it does not depend on the host or the BLAS build; a
-    mask and its complement give the same value.
+    """Purity of the named state `kind` (a key of `states.KINDS`) of n
+    qubits across each mask of a 1-D array, as a float64 array, by the
+    kind's rule: no amplitudes, no BLAS and no threads.  Each value is the
+    exact purity rounded once, so it does not depend on the host or the BLAS
+    build; a mask and its complement give the same value.
 
-    ValueError for an unknown kind, for n outside the kind's constructor's
-    range (`_check_named`, whose messages it keeps), for masks that are not
+    ValueError for an unknown kind or n outside the kind's constructor's
+    range (`states.named`, whose messages it keeps), for masks that are not
     1-D, and naming the first mask that is not a cut (`_masks`).
     """
-    if kind not in _NAMED_RULES:
-        raise ValueError(f"unknown named state {kind!r}")
-    _check_named(kind, n)
-    return _NAMED_RULES[kind](n, _masks(masks, n))
+    return named(kind, n).purities(n, _masks(masks, n))
 
 
 @dataclass(frozen=True)
@@ -189,7 +145,7 @@ def histogram(values: np.ndarray, bins: int = HISTOGRAM_BINS) -> Histogram:
     bins spanning [min, max].  Densities integrate to 1 in both modes.
     ValueError if `values` is not 1-D or is empty.
     """
-    if bins < 1:
+    if _integer(bins, "bin count") < 1:
         raise ValueError(f"bin count must be positive, got {bins}")
     if values.ndim != 1 or values.size == 0:
         raise ValueError(f"participations have shape {values.shape}, expected (cuts >= 1,)")

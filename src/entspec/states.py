@@ -3,13 +3,22 @@
 Amplitude indexing is little-endian throughout the package: basis index k
 carries the value of qubit j in bit j, so qubit 0 is the least-significant
 bit and k = sum_j b_j 2^j.
+
+The named kinds live in one table, `KINDS`: each entry holds the kind's
+fewest qubits, the name its refusals use, its constructor, its purity across
+every cut by rule and its pair concurrence.  `named` is the one check of a
+kind, n and basis index; the constructors, `spectra.named_purities`,
+`measures.named_tangle_report` and the CLI's --kind all read the table, so a
+new named kind is one entry there.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+import operator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,32 +29,36 @@ NORM_TOL = 1e-12
 BLOCK_BYTES = 1 << 18  # bytes of amplitudes per sampled block
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int: any type with __index__, but not bool, so a float
+    or a bool is refused (ValueError naming `what`) rather than truncated."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return operator.index(value)
+
+
 def _check_qubits(n: int, minimum: int, what: str) -> None:
-    """The qubit-count range check, run before anything of size 2**n is allocated."""
-    if n < minimum:
+    """The qubit-count check, run before anything of size 2**n is allocated:
+    n an integer (`_integer`) in [minimum, MAX_QUBITS]."""
+    if _integer(n, "qubit count") < minimum:
         raise ValueError(f"{what} needs {minimum} or more qubits, got {n}")
     if n > MAX_QUBITS:
         raise ValueError(f"qubit count {n} exceeds the memory guard of {MAX_QUBITS}")
 
 
-# each named state's fewest qubits, and the name its refusals give it
-_NAMED_QUBITS = {
-    "basis": (1, "basis state"),
-    "ghz": (2, "GHZ state"),
-    "w": (2, "W state"),
-    "cluster": (2, "cluster state"),
-}
-
-
-def _check_named(kind: str, n: int, index: int = 0) -> None:
-    """The checks the constructor of named state `kind` makes before it
-    allocates, run without building the state: n against the kind's fewest
-    qubits and MAX_QUBITS, then the basis index (0 for the other kinds) in
-    [0, 2**n).  ValueError names the first that fails."""
-    minimum, what = _NAMED_QUBITS[kind]
-    _check_qubits(n, minimum, what)
-    if not (0 <= index < (1 << n)):
+def named(kind: str, n: int, index: int = 0) -> NamedKind:
+    """The KINDS entry of named state `kind`, once n and the basis index (0
+    for the other kinds) pass the checks its constructor makes before it
+    allocates: n against the kind's fewest qubits and MAX_QUBITS, then the
+    index an integer in [0, 2**n).  ValueError for an unknown kind, or
+    naming the first check that fails."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown named state {kind!r}")
+    entry = KINDS[kind]
+    _check_qubits(n, entry.minimum, entry.what)
+    if not 0 <= _integer(index, "basis index") < 1 << n:
         raise ValueError(f"basis index {index} out of range for {n} qubits")
+    return entry
 
 
 @dataclass(frozen=True)
@@ -103,13 +116,13 @@ class EnsembleSpec:
         if self.kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         _check_qubits(self.n, 1, "ensemble")
-        if not (0 <= self.seed < 2**64):
+        if not 0 <= _integer(self.seed, "seed") < 2**64:
             raise ValueError("seed must be a 64-bit non-negative integer")
 
 
 def make_basis(n: int, k: int) -> PureState:
     """Computational basis state |k> on n qubits."""
-    _check_named("basis", n, k)
+    named("basis", n, k)
     amps = np.zeros(1 << n)
     amps[k] = 1.0
     return PureState(n, amps)
@@ -117,7 +130,7 @@ def make_basis(n: int, k: int) -> PureState:
 
 def make_ghz(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2); every bipartition has participation 2."""
-    _check_named("ghz", n)
+    named("ghz", n)
     amps = np.zeros(1 << n)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return PureState(n, amps)
@@ -125,7 +138,7 @@ def make_ghz(n: int) -> PureState:
 
 def make_w(n: int) -> PureState:
     """Equal superposition of the n single-excitation basis states, all phases +1."""
-    _check_named("w", n)
+    named("w", n)
     amps = np.zeros(1 << n)
     amps[[1 << j for j in range(n)]] = 1.0 / np.sqrt(n)
     return PureState(n, amps)
@@ -140,7 +153,7 @@ def make_cluster1d(n: int) -> PureState:
     with the Z on the last factor dropped; it is local-Z equivalent to the
     CZ-circuit graph state on the same chain.
     """
-    _check_named("cluster", n)
+    named("cluster", n)
     amps = np.empty(1 << n)
     amps[:2] = 1.0 / np.sqrt(1 << n)
     # by doubling: when qubit k joins, the half with b_k = 1 copies the first
@@ -150,6 +163,69 @@ def make_cluster1d(n: int) -> PureState:
         np.negative(amps[:low], out=amps[half : half + low])
         amps[half + low : 2 * half] = amps[low:half]
     return PureState(n, amps)
+
+
+def _cluster_purities(n: int, masks: np.ndarray) -> np.ndarray:
+    """2**-r for the 1-D cluster state, r the GF(2) rank of the cut's block of
+    the open chain's adjacency (N_AB = 2**r for a graph state; Hein, Eisert &
+    Briegel, PRA 69, 062311 (2004)).  The chain edges that cross the cut fall
+    into runs of consecutive edges; a run of E edges is a path, of rank
+    ceil(E/2), so each step counts every run's lowest edge and clears it and
+    the edge above it.  It holds two int64 arrays, the second reused for the
+    result, and an int8 one."""
+    edges = masks >> 1
+    edges ^= masks
+    edges &= (1 << (n - 1)) - 1  # bit q: edge (q, q + 1) crosses the cut
+    lowest = np.empty_like(edges)
+    rank = np.zeros(masks.shape, np.int8)  # negated
+    for _ in range(n // 2):  # a run has at most n - 1 edges
+        np.left_shift(edges, 1, out=lowest)
+        np.invert(lowest, out=lowest)
+        lowest &= edges  # each run's lowest edge
+        rank -= np.bitwise_count(lowest)
+        edges ^= lowest
+        lowest <<= 1  # the edge above it, if the run has one
+        np.invert(lowest, out=lowest)
+        edges &= lowest
+    return np.ldexp(1.0, rank, out=lowest.view(np.float64))
+
+
+def _w_purities(n: int, masks: np.ndarray) -> np.ndarray:
+    """(k^2 + (n - k)^2) / n^2 for W, k = popcount: rho_A has the eigenvalues
+    k/n and (n - k)/n.  Both integers are exact doubles, so this is one
+    correctly rounded division."""
+    k = np.bitwise_count(masks).astype(np.int64)
+    return (k * k + (n - k) ** 2) / (n * n)
+
+
+class NamedKind(NamedTuple):
+    """What one named state kind is: its fewest qubits, the name its refusals
+    give it, its constructor of (n, basis index), its purity across every
+    mask of an int64 array of cuts of n qubits, and the concurrence of every
+    one of its qubit pairs at n qubits."""
+
+    minimum: int
+    what: str
+    make: Callable[[int, int], PureState]
+    purities: Callable[[int, np.ndarray], np.ndarray]
+    concurrence: Callable[[int], float]
+
+
+# A W pair's reduction is an X state with coherence 1/n between |01> and
+# |10> and no |11> weight, so C = 2/n.  A GHZ pair is an even mixture of
+# |00> and |11>, and a cluster pair, as any connected graph state's past 2
+# qubits, is (I + S)/4 for at most one stabilizer element S on it: both are
+# separable, except the Bell pair at n = 2.
+KINDS = {
+    "basis": NamedKind(1, "basis state", make_basis,
+                       lambda n, masks: np.ones(masks.shape), lambda n: 0.0),
+    "ghz": NamedKind(2, "GHZ state", lambda n, index: make_ghz(n),
+                     lambda n, masks: np.full(masks.shape, 0.5),  # a star's LC class: rank 1
+                     lambda n: 1.0 if n == 2 else 0.0),
+    "w": NamedKind(2, "W state", lambda n, index: make_w(n), _w_purities, lambda n: 2 / n),
+    "cluster": NamedKind(2, "cluster state", lambda n, index: make_cluster1d(n),
+                         _cluster_purities, lambda n: 1.0 if n == 2 else 0.0),
+}
 
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -203,7 +279,7 @@ def sample_blocks(spec: EnsembleSpec, count: int) -> Iterator[np.ndarray]:
     Each block is drawn at one BLAS thread, so no row depends on the thread
     count, and checked once for finite, normalized rows.
     """
-    if count < 0:
+    if _integer(count, "count") < 0:
         raise ValueError("count must be non-negative")
     dim = 1 << spec.n
     draw = _ENSEMBLE_ROWS[spec.kind]

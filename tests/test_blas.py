@@ -1,5 +1,6 @@
 """The BLAS thread policy: every BLAS call runs at one OpenBLAS thread and
-the caller's count is back after every call; a sweep's cuts, the slab pairs
+the caller's count is back after every call, two threads' scopes running one
+after the other; a sweep's cuts, the slab pairs
 of one large cut and `concurrences`' pairs are dealt to the caller's count
 of workers where the work pays for it, with identical results, on the
 default OpenBLAS kernels and on the Haswell ones; idle OpenBLAS workers
@@ -47,9 +48,12 @@ def run_python(*argv, check=True, **env):
 
 
 def threads():
-    """The current OpenBLAS thread count, read by setting one and restoring it."""
-    with blas_threads(1) as count:
-        return count
+    """The current OpenBLAS thread count, read by setting one and restoring
+    it; not through `blas_threads`, whose lock a dealt worker must not take."""
+    set_threads = _blas._setter()
+    count = set_threads(1)
+    set_threads(count)
+    return count
 
 
 def recorded_cuts(record):
@@ -164,6 +168,44 @@ class TestRestoredOnRaise:
             with pytest.raises(ValueError, match="draw failed"):
                 next(sample_blocks(EnsembleSpec("haar", 3, 1), 2))
             assert threads() == CALLER
+
+
+class TestOverlappingScopes:
+    def test_a_second_thread_waits_for_the_first_scope(self, monkeypatch):
+        # a process-wide count behind a fake setter: without the lock, B would
+        # enter while A holds its scope, run its body at A's restored 2, and
+        # restore A's 1 last, leaving the process at 1 thread
+        process = {"count": 2}
+
+        def set_threads(count):
+            previous, process["count"] = process["count"], count
+            return previous
+
+        monkeypatch.setattr(_blas, "_setter", lambda: set_threads)
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def a():
+            with blas_threads(1):
+                a_in.set()
+                seen["b entered during a"] = b_in.wait(timeout=0.2)
+            a_out.set()
+
+        def b():
+            a_in.wait(timeout=10)
+            with blas_threads(1):
+                b_in.set()
+                a_out.wait(timeout=10)
+                seen["b body"] = process["count"]
+
+        workers = [threading.Thread(target=f, daemon=True) for f in (a, b)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=20)
+        assert not any(worker.is_alive() for worker in workers)
+        assert seen == {"b entered during a": False, "b body": 1}
+        assert process["count"] == 2
 
 
 class TestWithoutTheSymbol:

@@ -13,7 +13,6 @@ from entspec import (
     PureState,
     cli,
     make_basis,
-    make_cluster1d,
     make_ghz,
     make_w,
     measures,
@@ -23,9 +22,9 @@ from entspec import (
     tangle_report,
 )
 from entspec._blas import blas_threads
-from entspec.cli import NAMED_STATES, main
-from entspec.measures import _NAMED_CONCURRENCES, QR_ROWS, TangleReport, concurrences
-from entspec.states import MAX_QUBITS
+from entspec.cli import main
+from entspec.measures import QR_ROWS, TangleReport, concurrences
+from entspec.states import KINDS, MAX_QUBITS
 from helpers import (
     apply_single_qubit, concurrence_qr, concurrence_svd, haar_states, make_product,
     random_unitary2,
@@ -296,23 +295,15 @@ class TestTangles:
             TangleReport(tau1=(0.5,), tau2=(float("nan"),), ratio=(None,))
 
 
-# the named states' constructors by kind; a basis state's index changes no measure
-NAMED = {
-    "basis": lambda n: make_basis(n, 1), "ghz": make_ghz, "w": make_w, "cluster": make_cluster1d,
-}
-
-
 class TestNamedTangleReport:
     """The rule path of `measures --kind` against `tangle_report` of the
     built state, and against exact rationals."""
 
-    def test_rule_keys_are_the_named_states(self):
-        assert list(_NAMED_CONCURRENCES) == list(NAMED_STATES) == list(NAMED)
-
-    @pytest.mark.parametrize("kind", list(NAMED))
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", range(2, 13))
     def test_matches_the_report_of_the_built_state(self, kind, n):
-        rule, built = named_tangle_report(kind, n), tangle_report(NAMED[kind](n))
+        # a basis state's index changes no measure
+        rule, built = named_tangle_report(kind, n), tangle_report(KINDS[kind].make(n, 1))
         for field in ("tau1", "tau2"):
             assert np.abs(np.subtract(getattr(rule, field), getattr(built, field))).max() <= 4e-15
         assert [r is None for r in rule.ratio] == [r is None for r in built.ratio]
@@ -347,23 +338,25 @@ class TestNamedTangleReport:
     def test_refusals(self, kind, n, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             named_tangle_report(kind, n)
-        if kind in NAMED:  # as the built state's report refuses it
+        if kind in KINDS:  # as the built state's report refuses it
             with pytest.raises(ValueError, match=re.escape(message)):
-                tangle_report(NAMED[kind](n))
+                tangle_report(KINDS[kind].make(n, 1))
 
     def test_cli_builds_no_state_and_calls_no_lapack(self, capsys, monkeypatch):
         def refuse(*_args, **_kwargs):
             raise AssertionError("the rule path reached a state or a kernel")
 
         for module, names in (
-            (cli, ("make_basis", "make_ghz", "make_w", "make_cluster1d", "tangle_report")),
+            (cli, ("tangle_report",)),
             (states, ("make_basis", "make_ghz", "make_w", "make_cluster1d")),
             (measures, ("concurrences", "purities", "_cut_matrices", "_deal")),
             (np.linalg, ("qr", "svd", "eigh", "eigvals", "eigvalsh", "norm")),
         ):
             for name in names:
                 monkeypatch.setattr(module, name, refuse)
-        for kind in NAMED:
+        for kind, entry in KINDS.items():
+            monkeypatch.setitem(KINDS, kind, entry._replace(make=refuse))
+        for kind in KINDS:
             for n in (2, 5, 18):
                 data = measures_json(capsys, "--kind", kind, "--n", str(n))
                 assert data["n"] == n and len(data["concurrence"]) == n * (n - 1) // 2

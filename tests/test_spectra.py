@@ -19,13 +19,13 @@ from entspec import (
     participation_statistics,
     purities,
 )
-from entspec.cli import NAMED_STATES, main
+from entspec.cli import main
 from entspec.purity import _cut_matrices
 from entspec.spectra import (
-    _NAMED_RULES, DISCRETE_VALUE_LIMIT, HISTOGRAM_BINS, SELECTORS, STATISTICS,
-    VALUE_MERGE_TOL, named_purities,
+    DISCRETE_VALUE_LIMIT, HISTOGRAM_BINS, SELECTORS, STATISTICS, VALUE_MERGE_TOL,
+    named_purities,
 )
-from entspec.states import _NAMED_QUBITS, MAX_QUBITS, PureState
+from entspec.states import KINDS, MAX_QUBITS, PureState
 from helpers import haar_states, make_product, path_cut_rank, permute_amplitudes_bitloop
 from one_state import assert_masks_refused, participations, purity, statistics
 
@@ -261,22 +261,19 @@ class TestNamedPurities:
         assert named_purities("ghz", n, masks).tolist() == [float(Fraction(1, 2))] * masks.size
         assert named_purities("basis", n, masks).tolist() == [1.0] * masks.size
 
-    @pytest.mark.parametrize("kind", NAMED_STATES)
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", range(2, 13))
     def test_rules_match_the_kernel_on_the_built_state(self, kind, n):
         # the kernel's sums leave a few ulp; even-n cluster amplitudes are
         # powers of two, so there it is exact
         masks = BipartitionFamily(n, "all-sizes").masks()
-        state = NAMED_STATES[kind](n, (1 << n) // 3)
+        state = KINDS[kind].make(n, (1 << n) // 3)
         kernel = purities(state.amplitudes[None], n, masks)[0]
         rule = named_purities(kind, n, masks)
         if kind == "cluster" and n % 2 == 0:
             assert rule.tolist() == kernel.tolist()
         ulps = np.abs(rule.view(np.int64) - kernel.view(np.int64))
         assert ulps.max() <= 8
-
-    def test_one_rule_per_named_state(self):
-        assert _NAMED_RULES.keys() == NAMED_STATES.keys() == _NAMED_QUBITS.keys()
 
     @pytest.mark.parametrize(
         "kind, n, masks, message",

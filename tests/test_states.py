@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,17 @@ from entspec import (
     BipartitionFamily,
     EnsembleSpec,
     PureState,
+    histogram,
     make_basis,
     make_cluster1d,
     make_ghz,
     make_w,
+    sample_blocks,
     state_from_dict,
     state_to_dict,
 )
 from entspec import states as states_module
+from entspec.states import KINDS
 from helpers import (
     apply_single_qubit, cluster1d_bit_parity, graph_state_line, haar_states,
     make_product, partial_trace_reshape, path_cut_rank, permute_amplitudes_bitloop,
@@ -52,11 +57,9 @@ class TestPureState:
         tiny = np.array([1.0, complex(0.0, 1e-300)])
         assert PureState(1, tiny).amplitudes.dtype == np.complex128
 
-    @pytest.mark.parametrize(
-        "make", [lambda n: make_basis(n, 5), make_ghz, make_w, make_cluster1d]
-    )
-    def test_named_builders_are_real(self, make):
-        assert make(4).amplitudes.dtype == np.float64
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_named_builders_are_real(self, kind):
+        assert KINDS[kind].make(4, 5).amplitudes.dtype == np.float64
 
     def test_contiguous_float64_input_is_kept_read_only(self):
         amps = np.array([0.6, 0.8])
@@ -336,3 +339,45 @@ class TestStateDict:
         pairs = [[1e308, 1e308], [0, 0], [0, 0], [0, 0]]
         with pytest.raises(ValueError, match="squared norm .* is not finite"):
             state_from_dict({"n": 2, "amplitudes": pairs})
+
+
+class TestIntegers:
+    """n, a basis index, a seed, a family size, a sample count and a bin
+    count are integers by one rule:
+    any type with __index__, but not bool, so a float or a bool is refused
+    rather than truncated or read as 0 and 1."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: PureState(True, [1.0, 0.0]), "qubit count True"),
+            (lambda: EnsembleSpec("haar", 3.0, 1), "qubit count 3.0"),
+            (lambda: EnsembleSpec("haar", 3, True), "seed True"),
+            (lambda: EnsembleSpec("haar", 3, 1.0), "seed 1.0"),
+            (lambda: make_basis(3, True), "basis index True"),
+            (lambda: make_basis(3, 2.0), "basis index 2.0"),
+            (lambda: make_ghz(3.0), "qubit count 3.0"),
+            (lambda: make_cluster1d(np.True_), "qubit count np.True_"),
+            (lambda: BipartitionFamily(4.0, "balanced"), "qubit count 4.0"),
+            (lambda: BipartitionFamily(4, "fixed-size", 2.0), "size 2.0"),
+            (lambda: states_module.named("w", 3, 0.0), "basis index 0.0"),
+            (lambda: next(sample_blocks(EnsembleSpec("haar", 3, 1), 2.0)), "count 2.0"),
+            (lambda: next(sample_blocks(EnsembleSpec("haar", 3, 1), True)), "count True"),
+            (lambda: histogram(np.linspace(0.0, 1.0, 99), 2.5), "bin count 2.5"),
+        ],
+        ids=[
+            "state-n-bool", "ensemble-n-float", "seed-bool", "seed-float", "index-bool",
+            "index-float", "ghz-n-float", "cluster-n-numpy-bool", "family-n-float",
+            "family-size-float", "named-index-float", "sample-count-float",
+            "sample-count-bool", "histogram-bins-float",
+        ],
+    )
+    def test_refused_before_anything_is_built(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} is not an integer$"):
+            build()
+
+    def test_numpy_integers_are_accepted(self):
+        assert make_basis(np.int64(3), np.uint8(5)).amplitudes[5] == 1.0
+        assert make_ghz(np.int8(3)).n == 3
+        assert EnsembleSpec("haar", np.int16(3), np.uint64(2**64 - 1)).seed == 2**64 - 1
+        assert BipartitionFamily(np.int64(4), "fixed-size", np.int64(1)).masks().size == 4
