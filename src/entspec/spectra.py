@@ -2,8 +2,10 @@
 
 The distribution of N_AB over a family of bipartitions is the package's
 central object: its mean measures how much entanglement a state carries and
-its width how evenly that entanglement is spread over the cuts.  A sweep is
-two arrays, `family.masks()` and `purities(block, family.n, masks)`;
+its width how evenly that entanglement is spread over the cuts.  A family's
+masks come from one rule for every selector, a table of half-masks by
+popcount written run by run into one array.  A sweep is two arrays,
+`family.masks()` and `purities(block, family.n, masks)`;
 `participation_statistics` summarizes its rows and `histogram` one row.
 The named states have closed-form cut spectra, so `named_purities` sweeps
 them by rule, exactly, from the mask array alone; each kind's rule is its
@@ -12,8 +14,6 @@ entry in `states.KINDS`.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,12 +65,29 @@ class BipartitionFamily:
         return self.selector
 
     def masks(self) -> np.ndarray:
-        """Subsystem-A masks of the family as an ascending int64 array."""
-        n = self.n
-        if self.selector == "all-sizes":  # every integer in [1, 2^n - 2]
-            return np.arange(1, (1 << n) - 1, dtype=np.int64)
-        k = {"balanced": n // 2, "max-unbalanced": 1}.get(self.selector, self.size)
-        return np.fromiter(_masks_with_popcount(n, k), np.int64, math.comb(n, k))
+        """Subsystem-A masks of the family as an ascending int64 array.
+
+        Each selector names its popcounts, and `table[p]` holds the ascending
+        (n//2)-bit low halves that complete a high half of popcount p to one
+        of them.  The high halves are walked in ascending order, and each
+        one's run of masks is written into the preallocated output in place,
+        so the build holds the output and a table of n//2 + 2 or fewer
+        arrays of at most 2^(n//2) masks (under 1 MiB).
+        """
+        n, h = self.n, self.n // 2
+        sizes = {"balanced": [n // 2], "all-sizes": range(1, n),
+                 "max-unbalanced": [1]}.get(self.selector, [self.size])
+        low = np.arange(1 << h, dtype=np.int64)
+        popcount = np.bitwise_count(low)
+        table = [low[np.isin(popcount + p, sizes)] for p in range(n - h + 1)]
+        runs = [table[high.bit_count()] for high in range(1 << (n - h))]
+        out = np.empty(sum(run.size for run in runs), np.int64)
+        start = 0
+        for high, run in enumerate(runs):
+            if run.size:  # a high half that no low half completes is skipped
+                np.bitwise_or(run, high << h, out=out[start : start + run.size])
+                start += run.size
+        return out
 
 
 def participation_statistics(values: np.ndarray) -> np.ndarray:
@@ -125,16 +142,6 @@ class Histogram:
     densities: np.ndarray
     counts: np.ndarray
     centers: np.ndarray
-
-
-def _masks_with_popcount(n: int, k: int) -> Iterator[int]:
-    """All n-bit masks with popcount k in ascending numeric order (Gosper)."""
-    m = (1 << k) - 1
-    while m < 1 << n:
-        yield m
-        c = m & -m
-        r = m + c
-        m = (((r ^ m) >> 2) // c) | r
 
 
 def histogram(values: np.ndarray, bins: int = HISTOGRAM_BINS) -> Histogram:

@@ -52,7 +52,7 @@ def named(kind: str, n: int, index: int = 0) -> NamedKind:
     allocates: n against the kind's fewest qubits and MAX_QUBITS, then the
     index an integer in [0, 2**n).  ValueError for an unknown kind, or
     naming the first check that fails."""
-    if kind not in KINDS:
+    if kind not in tuple(KINDS):  # a tuple: an unhashable kind is refused too
         raise ValueError(f"unknown named state {kind!r}")
     entry = KINDS[kind]
     _check_qubits(n, entry.minimum, entry.what)
@@ -170,24 +170,28 @@ def _cluster_purities(n: int, masks: np.ndarray) -> np.ndarray:
     the open chain's adjacency (N_AB = 2**r for a graph state; Hein, Eisert &
     Briegel, PRA 69, 062311 (2004)).  The chain edges that cross the cut fall
     into runs of consecutive edges; a run of E edges is a path, of rank
-    ceil(E/2), so each step counts every run's lowest edge and clears it and
-    the edge above it.  It holds two int64 arrays, the second reused for the
-    result, and an int8 one."""
+    ceil(E/2): the number of its edges of its lowest edge's parity.  One pass
+    counts them.  Adding the lowest edge of each run that starts at an even
+    edge carries through that run and clears it, so those runs are the edges
+    the sum lacks; flipping them in the odd edges leaves each such run's even
+    edges and every other run's odd ones, and r is their popcount.  It holds
+    two int64 arrays, the second reused for the result, and an int8 one (and,
+    for one step, the popcount's uint8 one)."""
     edges = masks >> 1
     edges ^= masks
     edges &= (1 << (n - 1)) - 1  # bit q: edge (q, q + 1) crosses the cut
-    lowest = np.empty_like(edges)
+    runs = np.left_shift(edges, 1)
+    np.invert(runs, out=runs)
+    runs &= edges  # each run's lowest edge
+    runs &= 0x5555_5555_5555_5555  # ... if it is even
+    runs += edges
+    np.invert(runs, out=runs)
+    runs &= edges  # the runs that start at an even edge
+    edges &= 0x2AAA_AAAA_AAAA_AAAA  # the odd edges
+    edges ^= runs
     rank = np.zeros(masks.shape, np.int8)  # negated
-    for _ in range(n // 2):  # a run has at most n - 1 edges
-        np.left_shift(edges, 1, out=lowest)
-        np.invert(lowest, out=lowest)
-        lowest &= edges  # each run's lowest edge
-        rank -= np.bitwise_count(lowest)
-        edges ^= lowest
-        lowest <<= 1  # the edge above it, if the run has one
-        np.invert(lowest, out=lowest)
-        edges &= lowest
-    return np.ldexp(1.0, rank, out=lowest.view(np.float64))
+    rank -= np.bitwise_count(edges)
+    return np.ldexp(1.0, rank, out=runs.view(np.float64))
 
 
 def _w_purities(n: int, masks: np.ndarray) -> np.ndarray:

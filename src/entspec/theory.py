@@ -18,6 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .states import _integer
+
 MODEL_MAX_QUBITS = 511  # largest n for which 2/N^2 = 2^(1-2n) is a normal double
 
 
@@ -72,6 +74,16 @@ _MOMENT_RULES = {
 PROVIDER_KINDS = tuple(_MOMENT_RULES)
 
 
+def _dimensions(N_A: int, N_B: int) -> tuple[int, int]:
+    """N_A and N_B as Python ints (`states._integer`, so a numpy integer
+    cannot overflow the exact polynomials), each 2 or more; ValueError
+    otherwise."""
+    N_A, N_B = _integer(N_A, "subsystem dimension"), _integer(N_B, "subsystem dimension")
+    if N_A < 2 or N_B < 2:
+        raise ValueError(f"subsystem dimensions must be >= 2, got {N_A}, {N_B}")
+    return N_A, N_B
+
+
 def exact_moments(N_A: int, N_B: int, kind: str) -> GaussianModel:
     """Exact purity mean and variance for an N_A x N_B cut.
 
@@ -84,13 +96,11 @@ def exact_moments(N_A: int, N_B: int, kind: str) -> GaussianModel:
     Carlo in the tests.  With rational moments the polynomial is exact, and
     mu and sigma2 are rounded to doubles once.
     """
-    if N_A < 2 or N_B < 2:
-        raise ValueError(f"subsystem dimensions must be >= 2, got {N_A}, {N_B}")
-    rule = _MOMENT_RULES.get(kind)
-    if rule is None:
+    N_A, N_B = _dimensions(N_A, N_B)
+    if kind not in PROVIDER_KINDS:  # a tuple: an unhashable kind is refused too
         raise ValueError(f"unknown provider kind {kind!r}")
     N = N_A * N_B
-    m = {name: rule(N, ms) for name, ms in MOMENT_PATTERNS.items()}
+    m = {name: _MOMENT_RULES[kind](N, ms) for name, ms in MOMENT_PATTERNS.items()}
     mu = N * (N_A + N_B - 2) * m["m22"] + N * m["m4"]
     cross_sq = 2 * N * (N_A - 1) * (N_B - 1) * m["m2222"]
     mod_sq = (
@@ -105,8 +115,7 @@ def exact_moments(N_A: int, N_B: int, kind: str) -> GaussianModel:
 
 def asymptotic_model(N_A: int, N_B: int) -> GaussianModel:
     """Large-N limit: mu = (N_A + N_B - 1)/N, sigma2 = 2/N^2."""
-    if N_A < 2 or N_B < 2:
-        raise ValueError(f"subsystem dimensions must be >= 2, got {N_A}, {N_B}")
+    N_A, N_B = _dimensions(N_A, N_B)
     N = N_A * N_B
     return GaussianModel(mu=(N_A + N_B - 1) / N, sigma2=float(Fraction(2, N**2)))
 

@@ -248,6 +248,23 @@ def path_cut_rank(n: int, mask: int) -> int:
     return len(pivots)
 
 
+def cluster_rank_steps(n: int, masks: np.ndarray) -> np.ndarray:
+    """Cut rank of the open chain for each mask of an int64 array, run by run.
+
+    The chain edges that cross the cut form runs, and a run of E edges has
+    rank ceil(E/2).  Each of at most n/2 vectorized steps counts every run's
+    lowest edge, then clears it and the edge above it.
+    """
+    edges = (masks ^ (masks >> 1)) & ((1 << (n - 1)) - 1)  # bit q: edge (q, q + 1)
+    rank = np.zeros(masks.shape, np.int64)
+    for _ in range(n // 2):
+        lowest = edges & ~(edges << 1)
+        rank += np.bitwise_count(lowest)
+        edges &= ~(lowest | lowest << 1)
+    assert not edges.any()
+    return rank
+
+
 def path_balanced_mean(n: int) -> Fraction:
     """Exact mean of 2**path_cut_rank over all C(n, n//2) balanced cuts."""
     total = sum(

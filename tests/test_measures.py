@@ -342,6 +342,11 @@ class TestNamedTangleReport:
             with pytest.raises(ValueError, match=re.escape(message)):
                 tangle_report(KINDS[kind].make(n, 1))
 
+    @pytest.mark.parametrize("kind", [{}, ["w"]])
+    def test_an_unhashable_kind_is_refused(self, kind):
+        with pytest.raises(ValueError, match=re.escape(f"unknown named state {kind!r}")):
+            named_tangle_report(kind, 3)
+
     def test_cli_builds_no_state_and_calls_no_lapack(self, capsys, monkeypatch):
         def refuse(*_args, **_kwargs):
             raise AssertionError("the rule path reached a state or a kernel")

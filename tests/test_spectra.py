@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from importlib import import_module
@@ -26,7 +27,9 @@ from entspec.spectra import (
     named_purities,
 )
 from entspec.states import KINDS, MAX_QUBITS, PureState
-from helpers import haar_states, make_product, path_cut_rank, permute_amplitudes_bitloop
+from helpers import (
+    cluster_rank_steps, haar_states, make_product, path_cut_rank, permute_amplitudes_bitloop,
+)
 from one_state import assert_masks_refused, participations, purity, statistics
 
 
@@ -85,6 +88,35 @@ class TestFamilies:
         size = 1 if selector == "fixed-size" else None
         with pytest.raises(ValueError, match=f"^family needs 2 or more qubits, got {n}$"):
             BipartitionFamily(n, selector, size)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_every_selector_and_size_gives_the_reference_masks(self, n):
+        for selector in SELECTORS:
+            for size in range(1, n) if selector == "fixed-size" else [None]:
+                family = BipartitionFamily(n, selector, size)
+                masks = family.masks()
+                assert masks.dtype == np.int64
+                assert masks.tolist() == family_masks_reference(family)
+
+    def test_masks_are_built_in_place(self):
+        # each run of masks is written into the output: a build that joins
+        # per-run parts peaks at twice the output
+        family = BipartitionFamily(22, "balanced")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            masks = family.masks()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert masks.size == math.comb(22, 11)
+        assert peak <= masks.nbytes + (1 << 20)
+
+    def test_largest_balanced_family_is_fast(self):
+        start = time.perf_counter()
+        masks = BipartitionFamily(MAX_QUBITS, "balanced").masks()
+        assert time.perf_counter() - start < 1.0
+        assert masks.size == math.comb(MAX_QUBITS, MAX_QUBITS // 2)
 
 
 class TestDistribution:
@@ -250,6 +282,18 @@ class TestNamedPurities:
         want = [2.0 ** -path_cut_rank(n, m) for m in masks.tolist()]
         assert named_purities("cluster", n, masks).tolist() == want
 
+    @pytest.mark.parametrize("n", range(2, 19))
+    def test_cluster_rule_every_mask_matches_the_step_loop(self, n):
+        masks = np.arange(1, (1 << n) - 1)
+        want = np.ldexp(1.0, -cluster_rank_steps(n, masks))
+        assert named_purities("cluster", n, masks).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(20, 27))
+    def test_cluster_rule_random_masks_match_the_step_loop(self, n):
+        masks = np.random.default_rng(n).integers(1, (1 << n) - 1, 100_000)
+        want = np.ldexp(1.0, -cluster_rank_steps(n, masks))
+        assert named_purities("cluster", n, masks).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n", range(2, 15))
     def test_w_ghz_basis_rules_are_exact_rationals_rounded_once(self, n):
         masks = np.arange(1, (1 << n) - 1)
@@ -296,6 +340,7 @@ class TestNamedPurities:
                 "w", 4, np.array([3, 2**64 - 1], np.uint64),
                 "^mask 0xffffffffffffffff is not a cut of 4 qubits$",
             ),
+            (["ghz"], 3, [1], r"^unknown named state \['ghz'\]$"),
         ],
     )
     def test_refusals(self, kind, n, masks, message):

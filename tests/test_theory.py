@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -127,6 +128,32 @@ class TestExactMoments:
     def test_subsystem_bounds(self):
         with pytest.raises(ValueError):
             exact_moments(1, 8, "exact-sphere")
+
+    @pytest.mark.parametrize("kind", [["delta"], {}])
+    def test_an_unhashable_kind_is_refused(self, kind):
+        with pytest.raises(ValueError, match=re.escape(f"unknown provider kind {kind!r}")):
+            exact_moments(4, 8, kind)
+
+
+class TestDimensions:
+    """Both models take N_A and N_B by the package's integer rule."""
+
+    @pytest.mark.parametrize("N_A, N_B", [(2**16, 2**16), (3000, 3000), (4, 8)])
+    def test_numpy_integers_give_the_python_int_model(self, N_A, N_B):
+        # at the two larger sizes int64 would overflow N^2 or the degree-8 polynomial
+        for model in (lambda a, b: exact_moments(a, b, "delta"), asymptotic_model):
+            assert model(np.int64(N_A), np.int64(N_B)) == model(N_A, N_B)
+
+    @pytest.mark.parametrize(
+        "N_A, N_B, value",
+        [(4.0, 8, "4.0"), (4, np.float64(8.0), "np.float64(8.0)"), (True, 8, "True"),
+         (4, "8", "'8'")],
+    )
+    def test_non_integers_are_refused(self, N_A, N_B, value):
+        message = f"^subsystem dimension {re.escape(value)} is not an integer$"
+        for model in (lambda a, b: exact_moments(a, b, "delta"), asymptotic_model):
+            with pytest.raises(ValueError, match=message):
+                model(N_A, N_B)
 
 
 class TestExactRationals:
