@@ -48,22 +48,32 @@ finally:
 
 
 @functools.cache
-def _setter():
-    """`openblas_set_num_threads_local` of the OpenBLAS that numpy loaded, or
-    None; looked up on first use, so importing the package opens nothing."""
+def _library():
+    """The OpenBLAS that numpy loaded, the first of its libraries with
+    `openblas_set_num_threads_local`, or None; opened on first use, so
+    importing the package opens nothing."""
     root = os.path.dirname(np.__file__)
     for path in sorted(
         glob.glob(os.path.join(root + ".libs", "*openblas*"))  # Linux, Windows
         + glob.glob(os.path.join(root, ".dylibs", "*openblas*"))  # macOS
     ):
         try:
-            setter = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
+            library = ctypes.CDLL(path)
+        except OSError:
             continue
+        if hasattr(library, "openblas_set_num_threads_local"):
+            return library
+    return None
+
+
+@functools.cache
+def _setter():
+    """`openblas_set_num_threads_local` of `_library()`, or None."""
+    setter = getattr(_library(), "openblas_set_num_threads_local", None)
+    if setter is not None:
         setter.argtypes = [ctypes.c_int]
         setter.restype = ctypes.c_int  # the count it replaced
-        return setter
-    return None
+    return setter
 
 
 _LOCK = threading.RLock()  # held by one scope of `blas_threads` at a time

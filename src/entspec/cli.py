@@ -11,7 +11,8 @@ constructor.  `purity`, `spectrum`, `measures` and `table1`'s named columns
 take a --kind source by its entry's rules (`named_purities`,
 `named_tangle_report`), exact and without building the state, so those
 bytes hold on any host and BLAS; state files and ensembles go through the
-amplitudes, `purities` and `concurrences`.  The library returns
+amplitudes, `purities` and `concurrences`.  `_source` checks and resolves
+a source once, for every subcommand that takes one.  The library returns
 arrays and dataclasses; every output byte is written here, by `_table` (CSV
 and TSV) and `_record` (JSON).
 
@@ -78,30 +79,27 @@ def _record(d: dict) -> str:
     return json.dumps(d, allow_nan=False) + "\n"
 
 
-def _named(args: argparse.Namespace) -> bool:
-    """Whether the source is --kind rather than --state-file, once the source
-    options are checked: a --kind source as its constructor would check it,
-    with the same messages, but without building the state."""
+def _source(args: argparse.Namespace):
+    """The source's qubit count, a function from a mask array to the source's
+    purity across each mask, and a function that gives its tangle report,
+    once the source options are checked.  A --kind source is checked as its
+    constructor would check it, with the same messages, but not built: its
+    purities and report are taken by rule (`named_purities`,
+    `named_tangle_report`).  A state file is read here, once, and goes
+    through `purities` and `tangle_report`."""
     if args.index is not None and args.kind != "basis":
         raise ValueError("--index applies only to --kind basis")
     if args.state_file is not None:
         if args.n is not None:
             raise ValueError("--n applies only to --kind; a state file gives its own n")
-        return False
+        state = _read_state(args.state_file)
+        return (state.n, lambda masks: purities(state.amplitudes[None], state.n, masks)[0],
+                lambda: tangle_report(state))
     if args.n is None:
         raise ValueError("--n is required with --kind")
     named(args.kind, args.n, args.index or 0)
-    return True
-
-
-def _source_purities(args: argparse.Namespace):
-    """The source's qubit count, and a function from a mask array to the
-    source's purity across each mask: `named_purities` for --kind, so no
-    state is built, and `purities` of a state file's amplitudes."""
-    if _named(args):
-        return args.n, lambda masks: named_purities(args.kind, args.n, masks)
-    state = _read_state(args.state_file)
-    return state.n, lambda masks: purities(state.amplitudes[None], state.n, masks)[0]
+    return (args.n, lambda masks: named_purities(args.kind, args.n, masks),
+            lambda: named_tangle_report(args.kind, args.n))
 
 
 def _read_state(state_file: str) -> PureState:
@@ -117,13 +115,13 @@ def _read_state(state_file: str) -> PureState:
 
 
 def _run_state(args: argparse.Namespace) -> str:
-    _named(args)  # the source options, checked as every --kind source is
+    _source(args)  # the source options, checked as every --kind source is
     return _record(state_to_dict(KINDS[args.kind].make(args.n, args.index or 0)))
 
 
 def _run_purity(args: argparse.Namespace) -> str:
     mask = _parse_mask(args.mask)
-    n, purity_of = _source_purities(args)
+    n, purity_of, _ = _source(args)
     p = float(purity_of([mask])[0])
     n_a = mask.bit_count()
     return _record({
@@ -140,47 +138,44 @@ def _run_spectrum(args: argparse.Namespace) -> str:
         raise ValueError(f"--bins must be 1 or more, got {args.bins}")
     if args.bins is not None and args.bins > MAX_GRID:
         raise ValueError(f"--bins must be at most {MAX_GRID}, got {args.bins}")
-    n, purity_of = _source_purities(args)
+    n, purity_of, _ = _source(args)
     family = BipartitionFamily(n, args.family, args.size)
     masks = family.masks()
     purity = purity_of(masks)
-    participation = 1.0 / purity
+    if args.format == "csv":
+        participation = 1.0 / purity
+        cuts = zip(masks.tolist(), purity.tolist(), participation.tolist())
+        rows = ((f"{m:#x}", m.bit_count(), p, v) for m, p, v in cuts)
+        return _table(("mask_hex", "n_A", "purity", "participation"), rows)
+    del masks  # a summary keeps only the participations, taken in place of the purities
+    participation = np.reciprocal(purity, out=purity)
     if args.format == "json":
         stats = participation_statistics(participation[None])[0].tolist()
-        return _record({"n": family.n, "family": family.label, "count": masks.size,
+        return _record({"n": family.n, "family": family.label, "count": participation.size,
                         **dict(zip(STATISTICS, stats))})
-    if args.format == "tsv":
-        hist = histogram(participation, HISTOGRAM_BINS if args.bins is None else args.bins)
-        rows = zip(hist.centers.tolist(), hist.densities.tolist(), hist.counts.tolist())
-        return _table(("bin_center", "density", "count"), rows, sep="\t")
-    cuts = zip(masks.tolist(), purity.tolist(), participation.tolist())
-    rows = ((f"{m:#x}", m.bit_count(), p, v) for m, p, v in cuts)
-    return _table(("mask_hex", "n_A", "purity", "participation"), rows)
+    hist = histogram(participation, HISTOGRAM_BINS if args.bins is None else args.bins)
+    rows = zip(hist.centers.tolist(), hist.densities.tolist(), hist.counts.tolist())
+    return _table(("bin_center", "density", "count"), rows, sep="\t")
 
 
 def _run_sample(args: argparse.Namespace) -> str:
+    """One row per sample: its purity and participation across --mask, or
+    its participation STATISTICS over --family.  One branch sets the masks
+    (the cut or family, checked before any state is drawn), the header and
+    the rule from a block's purities to its rows; one generator then draws,
+    evaluates and formats the states one block at a time."""
     spec = EnsembleSpec(args.kind, args.n, args.seed)
-    # the cut or family is checked before any state is drawn
     if args.mask is None:
         masks = BipartitionFamily(args.n, args.family, args.size).masks()
+        header, rows = STATISTICS, lambda p: participation_statistics(1.0 / p).tolist()
     elif args.size is not None:
         raise ValueError("--size applies only to --family fixed-size, not --mask")
     else:
         masks = _masks([_parse_mask(args.mask)], args.n)
-    # the states are drawn, evaluated and formatted one block at a time
+        header, rows = ("purity", "participation"), lambda p: np.hstack((p, 1.0 / p)).tolist()
     blocks = sample_blocks(spec, args.count)
-    if args.mask is not None:
-        values = (
-            v for block in blocks
-            for v in purities(block, args.n, masks)[:, 0].tolist()
-        )
-        rows = ((i, v, 1.0 / v) for i, v in enumerate(values))
-        return _table(("sample", "purity", "participation"), rows)
-    stats = (
-        row for block in blocks
-        for row in participation_statistics(1.0 / purities(block, args.n, masks)).tolist()
-    )
-    return _table(("sample", *STATISTICS), ((i, *row) for i, row in enumerate(stats)))
+    values = (row for block in blocks for row in rows(purities(block, args.n, masks)))
+    return _table(("sample", *header), ((i, *row) for i, row in enumerate(values)))
 
 
 def _run_theory(args: argparse.Namespace) -> str:
@@ -244,11 +239,8 @@ def _run_theory(args: argparse.Namespace) -> str:
 
 
 def _run_measures(args: argparse.Namespace) -> str:
-    if _named(args):  # by rule, as `_source_purities`: no state is built
-        n, report = args.n, named_tangle_report(args.kind, args.n)
-    else:
-        state = _read_state(args.state_file)
-        n, report = state.n, tangle_report(state)
+    n, _, tangles = _source(args)
+    report = tangles()
     return _record({
         "n": n, "Q": report.q, "tau1": report.tau1, "tau2": report.tau2,
         "R": report.ratio, "concurrence": report.concurrences,
@@ -260,26 +252,27 @@ def _run_table1(args: argparse.Namespace) -> str:
         raise ValueError(
             f"need 2 <= nmin <= nmax <= {MAX_QUBITS}, got {args.nmin}..{args.nmax}"
         )
-    haar = None
+
+    def mean(purity):
+        return participation_statistics(1.0 / purity[None])[0, 0]
+
+    # the header's columns after n, each a value at n qubits of the balanced masks
+    columns = {
+        "ghz": lambda n, masks: mean(named_purities("ghz", n, masks)),
+        "w": lambda n, masks: mean(named_purities("w", n, masks)),
+        "cluster": lambda n, masks: mean(named_purities("cluster", n, masks)),
+        "random": lambda n, masks: 1.0 / asymptotic_model(1 << n // 2, 1 << n - n // 2).mu,
+    }
     if args.haar_seed is not None:  # the seed is checked before the first sweep
         haar = EnsembleSpec("haar", args.nmin, args.haar_seed)
-    header = ("n", "ghz", "w", "cluster", "random") + (("haar",) if haar is not None else ())
+        columns["haar"] = lambda n, masks: mean(
+            purities(*sample_blocks(replace(haar, n=n), 1), n, masks)[0]
+        )
     rows = []
     for n in range(args.nmin, args.nmax + 1):
         masks = BipartitionFamily(n, "balanced").masks()
-
-        def mean(purity):
-            return participation_statistics(1.0 / purity[None])[0, 0]
-
-        row = [n]
-        for kind in ("ghz", "w", "cluster"):
-            row.append(mean(named_purities(kind, n, masks)))
-        n_a = n // 2
-        row.append(1.0 / asymptotic_model(1 << n_a, 1 << (n - n_a)).mu)
-        if haar is not None:
-            row.append(mean(purities(*sample_blocks(replace(haar, n=n), 1), n, masks)[0]))
-        rows.append(row)
-    return _table(header, rows)
+        rows.append((n, *(value(n, masks) for value in columns.values())))
+    return _table(("n", *columns), rows)
 
 
 def _add_source_args(parser: argparse.ArgumentParser) -> None:

@@ -163,11 +163,13 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     `np.unique` (columns follow the ascending turned mask); each popcount's
     slab rows, slab pairs and work, a Python int of scale x s^2 x N_B real
     multiply-adds a pair, are taken once.  No rows: it returns after the check.
-    `_deal` runs the plan at one BLAS thread and deals, where it pays, the
-    cuts (each worker gathering its own), or for a call of one cut of
-    several slabs its slab pairs, each term to a column of its own, summed
-    in order once all have joined.  Each worker makes the same one-thread
-    BLAS calls, so no result depends on the thread or the worker count.
+    A call of one cut of several slabs is gathered once, and its plan becomes
+    that cut's slab pairs, which the workers share.  Then one `_deal` call
+    runs the plan at one BLAS thread and deals its entries where it pays,
+    each worker gathering its own cuts, into one term array of a column per
+    entry; a lone cut's columns are summed in order, 0 + t_0 + t_1 ..., once
+    all have joined.  Each worker makes the same one-thread BLAS calls, so no
+    result depends on the thread or the worker count.
     """
     if block.ndim != 2 or block.shape[1] != 1 << n:
         raise ValueError(f"block has shape {block.shape}, expected (count, {1 << n})")
@@ -193,14 +195,13 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
             slabs[k] = s, [(i, j) for j in range(0, 1 << k, s) for i in range(0, j + 1, s)]
             madds += cut_count * len(slabs[k][1]) * scale * s * s << (n - k)
     plan = [(c, m, *slabs[k]) for c, (m, k) in enumerate(zip(cuts.tolist(), sizes.tolist()))]
-    values = np.zeros((count, len(plan)))
-    if len(plan) == 1 and len(plan[0][3]) > 1:  # one cut of several slabs
-        _, mask, s, pairs = plan[0]
-        z = next(_cut_matrices(block, n, [mask]))
-        terms = np.zeros((count, len(pairs)))
-        units = [(u, mask, s, [pair]) for u, pair in enumerate(pairs)]
-        _deal(units, count * madds, lambda share: _sweep(block, n, share, terms, z))
-        values[:, 0] = sum(terms.T)  # 0 + t_0 + t_1 ..., the kernel's order
-    else:
-        _deal(plan, count * madds, lambda share: _sweep(block, n, share, values), block.nbytes)
-    return values[:, where]
+    z, gather = None, block.nbytes  # each worker gathers its own cuts ...
+    if len(plan) == 1 and len(plan[0][3]) > 1:  # ... but one cut of several slabs
+        _, mask, s, pairs = plan[0]  # is gathered once and dealt by its slab pairs
+        z, gather = next(_cut_matrices(block, n, [mask])), 0
+        plan = [(u, mask, s, [pair]) for u, pair in enumerate(pairs)]
+    terms = np.zeros((count, len(plan)))
+    _deal(plan, count * madds, lambda share: _sweep(block, n, share, terms, z), gather)
+    if z is not None:
+        terms = sum(terms.T)[:, None]  # 0 + t_0 + t_1 ..., the kernel's order
+    return terms[:, where]

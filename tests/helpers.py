@@ -10,13 +10,27 @@ relabel qubits (`permute_amplitudes_bitloop`) or act on them
 
 from __future__ import annotations
 
+import ctypes
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from entspec import EnsembleSpec, PureState, sample_blocks
+from entspec import EnsembleSpec, PureState, _blas, sample_blocks
 from entspec.states import _check_qubits
+
+
+def blas_core() -> str | None:
+    """The OpenBLAS core this process runs, as OpenBLAS names it ("SkylakeX",
+    "Haswell", "Sandybridge", ...), read through
+    `scipy_openblas_get_corename64_` in numpy's OpenBLAS as `_blas` opens
+    it; None where there is no such library or symbol.  OPENBLAS_CORETYPE
+    picks the core when the library loads, so a forced core shows here."""
+    corename = getattr(_blas._library(), "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def sampled_rows(spec: EnsembleSpec, count: int) -> np.ndarray:

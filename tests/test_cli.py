@@ -14,7 +14,7 @@ import pytest
 from entspec import cli, state_to_dict
 from entspec.cli import main
 from entspec.states import BLOCK_BYTES, MAX_QUBITS
-from helpers import haar_states, path_balanced_mean, path_cut_rank
+from helpers import blas_core, haar_states, path_balanced_mean, path_cut_rank
 
 
 # stand for a GHZ(3) and a W(18) state file written to the test's tmp_path
@@ -26,6 +26,17 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def pinned(by_core: dict[str, str]) -> str:
+    """The bytes that a pin of the BLAS kernels records for the OpenBLAS core
+    this process runs (`blas_core`), or its SkylakeX bytes where the BLAS
+    cannot name its core.  A core with no recorded bytes fails the test and
+    names the core, whose bytes are then to be recorded here."""
+    core = blas_core() or "SkylakeX"
+    if core not in by_core:
+        pytest.fail(f"no pinned bytes recorded for the OpenBLAS core {core!r}")
+    return by_core[core]
 
 
 def run_module(args, **env):
@@ -120,24 +131,63 @@ class TestJsonBytes:
         )
 
     def test_measures_complex_haar6_state_file(self, capsys, tmp_path):
-        # a complex state with two entangled pairs, (0, 1) and (3, 4)
+        # a complex state with two entangled pairs, (0, 1) and (3, 4); its
+        # last digits follow the OpenBLAS core
         (state,) = haar_states(6, 1, 179)
         path = tmp_path / "haar6.json"
         path.write_text(json.dumps(state_to_dict(state)))
         code, out, _ = run_cli(capsys, "measures", "--state-file", str(path))
         assert code == 0
-        assert out == (
-            '{"n": 6, "Q": 0.9177587068587606, "tau1": [0.9536908804109623, '
-            '0.9049027201278961, 0.8944704894558804, 0.9076399181831236, '
-            '0.9665434698781943, 0.8793047630965065], "tau2": [4.179248279714122e-06, '
-            '4.179248279714122e-06, 0.0, 0.0014941530124749555, 0.0014941530124749555, '
-            '0.0], "R": [4.382183331682075e-06, 4.618450344721519e-06, 0.0, '
-            '0.0016461957903591215, 0.0015458725438011098, 0.0], "concurrence": '
-            '[[0, 1, 0.002044320982554873], [0, 2, 0.0], [0, 3, 0.0], [0, 4, 0.0], '
-            '[0, 5, 0.0], [1, 2, 0.0], [1, 3, 0.0], [1, 4, 0.0], [1, 5, 0.0], '
-            '[2, 3, 0.0], [2, 4, 0.0], [2, 5, 0.0], [3, 4, 0.03865427547471244], '
-            '[3, 5, 0.0], [4, 5, 0.0]]}\n'
-        )
+        assert out == pinned({
+            "SkylakeX": (
+                '{"n": 6, "Q": 0.9177587068587606, "tau1": [0.9536908804109623, '
+                '0.9049027201278961, 0.8944704894558804, 0.9076399181831236, '
+                '0.9665434698781943, 0.8793047630965065], "tau2": [4.179248279714122e-06, '
+                '4.179248279714122e-06, 0.0, 0.0014941530124749555, 0.0014941530124749555, '
+                '0.0], "R": [4.382183331682075e-06, 4.618450344721519e-06, 0.0, '
+                '0.0016461957903591215, 0.0015458725438011098, 0.0], "concurrence": '
+                '[[0, 1, 0.002044320982554873], [0, 2, 0.0], [0, 3, 0.0], [0, 4, 0.0], '
+                '[0, 5, 0.0], [1, 2, 0.0], [1, 3, 0.0], [1, 4, 0.0], [1, 5, 0.0], '
+                '[2, 3, 0.0], [2, 4, 0.0], [2, 5, 0.0], [3, 4, 0.03865427547471244], '
+                '[3, 5, 0.0], [4, 5, 0.0]]}\n'
+            ),
+            "Haswell": (
+                '{"n": 6, "Q": 0.9177587068587605, "tau1": [0.9536908804109621, '
+                '0.9049027201278954, 0.8944704894558804, 0.9076399181831238, '
+                '0.9665434698781938, 0.8793047630965072], "tau2": [4.1792482797144054e-06, '
+                '4.1792482797144054e-06, 0.0, 0.0014941530124749716, '
+                '0.0014941530124749716, 0.0], "R": [4.382183331682373e-06, '
+                '4.618450344721836e-06, 0.0, 0.0016461957903591388, 0.0015458725438011272, '
+                '0.0], "concurrence": [[0, 1, 0.0020443209825549424], [0, 2, 0.0], '
+                '[0, 3, 0.0], [0, 4, 0.0], [0, 5, 0.0], [1, 2, 0.0], [1, 3, 0.0], '
+                '[1, 4, 0.0], [1, 5, 0.0], [2, 3, 0.0], [2, 4, 0.0], [2, 5, 0.0], '
+                '[3, 4, 0.038654275474712646], [3, 5, 0.0], [4, 5, 0.0]]}\n'
+            ),
+            "Sandybridge": (
+                '{"n": 6, "Q": 0.9177587068587605, "tau1": [0.9536908804109621, '
+                '0.9049027201278954, 0.8944704894558801, 0.9076399181831238, '
+                '0.9665434698781938, 0.8793047630965072], "tau2": [4.179248279714065e-06, '
+                '4.179248279714065e-06, 0.0, 0.0014941530124749662, 0.0014941530124749662, '
+                '0.0], "R": [4.3821833316820165e-06, 4.61845034472146e-06, 0.0, '
+                '0.0016461957903591328, 0.0015458725438011215, 0.0], '
+                '"concurrence": [[0, 1, 0.002044320982554859], [0, 2, 0.0], [0, 3, 0.0], '
+                '[0, 4, 0.0], [0, 5, 0.0], [1, 2, 0.0], [1, 3, 0.0], [1, 4, 0.0], '
+                '[1, 5, 0.0], [2, 3, 0.0], [2, 4, 0.0], [2, 5, 0.0], '
+                '[3, 4, 0.03865427547471258], [3, 5, 0.0], [4, 5, 0.0]]}\n'
+            ),
+            "Nehalem": (
+                '{"n": 6, "Q": 0.9177587068587604, "tau1": [0.9536908804109621, '
+                '0.9049027201278954, 0.8944704894558801, 0.9076399181831238, '
+                '0.9665434698781936, 0.8793047630965072], "tau2": [4.179248279713384e-06, '
+                '4.179248279713384e-06, 0.0, 0.0014941530124749501, 0.0014941530124749501, '
+                '0.0], "R": [4.382183331681302e-06, 4.618450344720707e-06, 0.0, '
+                '0.0016461957903591152, 0.0015458725438011053, 0.0], '
+                '"concurrence": [[0, 1, 0.0020443209825546926], [0, 2, 0.0], [0, 3, 0.0], '
+                '[0, 4, 0.0], [0, 5, 0.0], [1, 2, 0.0], [1, 3, 0.0], [1, 4, 0.0], '
+                '[1, 5, 0.0], [2, 3, 0.0], [2, 4, 0.0], [2, 5, 0.0], '
+                '[3, 4, 0.03865427547471237], [3, 5, 0.0], [4, 5, 0.0]]}\n'
+            ),
+        })
 
 
 class TestPurityCommand:
@@ -254,6 +304,31 @@ class TestSpectrumCommand:
         assert len(out.strip().split("\n")) == 1717  # C(13,6) masks + header
         assert elapsed < 60.0
 
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_summary_holds_no_more_than_the_rule(self, tmp_path, fmt):
+        # balanced n = 22 has C(22, 11) masks; the cluster rule holds the
+        # masks and two more int64 arrays of that size, and a summary then
+        # keeps only the participations, taken in place of the purities, so
+        # the peak stays under 3.5 mask-sized arrays (about 17.6 MiB here, and
+        # 21.7 MiB for JSON and 27.6 MiB for TSV while the masks, the purities
+        # and the participations were all held)
+        def peak():
+            gc.collect()
+            tracemalloc.start()
+            try:
+                code = main([
+                    "spectrum", "--kind", "cluster", "--n", "22", "--format", fmt,
+                    "--out", str(tmp_path / "out.txt"),
+                ])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak()  # first-call allocations are not the sweep's
+        code, held = peak()
+        assert code == 0
+        assert held <= 3.5 * 8 * math.comb(22, 11)
+
 
 class TestSampleCommand:
     def test_fixed_mask_rows_and_determinism(self, capsys):
@@ -280,29 +355,86 @@ class TestSampleCommand:
         assert len(lines) == 4
 
     def test_golden_bytes_mask_and_family(self, capsys):
+        # Haar and phase-sphere purities of the complex Gram: the last digits
+        # follow the OpenBLAS core
         code, out, _ = run_cli(
             capsys, "sample", "--kind", "haar", "--n", "3", "--count", "3",
             "--seed", "5", "--mask", "0x1",
         )
         assert code == 0
-        assert out == (
-            "sample,purity,participation\n"
-            "0,0.78027499602613282,1.2815994426233135\n"
-            "1,0.73301229430487203,1.3642335984941656\n"
-            "2,0.84768793036626522,1.1796794128800729\n"
-        )
+        assert out == pinned({
+            "SkylakeX": (
+                "sample,purity,participation\n"
+                "0,0.78027499602613282,1.2815994426233135\n"
+                "1,0.73301229430487203,1.3642335984941656\n"
+                "2,0.84768793036626522,1.1796794128800729\n"
+            ),
+            "Haswell": (
+                "sample,purity,participation\n"
+                "0,0.78027499602613293,1.2815994426233133\n"
+                "1,0.73301229430487203,1.3642335984941656\n"
+                "2,0.84768793036626533,1.1796794128800729\n"
+            ),
+            "Sandybridge": (
+                "sample,purity,participation\n"
+                "0,0.78027499602613293,1.2815994426233133\n"
+                "1,0.73301229430487203,1.3642335984941656\n"
+                "2,0.84768793036626522,1.1796794128800729\n"
+            ),
+            "Nehalem": (
+                "sample,purity,participation\n"
+                "0,0.78027499602613293,1.2815994426233133\n"
+                "1,0.73301229430487203,1.3642335984941656\n"
+                "2,0.84768793036626511,1.1796794128800732\n"
+            ),
+        })
         code, out, _ = run_cli(
             capsys, "sample", "--kind", "phase-sphere", "--n", "3", "--count", "2",
             "--seed", "5", "--family", "all-sizes",
         )
         assert code == 0
-        assert out == (
-            "sample,mean_participation,var_population,var_sample,min,max\n"
-            "0,1.2172281751757066,0.008490874041001328,0.010189048849201594,"
-            "1.088020104172424,1.2965041857390078\n"
-            "1,1.3293793445964559,0.0029080997207097162,0.0034897196648516595,"
-            "1.2557136502428798,1.3833052806578987\n"
+        assert out == pinned({
+            "SkylakeX": (
+                "sample,mean_participation,var_population,var_sample,min,max\n"
+                "0,1.2172281751757066,0.008490874041001328,0.010189048849201594,"
+                "1.088020104172424,1.2965041857390078\n"
+                "1,1.3293793445964559,0.0029080997207097162,0.0034897196648516595,"
+                "1.2557136502428798,1.3833052806578987\n"
+            ),
+            "Haswell": (
+                "sample,mean_participation,var_population,var_sample,min,max\n"
+                "0,1.2172281751757066,0.0084908740410013384,0.010189048849201606,"
+                "1.0880201041724238,1.2965041857390078\n"
+                "1,1.3293793445964559,0.0029080997207097214,0.0034897196648516655,"
+                "1.2557136502428798,1.3833052806578989\n"
+            ),
+            "Sandybridge": (
+                "sample,mean_participation,var_population,var_sample,min,max\n"
+                "0,1.2172281751757066,0.0084908740410013384,0.010189048849201606,"
+                "1.0880201041724238,1.2965041857390078\n"
+                "1,1.3293793445964559,0.0029080997207097162,0.0034897196648516595,"
+                "1.2557136502428798,1.3833052806578987\n"
+            ),
+            "Nehalem": (
+                "sample,mean_participation,var_population,var_sample,min,max\n"
+                "0,1.2172281751757066,0.0084908740410013193,0.010189048849201583,"
+                "1.088020104172424,1.2965041857390078\n"
+                "1,1.3293793445964559,0.002908099720709724,0.003489719664851669,"
+                "1.2557136502428798,1.3833052806578989\n"
+            ),
+        })
+
+    @pytest.mark.parametrize("cut", [("--mask", "0x3"), ("--family", "balanced")])
+    def test_zero_count_prints_the_header_only(self, capsys, cut):
+        code, out, err = run_cli(
+            capsys, "sample", "--kind", "haar", "--n", "6", "--count", "0",
+            "--seed", "1", *cut,
         )
+        assert (code, err) == (0, "")
+        assert out == {
+            "--mask": "sample,purity,participation\n",
+            "--family": "sample,mean_participation,var_population,var_sample,min,max\n",
+        }[cut[0]]
 
     def test_family_rows_do_not_depend_on_count(self, capsys):
         # 8 rows of Haar n = 11 fill a sampled block, so 20 samples span three
@@ -487,12 +619,23 @@ class TestTable1Command:
             capsys, "table1", "--nmin", "4", "--nmax", "5", "--haar-seed", "3"
         )
         assert code == 0
-        assert out == (
+        # one Haar state's complex Gram sweep: its last digits follow the
+        # OpenBLAS core
+        skylakex = (
             "n,ghz,w,cluster,random,haar\n"
             "4,2,2,3.3333333333333335,2.2857142857142856,2.3661362544369786\n"
             "5,2,1.9230769230769229,3.6000000000000001,2.9090909090909092,"
             "2.944529329091103\n"
         )
+        assert out == pinned({
+            "SkylakeX": skylakex, "Haswell": skylakex, "Sandybridge": skylakex,
+            "Nehalem": (
+                "n,ghz,w,cluster,random,haar\n"
+                "4,2,2,3.3333333333333335,2.2857142857142856,2.3661362544369782\n"
+                "5,2,1.9230769230769229,3.6000000000000001,2.9090909090909092,"
+                "2.944529329091103\n"
+            ),
+        })
 
     def test_haar_column_deterministic(self, capsys):
         args = ("table1", "--nmin", "5", "--nmax", "5", "--haar-seed", "4")
