@@ -127,23 +127,23 @@ def _report(pairs, values, single: np.ndarray) -> TangleReport:
     the purity across each single-qubit cut 1 << i.
 
     tau1 = 4 det(rho_i) = 2 (1 - purity of qubit i); tau2 is the sum of the
-    squared concurrences of qubit i with every other qubit; the ratio is
-    tau2/tau1, or None when tau1 is numerically zero (a factorized qubit).
+    squared concurrences of qubit i's pairs, added from 0 in pair order
+    (its pairs with j < i, then with j > i); the ratio is tau2/tau1, or None
+    when tau1 is numerically zero (a factorized qubit).  The concurrence
+    triples are the pairs with their values, in pair order.
     """
-    n = single.size
-    table = np.zeros((n, n))
+    tau2 = [0] * single.size
     for (i, j), c in zip(pairs, values):
-        table[i, j] = table[j, i] = c
-    rows = table.tolist()
+        tau2[i] += c**2
+        tau2[j] += c**2
     tau1 = tuple(2.0 * (1.0 - p) for p in single.tolist())
-    tau2 = tuple(sum(c**2 for c in row) for row in rows)
     return TangleReport(
         tau1=tau1,
-        tau2=tau2,
+        tau2=tuple(tau2),
         ratio=tuple(
             t2 / t1 if t1 >= TAU1_DEFINED_FLOOR else None for t1, t2 in zip(tau1, tau2)
         ),
-        concurrences=tuple((i, j, rows[i][j]) for i, j in pairs),
+        concurrences=tuple((i, j, c) for (i, j), c in zip(pairs, values)),
     )
 
 

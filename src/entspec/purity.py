@@ -112,28 +112,19 @@ def _deal(units: list, madds: int, run, gather: int = 0) -> None:
 
 def _sweep(block: np.ndarray, n: int, plan: list, out, z=None) -> None:
     """One worker's share of a `purities` plan: for each entry (column, mask,
-    slab rows s, slab pairs), add each pair's term to out[:, column] in turn,
-    through a Gram and a complex block's conjugate buffer of one slab, both
-    its own; Z is `z` (one cut's, shared) or gathered into its own buffer."""
-    count = block.shape[0]
-    gram = np.empty(count * max(s for _, _, s, _ in plan) ** 2, block.dtype)
-    conj = None
-    if block.dtype == np.complex128:
-        slab = max(s << (n - mask.bit_count()) for _, mask, s, _ in plan)  # s x N_B
-        conj = np.empty(count * slab, block.dtype)
+    slab rows s, slab pairs), add each pair's term to out[:, column] in turn.
+    Each pair's Gram, and a complex slab's conjugate, is a temporary of
+    numpy's, released before the next pair's; Z is `z` (one cut's, shared)
+    or gathered into this worker's own buffer."""
     masks = [mask for _, mask, _, _ in plan]
     cuts = _cut_matrices(block, n, masks) if z is None else [z] * len(plan)
     for (c, _, s, pairs), z in zip(plan, cuts):
         for i, j in pairs:
-            zi, zj = z[:, i : i + s], z[:, j : j + s]
-            if conj is not None:
-                zj = np.conjugate(zj, out=conj[: zj.size].reshape(zj.shape))
-            zt = zj.transpose(0, 2, 1)  # float64 and i == j: one buffer, so a syrk
-            size = zi.shape[1] * zt.shape[2]
-            g = gram[: count * size].reshape(count, zi.shape[1], zt.shape[2])
-            np.matmul(zi, zt, out=g)
-            g = g.reshape(count, size)  # the row length is explicit for count 0
+            # a float64 conj() is the slab itself, so i == j is one buffer: a syrk
+            g = np.matmul(z[:, i : i + s], z[:, j : j + s].conj().transpose(0, 2, 1))
+            g = g.reshape(-1, s * s)  # one row a state
             square = np.vecdot(g, g).real  # ||Z_i Z_j^dagger||^2 of each row
+            del g  # before the next pair's Gram is allocated
             out[:, c] += square if i == j else 2 * square
 
 
@@ -152,12 +143,13 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     Z is split into row slabs Z_i of s = min(SLAB_ROWS, N_A) rows, and
     purity = sum over j, then i <= j, of (2 - delta_ij) ||Z_i Z_j^dagger||_F^2,
     each term one `np.vecdot` of the count slab Grams with themselves
-    (numpy's loop calls BLAS's dot once per row, as `np.vdot` would).  A
-    worker's slab Grams go into one count x s x s buffer; a complex Z_j is
-    first conjugated into one buffer of one slab, while a float64 diagonal
-    Gram is Z_i Z_i^T on one buffer (a BLAS syrk).  So beyond the state and
-    the gather a worker holds one slab's Gram and conjugate, however large
-    N_A is; a cut of at most SLAB_ROWS rows is one slab, one Gram of Z.
+    (numpy's loop calls BLAS's dot once per row, as `np.vdot` would).  Each
+    pair's count x s x s Gram, and a complex Z_j's conjugate, are numpy
+    temporaries, released before the next pair's Gram is allocated; a
+    float64 Z_j's conj() is Z_j itself, so a float64 diagonal Gram is
+    Z_i Z_i^T on one buffer (a BLAS syrk).  So beyond the state and the
+    gather a worker holds one slab's Gram and conjugate, however large N_A
+    is; a cut of at most SLAB_ROWS rows is one slab, one Gram of Z.
 
     The plan is made from the mask array, turned and deduplicated by
     `np.unique` (columns follow the ascending turned mask); each popcount's

@@ -196,10 +196,14 @@ def _cluster_purities(n: int, masks: np.ndarray) -> np.ndarray:
 
 def _w_purities(n: int, masks: np.ndarray) -> np.ndarray:
     """(k^2 + (n - k)^2) / n^2 for W, k = popcount: rho_A has the eigenvalues
-    k/n and (n - k)/n.  Both integers are exact doubles, so this is one
-    correctly rounded division."""
-    k = np.bitwise_count(masks).astype(np.int64)
-    return (k * k + (n - k) ** 2) / (n * n)
+    k/n and (n - k)/n.  Every integer here is below 2^53, an exact double, so
+    this is one correctly rounded division; it runs in place on two float64
+    arrays of the masks' size."""
+    k = np.bitwise_count(masks).astype(np.float64)
+    rest = n - k
+    k *= k
+    k += np.square(rest, out=rest)
+    return np.divide(k, n * n, out=k)
 
 
 class NamedKind(NamedTuple):

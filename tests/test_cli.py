@@ -329,6 +329,26 @@ class TestSpectrumCommand:
         assert code == 0
         assert held <= 3.5 * 8 * math.comb(22, 11)
 
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_w_summary_holds_no_more_than_the_cluster_bound(self, tmp_path, fmt):
+        # the W rule works in place on two float64 arrays of the masks' size,
+        # so its summaries peak at 3.0 (json) and 3.1 (tsv) mask-sized arrays,
+        # 16.2 and 16.9 MiB; a rule of four int64 temporaries reads 4.0
+        args = [
+            "spectrum", "--kind", "w", "--n", "22", "--format", fmt,
+            "--out", str(tmp_path / "out.txt"),
+        ]
+        main(args)  # first-call allocations are not the sweep's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = main(args)
+            held = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert held <= 3.5 * 8 * math.comb(22, 11)
+
 
 class TestSampleCommand:
     def test_fixed_mask_rows_and_determinism(self, capsys):

@@ -23,7 +23,7 @@ from entspec import (
 )
 from entspec._blas import blas_threads
 from entspec.cli import main
-from entspec.measures import QR_ROWS, TangleReport, concurrences
+from entspec.measures import QR_ROWS, TangleReport, _report, concurrences
 from entspec.states import KINDS, MAX_QUBITS
 from helpers import (
     apply_single_qubit, concurrence_qr, concurrence_svd, haar_states, make_product,
@@ -318,6 +318,22 @@ class TestNamedTangleReport:
         tangle = Fraction(4 * (n - 1), n * n)
         for tau1 in report.tau1:
             assert abs(Fraction(tau1) - tangle) <= Fraction(1, 2**53)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_report_sums_each_qubit_in_table_row_order(self, n):
+        # random concurrences, unlike a named kind's one value or a random
+        # state's mostly zero pairs, so a change of summation order shows
+        rng = np.random.default_rng(n)
+        pairs = tuple(combinations(range(n), 2))
+        values = rng.uniform(0.0, 0.9 / np.sqrt(n - 1), len(pairs)).tolist()
+        single = rng.uniform(0.5, 0.55, n)  # tau1 >= 0.9 >= tau2: monogamous
+        table = np.zeros((n, n))  # the reference: qubit i's sum is row i
+        for (i, j), c in zip(pairs, values):
+            table[i, j] = table[j, i] = c
+        rows = table.tolist()
+        report = _report(pairs, values, single)
+        assert repr(report.tau2) == repr(tuple(sum(c**2 for c in row) for row in rows))
+        assert repr(report.concurrences) == repr(tuple((i, j, rows[i][j]) for i, j in pairs))
 
     @pytest.mark.parametrize("n", [2, 3, 7])
     def test_ghz_and_cluster_pairs_are_bell_only_at_two_qubits(self, n):
