@@ -86,11 +86,10 @@ def blas_threads(count: int):
     holds `_LOCK`: a scope of another thread waits for it, a nested scope of
     the same thread does not, so a thread that the body waits on must not
     enter one."""
-    set_threads = _setter()
+    set_threads = _setter() or (lambda count: None)
     with _LOCK:
-        previous = None if set_threads is None else set_threads(count)
+        previous = set_threads(count)
         try:
             yield previous
         finally:
-            if set_threads is not None:
-                set_threads(previous)
+            set_threads(previous)

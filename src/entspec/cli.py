@@ -257,12 +257,9 @@ def _run_table1(args: argparse.Namespace) -> str:
         return participation_statistics(1.0 / purity[None])[0, 0]
 
     # the header's columns after n, each a value at n qubits of the balanced masks
-    columns = {
-        "ghz": lambda n, masks: mean(named_purities("ghz", n, masks)),
-        "w": lambda n, masks: mean(named_purities("w", n, masks)),
-        "cluster": lambda n, masks: mean(named_purities("cluster", n, masks)),
-        "random": lambda n, masks: 1.0 / asymptotic_model(1 << n // 2, 1 << n - n // 2).mu,
-    }
+    columns = {kind: lambda n, masks, kind=kind: mean(named_purities(kind, n, masks))
+               for kind in ("ghz", "w", "cluster")}
+    columns["random"] = lambda n, _: 1.0 / asymptotic_model(1 << n // 2, 1 << n - n // 2).mu
     if args.haar_seed is not None:  # the seed is checked before the first sweep
         haar = EnsembleSpec("haar", args.nmin, args.haar_seed)
         columns["haar"] = lambda n, masks: mean(

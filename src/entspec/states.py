@@ -86,9 +86,11 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected {1 << self.n}"
             )
-        # a NaN or infinite amplitude, or a sum that overflows, is not finite
-        with blas_threads(1):  # a threaded dot changes its last bits
-            norm2 = float(np.real(np.vdot(amps, amps)))
+        # sum |z|^2 over the float64 view, as `sample_blocks` takes it: no BLAS
+        # call, so no thread count moves its bits and no scope is entered; a
+        # NaN or infinite amplitude, or a sum that overflows, is not finite
+        real = amps.view(np.float64)
+        norm2 = float(np.einsum("i,i->", real, real))
         if not math.isfinite(norm2):
             raise ValueError(
                 f"squared norm of the amplitudes is not finite: sum |z|^2 = {norm2!r}"

@@ -1,8 +1,9 @@
 """Shared test utilities: independent oracles, state fixtures and random inputs.
 
-The purity oracles (`purity_quadruple_sum`, `xm_split`) and the concurrence
-references gather Z through `scatter_coefficient_matrix`, which places each
-subsystem bit by integer bit operations; they share no code with the
+The purity oracles (`purity_quadruple_sum`, `xm_split` and the exact
+`exact_purity`) and the concurrence references gather Z through
+`scatter_coefficient_matrix`, which places each subsystem bit by integer
+bit operations; they share no code with the
 package's tensor-transpose gather, the one they check.  The fixtures that
 relabel qubits (`permute_amplitudes_bitloop`) or act on them
 (`make_product`, `apply_single_qubit`) do not go through that gather either.
@@ -181,6 +182,33 @@ def purity_quadruple_sum(state: PureState, mask: int) -> float:
     z = scatter_coefficient_matrix(state, mask_qubits(mask))
     val = np.einsum("jl,Jl,JL,jL->", z, z.conj(), z, z.conj(), optimize=False)
     return float(np.real(val))
+
+
+def exact_purity(state: PureState, mask: int) -> Fraction:
+    """Exact oracle: ||Z Z^dagger||_F^2 of the stored doubles, as a Fraction.
+
+    Every double is a 53-bit integer mantissa (`np.frexp`, scaled by 2^53)
+    times a power of two, so the real and imaginary parts of the bit-scatter
+    Z are integers A times one common 2^s.  The Gram of those Python ints,
+    its real part A_re A_re^T + A_im A_im^T and imaginary part
+    A_im A_re^T - A_re A_im^T, is taken by object-dtype `dot` with no
+    rounding, and the purity is ||G||_F^2 2^(4s).  Z^T has the same purity,
+    so the Gram is taken over the smaller side.
+    """
+    z = scatter_coefficient_matrix(state, mask_qubits(mask))
+    if z.shape[0] > z.shape[1]:
+        z = z.T
+    parts = np.stack((z.real, z.imag))
+    mantissas, exponents = np.frexp(parts)
+    mantissas = np.ldexp(mantissas, 53).astype(np.int64).ravel().tolist()
+    exponents = (exponents - 53).ravel().tolist()
+    s = min((e for m, e in zip(mantissas, exponents) if m), default=0)
+    ints = [m << (e - s) if m else 0 for m, e in zip(mantissas, exponents)]
+    re, im = np.array(ints, dtype=object).reshape(parts.shape)
+    g_re = re.dot(re.T) + im.dot(im.T)
+    g_im = im.dot(re.T) - re.dot(im.T)
+    squares = sum(x * x for x in g_re.ravel()) + sum(x * x for x in g_im.ravel())
+    return Fraction(squares) * Fraction(2) ** (4 * s)
 
 
 def xm_split(state: PureState, mask: int) -> tuple[float, float]:

@@ -208,6 +208,47 @@ class TestOverlappingScopes:
         assert process["count"] == 2
 
 
+class TestNormCheck:
+    def test_a_state_is_built_while_another_thread_holds_a_scope(self):
+        # the norm check takes no BLAS scope, so it does not wait on another
+        # thread's, nor would a dealt worker's wait on its caller's
+        amps = np.full(8, 8**-0.5)
+        held, release = threading.Event(), threading.Event()
+        built = []
+
+        def hold():
+            with blas_threads(1):
+                held.set()
+                release.wait(timeout=10)
+
+        holder = threading.Thread(target=hold, daemon=True)
+        builder = threading.Thread(target=lambda: built.append(PureState(3, amps)), daemon=True)
+        holder.start()
+        try:
+            assert held.wait(timeout=10)
+            builder.start()
+            builder.join(timeout=1)
+            assert built and not builder.is_alive()
+        finally:
+            release.set()
+            holder.join(timeout=10)
+
+    @pytest.mark.parametrize("n", [10, 14])
+    def test_a_state_and_a_sampled_block_give_one_norm_text(self, monkeypatch, n):
+        # one squared norm rule: the refusals print the same sum |z|^2 digits,
+        # also for a long row, of 2^15 doubles
+        rng = np.random.default_rng(0)
+        row = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        row /= 1.01 * np.linalg.norm(row)
+        with pytest.raises(ValueError, match="^state is not normalized") as state:
+            PureState(n, row)
+        monkeypatch.setitem(states._ENSEMBLE_ROWS, "haar", lambda seed, indices, dim: row[None])
+        with pytest.raises(ValueError, match="^sample 0 is not a finite unit vector") as sampled:
+            next(sample_blocks(EnsembleSpec("haar", n, 1), 1))
+        norm2 = str(state.value).partition("sum |z|^2 = ")[2]
+        assert norm2 and str(sampled.value).endswith(f"sum |z|^2 = {norm2}")
+
+
 class TestWithoutTheSymbol:
     def test_scope_is_a_no_op(self, monkeypatch):
         monkeypatch.setattr(_blas, "_setter", lambda: None)
