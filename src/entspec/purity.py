@@ -134,11 +134,13 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     block holds count x 2**n amplitudes, float64 or complex128 (ValueError
     names a shape or dtype that is not, before anything is allocated), and
     each mask a cut of n qubits (`_masks`: ValueError names the first that is
-    not); the result is a count x len(masks) float64 array.  A mask and its
-    complement are one cut, turned so that A is the smaller side (of equal
-    sides, the lower mask), and gathered once by `_cut_matrices` however many
-    masks name it; its value goes to the column of every such mask, so a
-    mask, its complement and a repeat of either give bit-identical purities.
+    not); the result is a row-major (C-contiguous) count x len(masks)
+    float64 array, so each state's purities are one contiguous row.  A mask
+    and its complement are one cut, turned so that A is the smaller side (of
+    equal sides, the lower mask), and gathered once by `_cut_matrices`
+    however many masks name it; its value goes to the column of every such
+    mask, so a mask, its complement and a repeat of either give
+    bit-identical purities.
 
     Z is split into row slabs Z_i of s = min(SLAB_ROWS, N_A) rows, and
     purity = sum over j, then i <= j, of (2 - delta_ij) ||Z_i Z_j^dagger||_F^2,
@@ -196,4 +198,4 @@ def purities(block: np.ndarray, n: int, masks) -> np.ndarray:
     _deal(plan, count * madds, lambda share: _sweep(block, n, share, terms, z), gather)
     if z is not None:
         terms = sum(terms.T)[:, None]  # 0 + t_0 + t_1 ..., the kernel's order
-    return terms[:, where]
+    return np.take(terms, where, axis=1)

@@ -4,7 +4,9 @@ The purity oracles (`purity_quadruple_sum`, `xm_split` and the exact
 `exact_purity`) and the concurrence references gather Z through
 `scatter_coefficient_matrix`, which places each subsystem bit by integer
 bit operations; they share no code with the
-package's tensor-transpose gather, the one they check.  The fixtures that
+package's tensor-transpose gather, the one they check.
+`haar_purity_product` is the exact Haar mean of two cuts' purities, from
+the permutations of four copies alone.  The fixtures that
 relabel qubits (`permute_amplitudes_bitloop`) or act on them
 (`make_product`, `apply_single_qubit`) do not go through that gather either.
 """
@@ -12,6 +14,7 @@ relabel qubits (`permute_amplitudes_bitloop`) or act on them
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 from fractions import Fraction
 
@@ -209,6 +212,43 @@ def exact_purity(state: PureState, mask: int) -> Fraction:
     g_im = im.dot(re.T) - re.dot(im.T)
     squares = sum(x * x for x in g_re.ravel()) + sum(x * x for x in g_im.ravel())
     return Fraction(squares) * Fraction(2) ** (4 * s)
+
+
+def _cycles(perm: tuple) -> int:
+    """The number of cycles of a permutation of range(len(perm))."""
+    seen, cycles = set(), 0
+    for start in range(len(perm)):
+        cycles += start not in seen
+        while start not in seen:
+            seen.add(start)
+            start = perm[start]
+    return cycles
+
+
+def haar_purity_product(n: int, both: int, a_only: int, b_only: int) -> Fraction:
+    """Exact Haar mean E[pi_A pi_A'] of the purities across two cuts A and A'
+    of n qubits, `both` of them in A and A', `a_only` in A alone and `b_only`
+    in A' alone, as a Fraction.
+
+    pi_A pi_A' is Tr[psi^(x4) (SWAP_A on copies 1, 2) (SWAP_A' on copies 3,
+    4)], and E[psi^(x4)] is the sum of the 24 permutations P_sigma of four
+    copies over D(D+1)(D+2)(D+3), D = 2^n (the symmetric-subspace
+    projector).  Each trace factorizes over the qubits: a qubit in both cuts
+    gives 2^c(sigma (12)(34)), one in A only 2^c(sigma (12)), one in A' only
+    2^c(sigma (34)) and one in neither 2^c(sigma), c counting cycles.
+    """
+    neither = n - both - a_only - b_only
+    if min(both, a_only, b_only, neither) < 0:
+        raise ValueError(f"qubit counts {both}, {a_only}, {b_only} exceed {n} qubits")
+    # each count with the copies its qubits swap
+    counts = ((both, (1, 0, 3, 2)), (a_only, (1, 0, 2, 3)), (b_only, (0, 1, 3, 2)),
+              (neither, (0, 1, 2, 3)))
+    total = sum(
+        2 ** sum(k * _cycles(tuple(sigma[t] for t in swap)) for k, swap in counts)
+        for sigma in itertools.permutations(range(4))
+    )
+    d = 1 << n
+    return Fraction(total, d * (d + 1) * (d + 2) * (d + 3))
 
 
 def xm_split(state: PureState, mask: int) -> tuple[float, float]:

@@ -470,6 +470,20 @@ class TestExactOracle:
                 ulps = np.abs(values.view(np.int64) - exact.view(np.int64))
                 assert ulps.max() <= EXACT_ULPS, (state.amplitudes.dtype, masks[ulps.argmax()])
 
+    def test_sampled_block_rows(self):
+        # `sample`'s path: one Haar block of several rows, whose Grams are
+        # stacked one per row, swept over every cut in one call
+        n = 7
+        (block,) = sample_blocks(EnsembleSpec("haar", n, 7), 4)
+        assert block.shape == (4, 1 << n)
+        masks = BipartitionFamily(n, "all-sizes").masks()
+        values = purities(block, n, masks)
+        for row, swept in zip(block, values):
+            state = PureState(n, row)
+            exact = np.array([float(exact_purity(state, m)) for m in masks.tolist()])
+            ulps = np.abs(swept.view(np.int64) - exact.view(np.int64))
+            assert ulps.max() <= EXACT_ULPS, masks[ulps.argmax()]
+
 
 STEP_N = 8  # qubits per sampled row in the block-boundary tests
 STEP = max(1, BLOCK_BYTES // (16 << STEP_N))  # rows per sampled block

@@ -3,6 +3,7 @@ import json
 import math
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from importlib import import_module
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from entspec import (
     BipartitionFamily,
+    EnsembleSpec,
     histogram,
     make_basis,
     make_cluster1d,
@@ -19,6 +21,7 @@ from entspec import (
     make_w,
     participation_statistics,
     purities,
+    sample_blocks,
 )
 from entspec.cli import main
 from entspec.purity import _cut_matrices
@@ -28,7 +31,8 @@ from entspec.spectra import (
 )
 from entspec.states import KINDS, MAX_QUBITS, PureState
 from helpers import (
-    cluster_rank_steps, haar_states, make_product, path_cut_rank, permute_amplitudes_bitloop,
+    cluster_rank_steps, haar_purity_product, haar_states, make_product, path_cut_rank,
+    permute_amplitudes_bitloop,
 )
 from one_state import assert_masks_refused, participations, purity, statistics
 
@@ -220,6 +224,74 @@ def test_distribution_arrays_match_per_cut_purities(case):
     assert stats.dtype == np.float64 and stats.shape == (len(states), len(STATISTICS))
     for v, row in zip(1.0 / values, stats.tolist()):
         assert row == [np.mean(v), np.var(v), np.var(v, ddof=1), np.min(v), np.max(v)]
+
+
+# every cut count up to 300, the balanced families of 11 to 14 qubits, the
+# counts around 8192 and 16384, and rows of 70000 cuts
+GUARD_WIDTHS = [*range(2, 301), 462, 924, 1716, 3432, 8191, 8192, 8193, 16384, 70000]
+
+
+def test_statistics_reduce_each_row_as_numpy_does_in_either_memory_order():
+    # one 2-D pass keeps each row's bits only because numpy sums a contiguous
+    # row pairwise, as its 1-D call does; this fails, naming the width and the
+    # memory order, on the day numpy's summation order changes
+    rng = np.random.default_rng(42)
+    for width in GUARD_WIDTHS:
+        values = rng.uniform(1.0, 20.0, (rng.integers(1, 51), width))
+        want = np.array(
+            [[np.mean(v), np.var(v), np.var(v, ddof=1), np.min(v), np.max(v)] for v in values]
+        )
+        for order, array in (("C", values), ("F", np.asfortranarray(values))):
+            got = participation_statistics(array)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (width, order)
+
+
+def lubkin_mean(n_a, n_b):
+    """Exact Haar mean of the purity across an n_a | n_b cut (Lubkin, J. Math.
+    Phys. 19, 1028 (1978))."""
+    d_a, d_b = 1 << n_a, 1 << n_b
+    return Fraction(d_a + d_b, d_a * d_b + 1)
+
+
+def giraud_variance(n_a, n_b):
+    """Exact Haar variance of the purity across an n_a | n_b cut (Giraud,
+    J. Phys. A 40, 2793 (2007))."""
+    d_a, d_b = 1 << n_a, 1 << n_b
+    d = d_a * d_b
+    return Fraction(2 * (d_a**2 - 1) * (d_b**2 - 1), (d + 1) ** 2 * (d + 2) * (d + 3))
+
+
+class TestHaarFamilyMean:
+    @pytest.mark.parametrize("n_a", range(1, 7))
+    def test_one_cut_squared_is_lubkin_squared_plus_giraud(self, n_a):
+        for n_b in range(1, 7):
+            want = lubkin_mean(n_a, n_b) ** 2 + giraud_variance(n_a, n_b)
+            assert haar_purity_product(n_a + n_b, n_a, 0, 0) == want, (n_a, n_b)
+
+    def test_balanced_family_mean_purity_of_sampled_states(self):
+        # the mean purity over a family's cuts is the potential of multipartite
+        # entanglement (Facchi, Florio, Parisi & Pascazio, PRA 77, 060304(R)
+        # (2008)); its Haar variance needs every pair of cuts, grouped by their
+        # four counts of qubits
+        n, count = 5, 20_000
+        masks = BipartitionFamily(n, "balanced").masks()
+        pairs = Counter(
+            ((a & b).bit_count(), (a & ~b).bit_count(), (b & ~a).bit_count())
+            for a in masks.tolist() for b in masks.tolist()
+        )
+        square = sum(k * haar_purity_product(n, *key) for key, k in pairs.items())
+        mean = lubkin_mean(n // 2, n - n // 2)
+        variance = square / masks.size**2 - mean**2
+        spec = EnsembleSpec("haar", n, 2008)
+        values = np.concatenate(
+            [purities(block, n, masks).mean(axis=1) for block in sample_blocks(spec, count)]
+        )
+        assert values.size == count
+        se_mean = math.sqrt(values.var(ddof=1) / count)
+        assert abs(values.mean() - float(mean)) <= 5 * se_mean
+        m4 = np.mean((values - values.mean()) ** 4)
+        se_var = math.sqrt((m4 - values.var() ** 2) / count)
+        assert abs(values.var(ddof=1) - float(variance)) <= 5 * se_var
 
 
 @pytest.mark.parametrize(
